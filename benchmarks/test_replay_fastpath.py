@@ -24,8 +24,9 @@ from conftest import BENCH_SCALE
 from repro.analysis import FIGURE_MEM_COSTS, format_figure_mem
 from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
 from repro.analysis.figure_mem import DEFAULT_WORKLOAD, MemSensitivityRow
-from repro.experiments import RunSpec, execute_captured
+from repro.experiments import RunSpec
 from repro.params import DEFAULT_PARAMS
+from repro.service import execute_captured
 from repro.sim.captrace import ReplayMachine
 
 #: committed execution-driven medians (regenerated by run_bench.sh)

@@ -1,4 +1,4 @@
-"""Execute experiment grids: the batch facade over ``repro.service``.
+"""Execute experiment grids: the batch face of ``repro.service``.
 
 The :class:`Runner` takes :class:`~repro.experiments.spec.RunSpec`
 grids and returns :class:`~repro.experiments.summary.RunSummary`
@@ -7,16 +7,9 @@ once per process (in-memory memo), at most once per machine when an
 on-disk store directory is configured, and that independent runs
 execute concurrently in worker processes.
 
-Since the layered refactor the Runner owns no mechanism of its own:
-it composes the :mod:`repro.service` layers into a resolver chain ::
-
-    memo  ->  store  ->  executor
-    (MemoLayer) (ResultStore     (BatchExecutor driven by a
-                 via StoreLayer)  Direct/ReplayPlanner)
-
-and maps the chain's outcome onto its historical :class:`RunnerStats`.
-The concurrent, streaming face of the same layers is
-:class:`repro.service.ExperimentService`.
+It is an :class:`~repro.service.ExperimentService` -- the same memo ->
+store -> in-flight -> executor resolution, the same
+:class:`~repro.service.ServiceStats` -- with a per-call worker pool.
 
 With ``replay=True`` (or ``REPRO_REPLAY=1``) the planner additionally
 exploits the trace-driven fast path (:mod:`repro.sim.captrace`): specs
@@ -30,135 +23,26 @@ alias execution-driven numbers.
 
 from __future__ import annotations
 
-import itertools
 import os
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from repro.errors import ExperimentExecutionError
 from repro.experiments.spec import ExperimentSpec, RunSpec
-from repro.experiments.summary import RunSummary
-from repro.obs.metrics import MetricsRegistry, StatsView, get_registry
-# execution entry points live in the service layer now; re-exported
-# here for backwards compatibility (and for pool workers)
-from repro.service.executor import (        # noqa: F401
-    BatchExecutor, execute, execute_captured, execute_replay_group,
+from repro.obs.metrics import MetricsRegistry
+from repro.service import (
+    ExperimentResult, ExperimentService, ResultStore, store_from_env,
 )
-from repro.service.planner import planner_for, replay_class  # noqa: F401
-from repro.service.resolver import MemoLayer, ResolverChain, StoreLayer
-from repro.service.store import ResultStore, store_from_env
 
 
-_runner_ids = itertools.count()
-
-
-class RunnerStats(StatsView):
-    """Where each requested run came from.
-
-    A view over ``repro_runner_events_total{runner=...,event=...}`` in
-    the metrics registry (see :class:`repro.obs.metrics.StatsView`).
-    """
-
-    #: requested -- specs submitted; executed -- execution-driven
-    #: simulations (each replay class executes exactly one capture; its
-    #: trace-driven members count in ``replayed``, so ``executed +
-    #: replayed`` is the number of summaries produced); deduplicated --
-    #: duplicate grid members folded onto a shared run; memo_hits --
-    #: served from this Runner's in-memory memo; cache_hits -- served
-    #: from the on-disk store; captured -- executed runs that also
-    #: recorded a replayable trace; replayed -- summaries produced by
-    #: trace replay instead of execution; failed -- specs whose
-    #: simulation raised (a failed replay class counts every member;
-    #: see :class:`~repro.errors.ExperimentExecutionError`)
-    FIELDS = ("requested", "executed", "deduplicated", "memo_hits",
-              "cache_hits", "captured", "replayed", "failed")
-
-    __slots__ = ("instance",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        family = (registry if registry is not None
-                  else get_registry()).counter(
-            "repro_runner_events_total",
-            "Runner resolution outcomes", labels=("runner", "event"))
-        if instance is None:
-            instance = f"runner-{next(_runner_ids)}"
-        object.__setattr__(self, "instance", instance)
-        super().__init__({field: family.labels(runner=instance, event=field)
-                          for field in self.FIELDS})
-
-    def __str__(self) -> str:
-        extra = (f" ({self.captured} captured, {self.replayed} replayed)"
-                 if self.captured or self.replayed else "")
-        if self.failed:
-            extra += f" [{self.failed} failed]"
-        return (f"{self.requested} requested = "
-                f"{self.executed + self.replayed} executed "
-                f"+ {self.deduplicated} deduplicated "
-                f"+ {self.memo_hits} memoized + {self.cache_hits} cached"
-                f"{extra}")
-
-
-class ExperimentResult:
-    """Summaries of one executed :class:`ExperimentSpec`.
-
-    Index with the member RunSpec (``result[spec]``) -- lookup is by
-    content hash, so any spec describing the same simulation resolves.
-    """
-
-    def __init__(self, experiment: ExperimentSpec,
-                 summaries: dict[str, RunSummary]) -> None:
-        self.experiment = experiment
-        self._by_hash = summaries
-
-    def __getitem__(self, spec: RunSpec) -> RunSummary:
-        try:
-            return self._by_hash[spec.spec_hash()]
-        except KeyError:
-            raise KeyError(f"no run for {spec.describe()}") from None
-
-    def __contains__(self, spec: RunSpec) -> bool:
-        return spec.spec_hash() in self._by_hash
-
-    def __len__(self) -> int:
-        return len(self._by_hash)
-
-    def summaries(self) -> list[RunSummary]:
-        """Summaries in experiment order (duplicates included)."""
-        return [self[spec] for spec in self.experiment.runs]
-
-    def find(self, **attrs) -> RunSummary:
-        """The unique summary whose fields match ``attrs``."""
-        matches = [s for s in self._by_hash.values()
-                   if all(getattr(s, k) == v for k, v in attrs.items())]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} summaries match {attrs}")
-        return matches[0]
-
-
-class Runner:
+class Runner(ExperimentService):
     """Deduplicating, caching, parallel experiment executor.
 
-    * duplicate specs within and across calls run once (in-memory memo);
-    * with ``cache_dir`` (or an explicit ``store``), completed runs
-      persist on disk keyed by spec hash in a content-addressed
-      :class:`~repro.service.store.ResultStore`, so re-invocations
-      (new processes) are served from the store;
-    * independent specs execute in parallel worker processes via
-      :class:`concurrent.futures.ProcessPoolExecutor` (``parallel=False``
-      or ``max_workers=1`` forces in-process serial execution);
-    * with ``replay=True``, specs differing only in replay-safe timing
-      parameters share one execution-driven capture and replay the
-      rest through :class:`~repro.sim.captrace.ReplayMachine`
-      (replayed summaries carry ``timing="replay"``).
-
-    The pool is deliberately per-batch: batches run for seconds to
-    minutes, so spawn cost is noise, and a long-lived Runner (the
-    process-wide default) never holds idle worker processes between
-    experiments.  A failing simulation neither discards the rest of
-    its batch (completed runs are memoized and stored first) nor
-    shadows other failures: one
-    :class:`~repro.errors.ExperimentExecutionError` names every failed
-    spec, so a retry only re-runs what failed.
+    An :class:`~repro.service.ExperimentService` whose ``cache_dir``
+    (or explicit ``store``) is the on-disk layer, and whose worker
+    pool lives for one synchronous call: it is shut down before
+    :meth:`run`, :meth:`run_many` or :meth:`run_experiment` returns.
+    Batches run for seconds to minutes, so spawn cost is noise, and a
+    long-lived Runner (the process-wide default) never holds idle
+    worker processes between experiments.
     """
 
     def __init__(self, cache_dir: Optional[Union[str, os.PathLike]] = None,
@@ -168,63 +52,19 @@ class Runner:
                  store: Optional[ResultStore] = None,
                  registry: Optional[MetricsRegistry] = None,
                  instance: Optional[str] = None) -> None:
-        if store is None and cache_dir:
-            store = ResultStore(cache_dir, registry=registry,
-                                instance=instance)
-        #: the on-disk layer (``cache`` is the historical alias)
-        self.store = self.cache = store
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.parallel = parallel and self.max_workers > 1
-        self.replay = replay
-        self.stats = RunnerStats(registry=registry, instance=instance)
-        self._memo = MemoLayer()
-        self._executor = BatchExecutor(planner_for(replay),
-                                       max_workers=self.max_workers,
-                                       parallel=self.parallel)
-        layers = [self._memo]
-        if store is not None:
-            layers.append(StoreLayer(store, replay=replay))
-        layers.append(self._executor)
-        self._chain = ResolverChain(layers)
+        super().__init__(store=store if store is not None
+                         else cache_dir or None,
+                         max_workers=max_workers, parallel=parallel,
+                         replay=replay, registry=registry,
+                         instance=instance)
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def run(self, spec: RunSpec) -> RunSummary:
-        """Run (or recall) a single spec."""
-        return self.run_many([spec])[0]
-
-    def run_many(self, specs: Iterable[RunSpec]) -> list[RunSummary]:
-        """Run a grid; returns summaries in input order.
-
-        Each unique simulation is resolved once -- memo, then store,
-        then execution -- and duplicates share the result.
-        """
-        specs = list(specs)
-        self.stats.requested += len(specs)
-        unique: dict[str, RunSpec] = {}
-        for spec in specs:
-            unique.setdefault(spec.spec_hash(), spec)
-        self.stats.deduplicated += len(specs) - len(unique)
-
-        outcome = self._chain.resolve(list(unique.values()))
-        self.stats.memo_hits += outcome.hits_by_layer.get("memo", 0)
-        self.stats.cache_hits += outcome.hits_by_layer.get("store", 0)
-        executed = self._executor.last
-        self.stats.executed += executed.executed
-        self.stats.captured += executed.captured
-        self.stats.replayed += executed.replayed
-        self.stats.failed += executed.failed
-        if outcome.failures:
-            raise ExperimentExecutionError(outcome.failures)
-        return [outcome.summaries[spec.spec_hash()] for spec in specs]
-
-    def run_experiment(self, experiment: ExperimentSpec) -> ExperimentResult:
-        """Run every member of an experiment grid."""
-        self.run_many(experiment.runs)
-        by_hash = {spec.spec_hash(): self._memo.get(spec.spec_hash())
-                   for spec in experiment.runs}
-        return ExperimentResult(experiment, by_hash)
+    def run_experiment(self, experiment: Union[ExperimentSpec,
+                                               Iterable[RunSpec]]
+                       ) -> ExperimentResult:
+        try:
+            return super().run_experiment(experiment)
+        finally:
+            self.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, and histograms.
 
 The repo grew four disconnected stats islands -- ``TraceLog``,
-``ShredLog``, ``StoreStats``, ``RunnerStats`` -- each a private pile of
+``ShredLog``, ``StoreStats``, ``ServiceStats`` -- each a private pile of
 counters with its own query methods and no shared export path.  This
 module is the unification point: a stdlib-only, thread-safe
 :class:`MetricsRegistry` of labeled metric *families* that every layer
@@ -381,7 +381,7 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 class StatsView:
     """Attribute-style stats object backed by registry counters.
 
-    The component stats dataclasses (``StoreStats``, ``RunnerStats``,
+    The component stats dataclasses (``StoreStats``, ``ServiceStats``,
     ...) historically were parallel bookkeeping: plain ints the
     component mutated with ``stats.hits += 1``.  This base preserves
     that exact surface -- attribute reads return ints, augmented

@@ -5,41 +5,38 @@ finished summary; it is a module-level function so
 ``ProcessPoolExecutor`` can ship it to workers.  The layer never
 decides *what* to run together -- a
 :class:`~repro.service.planner.ExecutionPlanner` hands it task groups
-(singletons, or capture-plus-replay classes) and it runs them.
-
-Two executors share those entry points:
-
-* :class:`BatchExecutor` -- the terminal layer of a
-  :class:`~repro.service.resolver.ResolverChain`; runs one batch to
-  completion with a per-batch process pool (batches run for seconds to
-  minutes, so spawn cost is noise, and a long-lived Runner never holds
-  idle worker processes between experiments).  All failures are
-  collected -- one failing simulation neither discards the rest of the
-  batch nor shadows the other failures.
-* :class:`ExecutionBackend` -- the shared, future-based pool an
-  :class:`~repro.service.service.ExperimentService` keeps alive across
-  jobs, so many concurrent clients draw from one set of workers.
+(singletons, or capture-plus-replay classes) and the
+:class:`ExecutionBackend` runs them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    Future, ProcessPoolExecutor, as_completed,
-)
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import repro.workloads  # noqa: F401  -- populates the workload registry
-from repro.service.planner import ExecutionPlanner
 from repro.sim.captrace import ReplayMachine
 from repro.systems import Session, get_system
-from repro.workloads.base import REGISTRY
+from repro.workloads.base import REGISTRY, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
     from repro.experiments.summary import RunSummary
+    from repro.systems.base import SystemBackend
+
+
+def _prepare(spec: "RunSpec"
+             ) -> tuple["SystemBackend", Session, WorkloadSpec]:
+    """The backend, the configured session and the built workload a
+    spec describes -- everything but the run itself."""
+    backend = get_system(spec.system)
+    workload = REGISTRY.build(spec.workload, spec.scale, **dict(spec.args))
+    session = (Session(backend, spec.config)
+               .params(spec.params).policy(spec.policy).limit(spec.limit)
+               .background(spec.background).timing(spec.timing_model))
+    return backend, session, workload
 
 
 def execute(spec: "RunSpec") -> "RunSummary":
@@ -52,13 +49,8 @@ def execute(spec: "RunSpec") -> "RunSummary":
     way.  (Backends registered at runtime exist only in the
     registering process; run them through a serial Runner.)
     """
-    backend = get_system(spec.system)
-    workload = REGISTRY.build(spec.workload, spec.scale, **dict(spec.args))
-    run = (Session(backend, spec.config)
-           .params(spec.params).policy(spec.policy).limit(spec.limit)
-           .background(spec.background).timing(spec.timing_model)
-           .run(workload))
-    return backend.summarize(run, spec)
+    backend, session, workload = _prepare(spec)
+    return backend.summarize(session.run(workload), spec)
 
 
 def execute_captured(spec: "RunSpec"):
@@ -69,12 +61,8 @@ def execute_captured(spec: "RunSpec"):
     attached as its snapshot (everything picklable, so workers can
     ship it back).
     """
-    backend = get_system(spec.system)
-    workload = REGISTRY.build(spec.workload, spec.scale, **dict(spec.args))
-    run = (Session(backend, spec.config)
-           .params(spec.params).policy(spec.policy).limit(spec.limit)
-           .background(spec.background).timing(spec.timing_model)
-           .capture().run(workload))
+    backend, session, workload = _prepare(spec)
+    run = session.capture().run(workload)
     summary = backend.summarize(run, spec)
     trace = run.trace
     trace.snapshot = summary
@@ -100,100 +88,16 @@ def run_group(group: Sequence["RunSpec"]) -> list["RunSummary"]:
     return [execute(group[0])]
 
 
-@dataclass
-class ExecutionOutcome:
-    """Counters from one executor pass."""
-
-    #: execution-driven simulations (each replay group executes exactly
-    #: one capture; its replayed members count in ``replayed``)
-    executed: int = 0
-    #: executed runs that also recorded a replayable trace
-    captured: int = 0
-    #: summaries produced by trace replay instead of execution
-    replayed: int = 0
-    #: specs whose simulation raised (a failed replay group counts
-    #: every member)
-    failed: int = 0
-    failures: list[tuple["RunSpec", BaseException]] = field(
-        default_factory=list)
-
-
-class BatchExecutor:
-    """Terminal resolver layer: plan a batch, run it, keep everything.
-
-    ``resolve(specs)`` returns the summaries of every spec that ran to
-    completion as hits and the failed specs as misses; the exceptions
-    themselves land in :attr:`failures` (and :attr:`last`), so the
-    caller can surface *all* of them instead of just the first.
-    """
-
-    name = "executor"
-
-    def __init__(self, planner: ExecutionPlanner,
-                 max_workers: Optional[int] = None,
-                 parallel: bool = True,
-                 run_group_fn: Optional[Callable] = None) -> None:
-        self.planner = planner
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.parallel = parallel and self.max_workers > 1
-        self._run_group = run_group_fn or run_group
-        self.failures: list[tuple["RunSpec", BaseException]] = []
-        self.last = ExecutionOutcome()
-
-    def resolve(self, specs: Sequence["RunSpec"]
-                ) -> tuple[dict[str, "RunSummary"], list["RunSpec"]]:
-        outcome = ExecutionOutcome()
-        hits: dict[str, "RunSummary"] = {}
-        if specs:
-            tasks = self.planner.plan(specs)
-            if self.parallel and len(tasks) > 1:
-                self._resolve_parallel(tasks, hits, outcome)
-            else:
-                for group in tasks:
-                    self._finish(group, hits, outcome)
-        self.last = outcome
-        self.failures = outcome.failures
-        misses = [spec for spec, _ in outcome.failures]
-        return hits, misses
-
-    def store(self, spec: "RunSpec", summary: "RunSummary") -> None:
-        """Terminal layer: nothing below to backfill."""
-
-    # ------------------------------------------------------------------
-    def _resolve_parallel(self, tasks, hits, outcome) -> None:
-        workers = min(self.max_workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(self._run_group, group): group
-                       for group in tasks}
-            for future in as_completed(futures):
-                self._finish(futures[future], hits, outcome,
-                             lambda f=future: f.result())
-
-    def _finish(self, group, hits, outcome,
-                result_fn: Optional[Callable] = None) -> None:
-        try:
-            summaries = (result_fn() if result_fn
-                         else self._run_group(group))
-        except Exception as exc:
-            outcome.failed += len(group)
-            outcome.failures.extend((spec, exc) for spec in group)
-            return
-        for spec, summary in zip(group, summaries):
-            hits[spec.spec_hash()] = summary
-        outcome.executed += 1      # group[0] always executes
-        if len(group) > 1:
-            outcome.captured += 1
-            outcome.replayed += len(group) - 1
-
-
 class ExecutionBackend:
-    """A shared worker pool turning planned groups into futures.
+    """Runs planned task groups, inline or on a shared process pool.
 
-    Unlike :class:`BatchExecutor`'s per-batch pool, this pool persists
-    across jobs: an :class:`ExperimentService` serves every client
-    from one set of workers.  With ``parallel=False`` groups run
-    inline on the calling thread (deterministic, picklability-free),
-    returning already-completed futures.
+    The plan decides which: a plan of one group (or any plan, with
+    ``parallel=False``) runs inline on the calling thread --
+    deterministic, and registry-local backends and timing models stay
+    visible -- while a wider plan fans out over a worker pool that
+    persists across plans, so many concurrent jobs draw from one set
+    of workers.  The pool never has more workers than the widest plan
+    it has served, up to ``max_workers``.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -203,28 +107,45 @@ class ExecutionBackend:
         self.parallel = parallel and self.max_workers > 1
         self._run_group = run_group_fn or run_group
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_width = 0
         self._lock = threading.Lock()
 
-    def submit_group(self, group: Sequence["RunSpec"]
-                     ) -> "Future[list[RunSummary]]":
-        if self.parallel:
-            return self._ensure_pool().submit(self._run_group, group)
-        future: Future = Future()
-        try:
-            future.set_result(self._run_group(group))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+    def run(self, groups: Sequence[Sequence["RunSpec"]]
+            ) -> Iterator[tuple[Sequence["RunSpec"],
+                                "Future[list[RunSummary]]"]]:
+        """Run every group; yield ``(group, finished future)`` pairs in
+        completion order.  A failed group's future holds its
+        exception, so one failure neither hides nor stops the rest."""
+        if self.parallel and len(groups) > 1:
+            with self._lock:
+                pool = self._widen_pool(len(groups))
+                futures = {pool.submit(self._run_group, group): group
+                           for group in groups}
+            for future in as_completed(futures):
+                yield futures[future], future
+            return
+        for group in groups:
+            future: Future = Future()
+            try:
+                future.set_result(self._run_group(group))
+            except Exception as exc:
+                future.set_exception(exc)
+            yield group, future
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers)
-            return self._pool
+    def _widen_pool(self, groups: int) -> ProcessPoolExecutor:
+        # caller holds the lock; a replaced pool finishes the groups
+        # already submitted to it and then exits
+        width = min(self.max_workers, groups)
+        if self._pool is None or width > self._pool_width:
+            if self._pool is not None:
+                self._pool.shutdown(wait=False)
+            self._pool = ProcessPoolExecutor(max_workers=width)
+            self._pool_width = width
+        return self._pool
 
     def close(self) -> None:
+        """Shut the worker pool down, waiting for its running groups."""
         with self._lock:
-            pool, self._pool = self._pool, None
+            pool, self._pool, self._pool_width = self._pool, None, 0
         if pool is not None:
             pool.shutdown(wait=True)

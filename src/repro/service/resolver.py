@@ -1,37 +1,28 @@
-"""The resolver chain: memo -> store -> executor, one interface.
+"""The lookup layers in front of execution: memo, then store.
 
-Every layer of the service answers the same question -- *which of
-these specs can you satisfy?* -- through one uniform method::
+Both answer the same question -- *which of these specs can you
+satisfy?* -- through one method::
 
     resolve(specs) -> (hits, misses)
 
 where ``hits`` maps spec hashes to finished
 :class:`~repro.experiments.summary.RunSummary` values and ``misses``
-is the specs the layer could not serve, in input order.  Layers are
-therefore freely composable: the :class:`ResolverChain` threads the
-miss list of each layer into the next, and backfills results produced
-by lower layers into every layer above them (an executed run lands in
-the store *and* the memo; a store hit lands in the memo), so the next
-request short-circuits as early as possible.
-
-Concrete layers:
+is the specs the layer could not serve, in input order.  ``store``
+backfills a summary produced further down, so the next request
+short-circuits as early as possible.
 
 * :class:`MemoLayer` -- the in-process memo dict (thread-safe, shared
   by every job of an :class:`~repro.service.service.ExperimentService`);
 * :class:`StoreLayer` -- adapts a
   :class:`~repro.service.store.ResultStore` (in replay mode, an exact
   execution-driven entry satisfies either key, while a replay entry
-  only satisfies replay mode);
-* the executor layer (:class:`~repro.service.executor.BatchExecutor`)
-  is terminal: it *runs* whatever reaches it, so its misses are
-  exactly the specs whose simulations failed.
+  only satisfies replay mode).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
@@ -39,25 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.store import ResultStore
 
 
-class ResolverLayer(Protocol):
-    """One rung of the resolution ladder."""
-
-    name: str
-
-    def resolve(self, specs: Sequence["RunSpec"]
-                ) -> tuple[dict[str, "RunSummary"], list["RunSpec"]]:
-        """Split ``specs`` into served hits and passed-on misses."""
-        ...
-
-    def store(self, spec: "RunSpec", summary: "RunSummary") -> None:
-        """Backfill a summary produced by a lower layer."""
-        ...
-
-
 class MemoLayer:
     """In-process memoization: the fastest, narrowest layer."""
-
-    name = "memo"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -91,14 +65,12 @@ class MemoLayer:
 
 
 class StoreLayer:
-    """Adapts a content-addressed :class:`ResultStore` to the chain.
+    """Adapts a content-addressed :class:`ResultStore` to the lookup.
 
     With ``replay=True`` a lookup falls back to the replay-timing key:
     execution-driven entries are exact, so they satisfy either mode,
     while a replay entry only ever satisfies replay mode.
     """
-
-    name = "store"
 
     def __init__(self, store: "ResultStore", replay: bool = False) -> None:
         self.backing = store
@@ -120,51 +92,3 @@ class StoreLayer:
 
     def store(self, spec: "RunSpec", summary: "RunSummary") -> None:
         self.backing.put(spec, summary)
-
-
-@dataclass
-class ChainResult:
-    """Everything one :meth:`ResolverChain.resolve` pass produced."""
-
-    #: spec hash -> summary for every spec that resolved
-    summaries: dict[str, "RunSummary"]
-    #: layer name -> number of specs that layer served
-    hits_by_layer: dict[str, int] = field(default_factory=dict)
-    #: (spec, exception) for every spec whose execution failed
-    failures: list[tuple["RunSpec", BaseException]] = field(
-        default_factory=list)
-
-
-class ResolverChain:
-    """Threads specs down the layer stack and backfills results up.
-
-    The last layer is terminal (an executor); results it produces are
-    written back into every layer above it, and a store hit is written
-    back into the memo, so each layer warms the ones before it.
-    """
-
-    def __init__(self, layers: Sequence[ResolverLayer]) -> None:
-        if not layers:
-            raise ValueError("a resolver chain needs at least one layer")
-        self.layers = list(layers)
-
-    def resolve(self, specs: Sequence["RunSpec"]) -> ChainResult:
-        by_hash = {spec.spec_hash(): spec for spec in specs}
-        remaining: list["RunSpec"] = list(by_hash.values())
-        summaries: dict[str, "RunSummary"] = {}
-        produced: list[dict[str, "RunSummary"]] = []
-        hits_by_layer: dict[str, int] = {}
-        for layer in self.layers:
-            # always invoked (even on an empty miss list) so stateful
-            # layers -- the executor's per-batch outcome -- stay fresh
-            hits, remaining = layer.resolve(remaining)
-            produced.append(hits)
-            summaries.update(hits)
-            hits_by_layer[layer.name] = len(hits)
-        # backfill: each layer learns everything resolved below it
-        for index, layer in enumerate(self.layers):
-            for lower_hits in produced[index + 1:]:
-                for key, summary in lower_hits.items():
-                    layer.store(by_hash[key], summary)
-        failures = list(getattr(self.layers[-1], "failures", ()))
-        return ChainResult(summaries, hits_by_layer, failures)

@@ -1,19 +1,22 @@
-"""The experiment service: a job API over the layered resolvers.
+"""The experiment service: the one resolution path for experiment grids.
 
-:class:`ExperimentService` is the serving-system face of the
-experiment layer.  Many concurrent clients ``submit()`` experiment
-grids and get back :class:`JobHandle`\\ s; each job resolves through
-the shared layers -- in-process memo, content-addressed
+:class:`ExperimentService` serves grids through two faces over the
+same layers -- in-process memo, content-addressed
 :class:`~repro.service.store.ResultStore`, cross-request
 :class:`~repro.service.inflight.InflightTable`, and one shared
-execution backend -- so
+execution backend:
 
-* a figure request repeated by N clients costs one execution;
-* two different grids sharing a baseline run share its simulation
-  even while both are still in flight;
-* finished runs stream back through
-  :meth:`JobHandle.as_completed` *as they finish*, not when the whole
-  grid does.
+* :meth:`~ExperimentService.run`, :meth:`~ExperimentService.run_many`
+  and :meth:`~ExperimentService.run_experiment` resolve on the calling
+  thread and return once the grid is done;
+* :meth:`~ExperimentService.submit` returns a :class:`JobHandle` at
+  once and resolves in the background, so finished runs stream back
+  through :meth:`JobHandle.as_completed` *as they finish*, not when
+  the whole grid does.
+
+Either way, a figure request repeated by N clients costs one
+execution, and two different grids sharing a baseline run share its
+simulation even while both are still in flight.
 
 Resolution order per job::
 
@@ -39,6 +42,7 @@ from typing import (
     TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union,
 )
 
+from repro.errors import ExperimentExecutionError
 from repro.obs.metrics import (
     MetricsRegistry, StatsView, get_registry, new_run_id,
 )
@@ -47,16 +51,50 @@ from repro.service.executor import ExecutionBackend
 from repro.service.inflight import InflightTable
 from repro.service.planner import planner_for
 from repro.service.resolver import MemoLayer, StoreLayer
-from repro.service.store import (
-    ResultStore, StoreStatsSnapshot, store_from_env,
-)
+from repro.service.store import ResultStore, StoreStatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentResult
     from repro.experiments.spec import ExperimentSpec, RunSpec
     from repro.experiments.summary import RunSummary
 
 _service_ids = itertools.count()
+
+
+class ExperimentResult:
+    """Summaries of one executed :class:`ExperimentSpec`.
+
+    Index with the member RunSpec (``result[spec]``) -- lookup is by
+    content hash, so any spec describing the same simulation resolves.
+    """
+
+    def __init__(self, experiment: "ExperimentSpec",
+                 summaries: dict[str, "RunSummary"]) -> None:
+        self.experiment = experiment
+        self._by_hash = summaries
+
+    def __getitem__(self, spec: "RunSpec") -> "RunSummary":
+        try:
+            return self._by_hash[spec.spec_hash()]
+        except KeyError:
+            raise KeyError(f"no run for {spec.describe()}") from None
+
+    def __contains__(self, spec: "RunSpec") -> bool:
+        return spec.spec_hash() in self._by_hash
+
+    def __len__(self) -> int:
+        return len(self._by_hash)
+
+    def summaries(self) -> list["RunSummary"]:
+        """Summaries in experiment order (duplicates included)."""
+        return [self[spec] for spec in self.experiment.runs]
+
+    def find(self, **attrs) -> "RunSummary":
+        """The unique summary whose fields match ``attrs``."""
+        matches = [s for s in self._by_hash.values()
+                   if all(getattr(s, k) == v for k, v in attrs.items())]
+        if len(matches) != 1:
+            raise KeyError(f"{len(matches)} summaries match {attrs}")
+        return matches[0]
 
 
 class ServiceStats(StatsView):
@@ -95,6 +133,8 @@ class ServiceStats(StatsView):
                 f"+ {self.deduplicated} deduplicated "
                 f"+ {self.memo_hits} memoized + {self.store_hits} stored "
                 f"+ {self.inflight_joined} joined in-flight"
+                + (f" ({self.captured} captured, {self.replayed} replayed)"
+                   if self.captured or self.replayed else "")
                 + (f" ({self.failed} failed)" if self.failed else ""))
 
 
@@ -103,9 +143,9 @@ class JobHandle:
 
     One summary is delivered per *unique* spec in the grid; duplicate
     members share their delivery (and the final
-    :class:`~repro.experiments.runner.ExperimentResult` resolves them
-    all).  :meth:`as_completed` is a single-consumer stream; it may be
-    combined freely with a final :meth:`result` call.
+    :class:`ExperimentResult` resolves them all).  :meth:`as_completed`
+    is a single-consumer stream; it may be combined freely with a final
+    :meth:`result` call.
     """
 
     def __init__(self, experiment: "ExperimentSpec",
@@ -233,9 +273,6 @@ class JobHandle:
 
     def result(self, timeout: Optional[float] = None) -> "ExperimentResult":
         """Block until the whole grid resolved; raise if any run failed."""
-        from repro.errors import ExperimentExecutionError
-        from repro.experiments.runner import ExperimentResult
-
         if not self._done.wait(timeout):
             raise TimeoutError(
                 f"job incomplete after {timeout}s "
@@ -246,14 +283,31 @@ class JobHandle:
 
 
 class ExperimentService:
-    """Serve experiment grids to many concurrent clients.
+    """Serve experiment grids, synchronously or as streaming jobs.
 
     One service owns one memo, one (optional) content-addressed store,
-    one in-flight table, and one execution backend; every job submitted
-    to it shares all four.  ``parallel=False`` executes in the
-    submitting job's worker thread (deterministic, and registry-local
-    backends/timing models stay visible); otherwise groups run in a
-    persistent shared process pool.
+    one in-flight table, and one execution backend; every request --
+    a synchronous ``run*`` call or a submitted job -- shares all four.
+
+    * duplicate specs within and across requests run once (memo, and
+      the in-flight table while a run is still executing);
+    * with a ``store`` (a :class:`ResultStore` or a directory), runs
+      persist on disk keyed by spec hash, so new processes are served
+      from the store;
+    * a plan of several task groups runs in a persistent process pool
+      of up to ``max_workers`` workers; a plan of one group, or any
+      plan with ``parallel=False``, runs inline on the resolving
+      thread (deterministic, and registry-local backends/timing models
+      stay visible);
+    * with ``replay=True``, specs differing only in replay-safe timing
+      parameters share one execution-driven capture and replay the
+      rest through :class:`~repro.sim.captrace.ReplayMachine`
+      (replayed summaries carry ``timing="replay"``).
+
+    A failing simulation neither discards the rest of its grid
+    (completed runs are memoized and stored first) nor shadows other
+    failures: one :class:`~repro.errors.ExperimentExecutionError` names
+    every failed spec, so a retry only re-runs what failed.
     """
 
     def __init__(self,
@@ -289,37 +343,43 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def run(self, spec: "RunSpec") -> "RunSummary":
+        """Run (or recall) a single spec."""
+        return self.run_many([spec])[0]
+
+    def run_many(self, specs: Iterable["RunSpec"]) -> list["RunSummary"]:
+        """Run a grid on the calling thread; returns summaries in
+        input order (duplicates share one run)."""
+        specs = list(specs)
+        result = self.run_experiment(specs)
+        return [result[spec] for spec in specs]
+
+    def run_experiment(self,
+                       experiment: Union["ExperimentSpec",
+                                         Iterable["RunSpec"]]
+                       ) -> ExperimentResult:
+        """Resolve every member of a grid on the calling thread.
+
+        Blocks until the grid is done, including members joined onto
+        runs another request has in flight; raises
+        :class:`~repro.errors.ExperimentExecutionError` if any failed.
+        """
+        job, unique = self._open(experiment)
+        self._run_job(job, unique)
+        return job.result()
+
     def submit(self, experiment: Union["ExperimentSpec",
                                        Iterable["RunSpec"]]) -> JobHandle:
         """Accept a grid; resolution starts immediately in the
         background.  Returns the job's :class:`JobHandle`."""
-        from repro.experiments.spec import ExperimentSpec
-
-        if not isinstance(experiment, ExperimentSpec):
-            experiment = ExperimentSpec("adhoc", tuple(experiment))
-        unique: dict[str, "RunSpec"] = {}
-        for spec in experiment.runs:
-            unique.setdefault(spec.spec_hash(), spec)
-        job = JobHandle(experiment, expected=len(unique))
+        job, unique = self._open(experiment)
         with self._phase(job, "submit"):
-            with self._stats_lock:
-                self.stats.jobs += 1
-                self.stats.requested += len(experiment.runs)
-                self.stats.deduplicated += len(experiment.runs) - len(unique)
             worker = threading.Thread(target=self._run_job,
                                       args=(job, unique),
                                       name=f"repro-{job.job_id}",
                                       daemon=True)
             worker.start()
         return job
-
-    def run_experiment(self,
-                       experiment: Union["ExperimentSpec",
-                                         Iterable["RunSpec"]],
-                       timeout: Optional[float] = None
-                       ) -> "ExperimentResult":
-        """Synchronous convenience: ``submit(...).result(...)``."""
-        return self.submit(experiment).result(timeout)
 
     def store_stats(self) -> Optional[StoreStatsSnapshot]:
         """Snapshot of the backing store's hit/miss/evict/corrupt
@@ -340,18 +400,33 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Job resolution
     # ------------------------------------------------------------------
+    def _open(self, experiment: Union["ExperimentSpec",
+                                      Iterable["RunSpec"]]
+              ) -> tuple[JobHandle, dict[str, "RunSpec"]]:
+        """A counted job for ``experiment`` and its unique specs."""
+        from repro.experiments.spec import ExperimentSpec
+
+        if not isinstance(experiment, ExperimentSpec):
+            experiment = ExperimentSpec("adhoc", tuple(experiment))
+        unique: dict[str, "RunSpec"] = {}
+        for spec in experiment.runs:
+            unique.setdefault(spec.spec_hash(), spec)
+        self._count(jobs=1, requested=len(experiment.runs),
+                    deduplicated=len(experiment.runs) - len(unique))
+        return JobHandle(experiment, expected=len(unique)), unique
+
     def _run_job(self, job: JobHandle,
                  unique: dict[str, "RunSpec"]) -> None:
-        pending = dict(unique)
         try:
-            self._resolve_job(job, pending)
-        except Exception as exc:          # pragma: no cover - defensive
-            # never leave a job hanging: fail whatever has not resolved
+            self._resolve_job(job, unique)
+        except Exception as exc:
+            # never leave a job hanging (a store write can raise, e.g.
+            # ENOSPC): fail whatever has not resolved
             with job._lock:
-                resolved = set(job._results)
-                failed = {s.spec_hash() for s, _ in job._failures}
-            for key, spec in pending.items():
-                if key not in resolved and key not in failed:
+                settled = set(job._results)
+                settled.update(s.spec_hash() for s, _ in job._failures)
+            for key, spec in unique.items():
+                if key not in settled:
                     job._deliver_failure(spec, exc)
 
     @contextlib.contextmanager
@@ -394,36 +469,37 @@ class ExperimentService:
             future.add_done_callback(
                 partial(self._on_future, job, unique[key]))
 
-        # double-check the memo for owned keys: another job may have
-        # resolved (and retired) the run between our memo miss and the
-        # claim -- serve it rather than re-executing
-        for key in list(owned):
-            summary = self.memo.get(key)
-            if summary is not None:
-                self.inflight.resolve(key, summary)
-                del owned[key]
+        try:
+            # double-check the memo for owned keys: another job may have
+            # resolved (and retired) the run between our memo miss and
+            # the claim -- serve it rather than re-executing
+            for key in list(owned):
+                summary = self.memo.get(key)
+                if summary is not None:
+                    self.inflight.resolve(key, summary)
+                    del owned[key]
 
-        # 4. execute what this job owns
-        if owned:
-            self._execute_owned(job, [unique[key] for key in owned])
+            # 4. execute what this job owns
+            if owned:
+                self._execute_owned(job, [unique[key] for key in owned])
+        except BaseException as exc:
+            # an unsettled claim would hang its joiners and every later
+            # request for the spec; only the owner settles a claim, so
+            # a pending owned future is still the table's entry
+            for key, future in owned.items():
+                if not future.done():
+                    self.inflight.fail(key, exc)
+            raise
 
     def _execute_owned(self, job: JobHandle,
                        specs: Sequence["RunSpec"]) -> None:
         with self._phase(job, "plan"):
             groups = self.planner.plan(specs)
         with self._phase(job, "execute"):
-            if self.backend.parallel:
-                futures = {self.backend.submit_group(group): group
-                           for group in groups}
-                from concurrent.futures import as_completed
-                for future in as_completed(futures):
-                    self._settle_group(job, futures[future], future)
-            else:
-                # inline execution: each group resolves -- and streams
-                # to every waiting job -- before the next one starts
-                for group in groups:
-                    self._settle_group(job, group,
-                                       self.backend.submit_group(group))
+            # each group resolves -- and streams to every waiting job --
+            # as soon as it finishes
+            for group, future in self.backend.run(groups):
+                self._settle_group(job, group, future)
 
     def _settle_group(self, job: JobHandle, group: Sequence["RunSpec"],
                       future: Future) -> None:
@@ -459,24 +535,3 @@ class ExperimentService:
             for name, delta in deltas.items():
                 setattr(self.stats, name,
                         getattr(self.stats, name) + delta)
-
-
-def service_from_env(
-        store_dir: Optional[Union[str, os.PathLike]] = None
-) -> ExperimentService:
-    """An :class:`ExperimentService` configured from the documented
-    environment knobs (the same family :func:`runner_from_env` reads):
-    ``REPRO_CACHE_DIR`` locates the store (overridden by
-    ``store_dir``), ``REPRO_STORE_MAX_ENTRIES`` /
-    ``REPRO_STORE_MAX_BYTES`` bound it, ``REPRO_MAX_WORKERS`` sizes
-    the shared pool, ``REPRO_SERIAL=1`` forces inline execution, and
-    ``REPRO_REPLAY=1`` enables the capture-once/replay-rest fast
-    path."""
-    root = store_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    max_workers = os.environ.get("REPRO_MAX_WORKERS")
-    return ExperimentService(
-        store=store_from_env(root) if root else None,
-        max_workers=int(max_workers) if max_workers else None,
-        parallel=os.environ.get("REPRO_SERIAL", "") not in ("1", "true"),
-        replay=os.environ.get("REPRO_REPLAY", "") in ("1", "true"),
-    )

@@ -47,7 +47,7 @@ from repro.obs.metrics import MetricsRegistry, StatsView, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # imported lazily at runtime: repro.experiments imports this module
-    # (ResultCache is a ResultStore), so a top-level import would cycle
+    # (the Runner builds its store), so a top-level import would cycle
     from repro.experiments.spec import RunSpec
     from repro.experiments.summary import RunSummary
 

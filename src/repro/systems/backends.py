@@ -2,7 +2,7 @@
 
 Each backend owns its slice of the Figure 6 notation rules
 (``canonical_config``), its machine construction, and its staging --
-everything :func:`repro.experiments.runner.execute` used to dispatch
+everything :func:`repro.service.executor.execute` used to dispatch
 on system strings.  The ``hybrid`` backend is new relative to the
 paper's Section 5 scenarios: it runs one *shredded* application gang
 across a multi-group MISP partition such as ``1x4+1x2`` (one OS

@@ -14,7 +14,7 @@ module makes it a *pluggable* one, mirroring the workload
   application onto the machine), ``drive`` (run it), ``summarize``;
 * :data:`SYSTEM_REGISTRY` -- name -> backend, consulted by
   :class:`~repro.experiments.spec.RunSpec` validation and by
-  :func:`~repro.experiments.runner.execute`, so *registering a backend
+  :func:`~repro.service.executor.execute`, so *registering a backend
   is sufficient* to make it spec-able, cacheable, and grid-able;
 * :data:`SYSTEMS` / :data:`DEFAULT_CONFIGS` -- live views over the
   registry (re-exported by :mod:`repro.experiments` for

@@ -15,7 +15,7 @@ workloads on it::
 Sessions are immutable: every knob method returns a *new* session, so
 a configured session can be kept and reused as a template.  The
 legacy ``run_misp`` / ``run_smp`` / ``run_1p`` functions are thin
-wrappers over sessions, and :func:`repro.experiments.runner.execute`
+wrappers over sessions, and :func:`repro.service.executor.execute`
 builds one per :class:`~repro.experiments.spec.RunSpec`.
 """
 

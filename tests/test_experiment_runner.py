@@ -2,6 +2,7 @@
 notation round-trips, RunSpec canonicalization and hashing, and the
 Runner's dedup / cache / parallel-equality guarantees."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -10,10 +11,9 @@ from repro.core.notation import (
     FIGURE6_CONFIGS, FIGURE7_CONFIGS, config_name, parse_config,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments import (
-    ExperimentSpec, ResultCache, Runner, RunSpec, RunSummary, execute,
-)
+from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
+from repro.service import ResultStore, execute
 from repro.shredlib.runtime import QueuePolicy
 
 #: a fast workload for runner-behaviour tests
@@ -151,16 +151,16 @@ class TestRunner:
     def test_cache_miss_then_hit(self, fast_grid, tmp_path):
         first = Runner(cache_dir=tmp_path, parallel=False)
         a = first.run_many(fast_grid)
-        assert first.stats.executed == 3 and first.stats.cache_hits == 0
+        assert first.stats.executed == 3 and first.stats.store_hits == 0
         # a fresh Runner (fresh process, conceptually) hits the disk cache
         second = Runner(cache_dir=tmp_path, parallel=False)
         b = second.run_many(fast_grid)
         assert second.stats.executed == 0
-        assert second.stats.cache_hits == 3
+        assert second.stats.store_hits == 3
         assert a == b
 
     def test_cache_ignores_corrupt_entries(self, fast_grid, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         spec = fast_grid[0]
         cache.path_for(spec).write_text("{not json")
         assert cache.get(spec) is None
@@ -181,12 +181,16 @@ class TestRunner:
         retry = Runner(cache_dir=tmp_path, parallel=False)
         with pytest.raises(SimulationError):
             retry.run_many([good, bad])
-        assert retry.stats.cache_hits == 1 and retry.stats.executed == 0
+        assert retry.stats.store_hits == 1 and retry.stats.executed == 0
 
     def test_parallel_equals_serial(self, fast_grid):
         serial = Runner(parallel=False).run_many(fast_grid)
         parallel = Runner(parallel=True, max_workers=2).run_many(fast_grid)
         assert parallel == serial
+
+    def test_pool_shut_down_when_a_call_returns(self, fast_grid):
+        Runner(parallel=True, max_workers=2).run_many(fast_grid)
+        assert multiprocessing.active_children() == []
 
     def test_summary_is_plain_data(self, fast_grid):
         summary = Runner(parallel=False).run(fast_grid[1])
@@ -206,12 +210,12 @@ class TestRunner:
         first = Runner(cache_dir=tmp_path, parallel=True, max_workers=2)
         fig_a = run_figure4(names, ams_count=3, scale=0.05, runner=first)
         assert first.stats.executed == 6     # 2 workloads x {1p,misp,smp}
-        assert first.stats.cache_hits == 0
+        assert first.stats.store_hits == 0
 
         second = Runner(cache_dir=tmp_path, parallel=True, max_workers=2)
         fig_b = run_figure4(names, ams_count=3, scale=0.05, runner=second)
         assert second.stats.executed == 0
-        assert second.stats.cache_hits == 6
+        assert second.stats.store_hits == 6
         assert fig_a.rows == fig_b.rows
         assert fig_a.misp_summaries == fig_b.misp_summaries
 

@@ -452,4 +452,33 @@ def test_report_smoke_with_observability(tmp_path, capsys):
     snap = json.loads(metrics.read_text())
     assert snap["run"].startswith("report-")
     assert "repro_run_cycles" in snap["metrics"]
-    assert "repro_runner_events_total" in snap["metrics"]
+    assert "repro_service_events_total" in snap["metrics"]
+
+
+def test_report_stream_prints_the_batch_figure4(tmp_path, capsys):
+    from repro.analysis import format_figure4, run_figure4
+    from repro.analysis.report import main
+    from repro.experiments import Runner
+
+    argv = ["--smoke", "--serial", "--workloads", "dense_mvm",
+            "--scale", "0.02"]
+    figure4 = format_figure4(run_figure4(["dense_mvm"], scale=0.02,
+                                         runner=Runner(parallel=False)))
+    assert main(argv) == 0
+    batch = capsys.readouterr().out
+    assert main(argv + ["--stream", "--cache-dir", str(tmp_path)]) == 0
+    streamed = capsys.readouterr().out
+    assert figure4 in batch and figure4 in streamed
+    assert "[3/3] dense_mvm/" in streamed
+    tail = streamed[streamed.index(figure4) + len(figure4):]
+    assert tail.rstrip().splitlines()[-1].startswith("[store: 0 hits / ")
+
+
+def test_report_store_honours_env_bounds(tmp_path, monkeypatch, capsys):
+    from repro.analysis.report import main
+
+    monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", "1")
+    assert main(["--smoke", "--serial", "--workloads", "dense_mvm",
+                 "--scale", "0.02", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(list(tmp_path.glob("*.json"))) == 1

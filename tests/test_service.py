@@ -1,26 +1,24 @@
 """Tests for the layered experiment service: the content-addressed
 ResultStore (metrics, eviction, quarantine, temp-file reclamation),
-the resolver chain, replay planning, the cross-request InflightTable,
+resolution order, replay planning, the cross-request InflightTable,
 concurrency invariants (shared-store races, in-flight dedup), and the
 ExperimentService streaming job API."""
 
+import errno
 import json
 import os
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.errors import ExperimentExecutionError, SimulationError
-from repro.experiments import (
-    CACHE_VERSION, ExperimentSpec, ResultCache, Runner, RunSpec,
-    RunSummary,
-)
+from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
     STORE_VERSION, DirectPlanner, ExperimentService, InflightTable,
-    MemoLayer, ReplayPlanner, ResolverChain, ResultStore, StoreLayer,
-    run_group,
+    ReplayPlanner, ResultStore, run_group,
 )
 
 #: a fast workload for end-to-end service tests
@@ -44,6 +42,35 @@ def wait_until(predicate, timeout: float = 10.0) -> None:
         if time.time() > deadline:
             raise AssertionError("condition not reached in time")
         time.sleep(0.005)
+
+
+def within(timeout: float, fn, *args):
+    """``fn(*args)`` on a helper thread: its result, its exception, or
+    TimeoutError instead of a hang."""
+    future: Future = Future()
+
+    def call():
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=call, daemon=True).start()
+    return future.result(timeout=timeout)
+
+
+def fail_next_put(store: ResultStore) -> None:
+    """Make the store's next write raise ENOSPC, as a full disk would."""
+    put = store.put
+    state = {"failed": False}
+
+    def flaky(spec, summary):
+        if not state["failed"]:
+            state["failed"] = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return put(spec, summary)
+
+    store.put = flaky
 
 
 # ----------------------------------------------------------------------
@@ -153,14 +180,6 @@ class TestResultStore:
         assert report.tmp_reclaimed == 1
         assert store.get(good) == summary_for(good)    # survivors intact
 
-    def test_result_cache_alias_is_the_store(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert isinstance(cache, ResultStore)
-        assert CACHE_VERSION == STORE_VERSION
-        spec = spec_n(7)
-        cache.put(spec, summary_for(spec))
-        assert ResultStore(tmp_path).get(spec) == summary_for(spec)
-
 
 # ----------------------------------------------------------------------
 # Planner and inflight table
@@ -212,48 +231,46 @@ class TestInflightTable:
 
 
 # ----------------------------------------------------------------------
-# Resolver chain
+# Resolution order: memo -> store -> execution, with backfill
 # ----------------------------------------------------------------------
-class StubExecutor:
-    """Terminal layer that manufactures summaries and records calls."""
-
-    name = "executor"
+class StubGroups:
+    """A ``run_group_fn`` that manufactures summaries and records calls."""
 
     def __init__(self):
         self.calls = []
-        self.failures = []
 
-    def resolve(self, specs):
-        self.calls.append(list(specs))
-        return {s.spec_hash(): summary_for(s) for s in specs}, []
-
-    def store(self, spec, summary):
-        pass
+    def __call__(self, group):
+        self.calls.append(list(group))
+        return [summary_for(s) for s in group]
 
 
-class TestResolverChain:
+def served_by(service):
+    """(memo, store, executed) counts of a service so far."""
+    return (service.stats.memo_hits, service.stats.store_hits,
+            service.stats.executed)
+
+
+class TestResolutionOrder:
     def test_layer_order_and_backfill(self, tmp_path):
         store = ResultStore(tmp_path)
-        executor = StubExecutor()
-        chain = ResolverChain([MemoLayer(), StoreLayer(store), executor])
+        stub = StubGroups()
+        service = ExperimentService(store=store, parallel=False,
+                                    run_group_fn=stub)
         specs = [spec_n(i) for i in range(3)]
 
-        first = chain.resolve(specs)
-        assert first.hits_by_layer == {"memo": 0, "store": 0,
-                                       "executor": 3}
+        first = service.run_many(specs)
+        assert served_by(service) == (0, 0, 3)
         assert store.stats.puts == 3                   # backfilled down
-        assert len(first.summaries) == 3
+        assert first == [summary_for(s) for s in specs]
 
-        second = chain.resolve(specs)                  # memo short-circuit
-        assert second.hits_by_layer == {"memo": 3, "store": 0,
-                                        "executor": 0}
-        assert executor.calls[-1] == []
+        service.run_many(specs)                        # memo short-circuit
+        assert served_by(service) == (3, 0, 3)
+        assert len(stub.calls) == 3
 
-        fresh = ResolverChain([MemoLayer(), StoreLayer(store),
-                               StubExecutor()])
-        third = fresh.resolve(specs)                   # disk short-circuit
-        assert third.hits_by_layer == {"memo": 0, "store": 3,
-                                       "executor": 0}
+        fresh = ExperimentService(store=store, parallel=False,
+                                  run_group_fn=StubGroups())
+        fresh.run_many(specs)                          # disk short-circuit
+        assert served_by(fresh) == (0, 3, 0)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +295,7 @@ class TestFailureReporting:
         retry = Runner(cache_dir=tmp_path, parallel=False)
         with pytest.raises(ExperimentExecutionError):
             retry.run_many([good, bad1, bad2])
-        assert retry.stats.cache_hits == 1
+        assert retry.stats.store_hits == 1
         assert retry.stats.executed == 0
         assert retry.stats.failed == 2
 
@@ -289,6 +306,36 @@ class TestFailureReporting:
         with pytest.raises(ExperimentExecutionError) as excinfo:
             runner.run_many(bads)
         assert len(excinfo.value.failures) == 2
+
+
+# ----------------------------------------------------------------------
+# A store write that raises during backfill settles every claim
+# ----------------------------------------------------------------------
+class TestStoreWriteFailure:
+    def test_submit_fails_named_then_retry_serves(self, tmp_path):
+        store = ResultStore(tmp_path)
+        fail_next_put(store)
+        specs = [spec_n(1), spec_n(2)]
+        with ExperimentService(store=store, parallel=False,
+                               run_group_fn=StubGroups()) as service:
+            with pytest.raises(ExperimentExecutionError) as excinfo:
+                service.submit(specs).result(timeout=10)
+            assert all(isinstance(exc, OSError)
+                       for _, exc in excinfo.value.failures)
+            assert len(service.inflight) == 0
+            retry = service.submit(specs).result(timeout=10)
+        assert retry.summaries() == [summary_for(s) for s in specs]
+
+    def test_runner_fails_named_then_retry_serves(self, tmp_path):
+        specs = [RunSpec(system="1p", **FAST),
+                 RunSpec(system="misp", config="1x4", **FAST)]
+        runner = Runner(cache_dir=tmp_path, parallel=False)
+        fail_next_put(runner.store)
+        with pytest.raises(ExperimentExecutionError):
+            within(120, runner.run_many, specs)
+        assert len(runner.inflight) == 0
+        retry = within(120, runner.run_many, specs)
+        assert retry == Runner(parallel=False).run_many(specs)
 
 
 # ----------------------------------------------------------------------
