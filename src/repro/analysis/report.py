@@ -78,7 +78,7 @@ def full_report(workloads: Optional[Sequence[str]] = None,
          run=out.run_id)
     emit("system backends: " + ", ".join(
         f"{b.name} ({b.default_config})"
-        for b in SYSTEM_REGISTRY.backends()), kind="header")
+        for b in SYSTEM_REGISTRY.values()), kind="header")
     emit("=" * 70, kind="header")
 
     out.section("Figure 4: speedup vs 1P (MISP 1x8 vs SMP 8-way)")

@@ -115,7 +115,7 @@ class Machine:
             # stall account; attach after bind (models hoist params
             # there) and before the charge hoists below (models may
             # attach by shadowing charge with a closure)
-            self.timing.attach_observation(self._obs)
+            self.timing.attach_stalls(self._obs.stalls)
         # hot-path hoists: one bound-method lookup per op, not an
         # attribute chain (these rebind on set_timing)
         charge = self.timing.charge
@@ -123,10 +123,8 @@ class Machine:
         if self._obs is not None:
             # observed runs count ops/cycles through a closure; when
             # observation is off the raw bound methods are installed
-            # and the charge path is untouched (models whose observed
-            # charge path already counts skip the generic wrapper)
-            if not self.timing.observation_counts_ops:
-                charge = self._obs.wrap_charge(charge)
+            # and the charge path is untouched
+            charge = self._obs.wrap_charge(charge)
             signal_cycles = self._obs.wrap_signal(signal_cycles)
         self._charge = charge
         self._signal_cycles = signal_cycles

@@ -19,6 +19,18 @@ class ConfigurationError(ReproError):
     """A machine, processor, or workload was configured inconsistently."""
 
 
+class UnknownNameError(ConfigurationError, KeyError):
+    """A registry lookup named nothing registered (also a ``KeyError``)."""
+
+    # KeyError's own __str__ would wrap the message in quotes
+    __str__ = Exception.__str__
+
+
+class DuplicateNameError(ConfigurationError, ValueError):
+    """A registration named an entry that is already registered (also a
+    ``ValueError``)."""
+
+
 class SimulationError(ReproError):
     """The simulation engine reached an invalid internal state."""
 

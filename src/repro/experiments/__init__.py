@@ -15,8 +15,8 @@ The subsystem separates *what to simulate* from *how it executes*:
   stays in-process).
 
 Systems are resolved through :data:`repro.systems.SYSTEM_REGISTRY`:
-``SYSTEMS`` and ``DEFAULT_CONFIGS`` are live views over it, and
-registering a :class:`~repro.systems.base.SystemBackend` is all it
+``SYSTEMS`` is that registry and ``DEFAULT_CONFIGS`` a live view over
+it, and registering a :class:`~repro.systems.base.SystemBackend` is all it
 takes to make a new system spec-able, grid-able, and cacheable.
 
 Quick start::
@@ -39,7 +39,7 @@ from repro.experiments.spec import (
 )
 from repro.experiments.summary import (
     EVENT_KEYS, MemorySummary, ProxySummary, RunSummary,
-    UtilizationSummary, summarize_multiprog, summarize_run,
+    UtilizationSummary, summarize_run,
 )
 from repro.service import ExperimentResult
 
@@ -48,5 +48,5 @@ __all__ = [
     "set_default_runner",
     "DEFAULT_CONFIGS", "FIGURE7_SEQUENCERS", "SYSTEMS", "ExperimentSpec",
     "RunSpec", "EVENT_KEYS", "MemorySummary", "ProxySummary", "RunSummary",
-    "UtilizationSummary", "summarize_multiprog", "summarize_run",
+    "UtilizationSummary", "summarize_run",
 ]

@@ -18,8 +18,8 @@ Systems are resolved purely through
 :data:`repro.systems.SYSTEM_REGISTRY`: each backend owns its
 configuration-notation rules (``canonical_config``) and its default
 cycle budget, so registering a backend is all it takes for specs to
-validate, canonicalize, and hash against it.  :data:`SYSTEMS` and
-:data:`DEFAULT_CONFIGS` are live views over that registry.
+validate, canonicalize, and hash against it.  :data:`SYSTEMS` is that
+registry and :data:`DEFAULT_CONFIGS` a live view over it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from repro.errors import ConfigurationError
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.shredlib.runtime import QueuePolicy
 from repro.systems import DEFAULT_CONFIGS, SYSTEM_REGISTRY, SYSTEMS
-from repro.timing import TIMING_REGISTRY
+from repro.timing import TIMING_REGISTRY, canonical_timing_name
+from repro.workloads.base import REGISTRY
 from repro.workloads.runner import DEFAULT_LIMIT
 
 __all__ = [
@@ -69,11 +70,12 @@ def _canonical_args(args: Any) -> tuple[tuple[str, Any], ...]:
 class RunSpec:
     """One simulation, as content-hashable plain data.
 
-    Fields are normalized on construction so that equal simulations
-    compare (and hash) equal:
+    Fields are validated and normalized on construction so that equal
+    simulations compare (and hash) equal:
 
-    * ``system`` is resolved through the system registry and
-      ``policy`` is lowercased and validated;
+    * ``workload`` must name a registered workload (names match
+      exactly); ``system`` and ``timing_model`` are resolved through
+      their registries, and ``policy`` is lowercased and validated;
     * ``config`` is canonicalized by the backend's Figure 6 notation
       rules (``"1X8"`` -> ``"1x8"``, ``"smp1"`` on a plain CPU
       collapses ``smp`` to ``1p``, multiprogramming's ``"ideal"``
@@ -100,14 +102,15 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         s = lambda field, value: object.__setattr__(self, field, value)
-        backend = SYSTEM_REGISTRY.get(str(self.system).strip().lower())
+        # every name must resolve in its registry
+        REGISTRY.get(self.workload)
+        backend = SYSTEM_REGISTRY.get(self.system)
+        TIMING_REGISTRY.get(self.timing_model)
+        s("timing_model", canonical_timing_name(self.timing_model))
         policy = (self.policy.value if isinstance(self.policy, QueuePolicy)
                   else str(self.policy).strip().lower())
         QueuePolicy(policy)  # validate
         s("policy", policy)
-        timing = str(self.timing_model).strip().lower()
-        TIMING_REGISTRY.get(timing)  # validate against the registry
-        s("timing_model", timing)
         if self.scale is not None and self.scale <= 0:
             raise ConfigurationError(f"scale must be positive: {self.scale}")
         if self.background < 0:

@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
-
-from repro.sim.trace import EventKind
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
-    from repro.workloads.multiprog import MultiprogResult
     from repro.workloads.runner import RunResult
 
 #: Table 1's six event columns, in presentation order
@@ -216,46 +213,4 @@ def summarize_run(result: "RunResult",
         spec_hash=spec.spec_hash() if spec else "",
         timing_model=(spec.timing_model if spec
                       else result.machine.timing.canonical_name()),
-    )
-
-
-def summarize_multiprog(result: Union["MultiprogResult", "RunResult"],
-                        spec: Optional["RunSpec"] = None) -> RunSummary:
-    """Flatten a multiprogramming run (Figure 7) into a summary.
-
-    Accepts the legacy :class:`MultiprogResult` (whose cycle count is
-    ``raytracer_cycles``) or the unified
-    :class:`~repro.workloads.runner.RunResult` a multiprog
-    :class:`~repro.systems.session.Session` returns.
-    """
-    machine = result.machine
-    cycles = getattr(result, "raytracer_cycles", None)
-    if cycles is None:
-        cycles = result.cycles
-    trace = machine.trace
-    oms_ids, ams_ids = machine.oms_ids(), machine.ams_ids()
-    events = {
-        "oms_syscall": trace.total(EventKind.SYSCALL, oms_ids),
-        "oms_pf": trace.total(EventKind.PAGE_FAULT, oms_ids),
-        "oms_timer": trace.total(EventKind.TIMER, oms_ids),
-        "oms_interrupt": trace.total(EventKind.INTERRUPT, oms_ids),
-        "ams_syscall": trace.total(EventKind.SYSCALL, ams_ids),
-        "ams_pf": trace.total(EventKind.PAGE_FAULT, ams_ids),
-    }
-    proxy, util, mem = _machine_totals(machine)
-    return RunSummary(
-        workload=spec.workload if spec else getattr(result, "workload",
-                                                    "RayTracer"),
-        system=getattr(result, "system", "multiprog"),
-        config=result.config,
-        cycles=cycles,
-        scale=spec.scale if spec else None,
-        background=result.background,
-        events=events,
-        proxy=proxy,
-        utilization=util,
-        mem=mem,
-        spec_hash=spec.spec_hash() if spec else "",
-        timing_model=(spec.timing_model if spec
-                      else machine.timing.canonical_name()),
     )

@@ -122,9 +122,6 @@ class ObservedRun:
         machine = self.machine
         if machine is None:
             raise ValueError("ObservedRun was never bound to a machine")
-        # flush any deferred hot-path accumulators (timing models may
-        # bank stalls in private buffers via StallAccount.add_source)
-        self.stalls.settle()
         reg = self.registry
         run = self.run_id
 

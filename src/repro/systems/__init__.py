@@ -23,7 +23,7 @@ Quick start::
 
 from repro.systems.base import (
     DEFAULT_CONFIGS, SYSTEM_REGISTRY, SYSTEMS, StagedRun, SystemBackend,
-    SystemRegistry, get_system, register_system,
+    get_system, register_system,
 )
 from repro.systems.backends import (
     HYBRID, MISP, MULTIPROG, ONE_P, SMP, HybridBackend, MispBackend,
@@ -33,7 +33,7 @@ from repro.systems.session import Session
 
 __all__ = [
     "DEFAULT_CONFIGS", "SYSTEM_REGISTRY", "SYSTEMS", "StagedRun",
-    "SystemBackend", "SystemRegistry", "get_system", "register_system",
+    "SystemBackend", "get_system", "register_system",
     "HYBRID", "MISP", "MULTIPROG", "ONE_P", "SMP", "HybridBackend",
     "MispBackend", "MultiprogBackend", "OnePBackend", "SmpBackend",
     "Session",

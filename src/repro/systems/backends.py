@@ -13,7 +13,7 @@ heterogeneous MISP MP.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.mp import build_machine
 from repro.core.notation import (
@@ -36,12 +36,9 @@ from repro.workloads.runner import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import Machine
-    from repro.experiments.spec import RunSpec
-    from repro.experiments.summary import RunSummary
     from repro.params import MachineParams
     from repro.shredlib.runtime import QueuePolicy
     from repro.workloads.base import WorkloadSpec
-    from repro.workloads.runner import RunResult
 
 
 class MispBackend(SystemBackend):
@@ -277,11 +274,6 @@ class MultiprogBackend(SystemBackend):
                 f"processes within {limit} cycles")
         machine.stop()
         return process.exit_time
-
-    def summarize(self, run: "RunResult",
-                  spec: Optional["RunSpec"] = None) -> "RunSummary":
-        from repro.experiments.summary import summarize_multiprog
-        return summarize_multiprog(run, spec)
 
 
 #: the built-in backends, in the legacy SYSTEMS presentation order

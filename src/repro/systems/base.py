@@ -5,8 +5,9 @@ how the machine is partitioned, how the application's OS threads and
 gang schedulers are laid onto it, and how the finished run is boiled
 down to a :class:`~repro.experiments.summary.RunSummary`.  The paper's
 point is that sequencer topology is an architectural resource; this
-module makes it a *pluggable* one, mirroring the workload
-``REGISTRY``:
+module makes it a *pluggable* one, looked up by name through the same
+generic :class:`~repro.registry.Registry` as timing models and
+workloads:
 
 * :class:`SystemBackend` -- the protocol: a ``name``, a
   ``default_config``, ``canonical_config`` (the Figure 6 notation
@@ -16,9 +17,10 @@ module makes it a *pluggable* one, mirroring the workload
   :class:`~repro.experiments.spec.RunSpec` validation and by
   :func:`~repro.service.executor.execute`, so *registering a backend
   is sufficient* to make it spec-able, cacheable, and grid-able;
-* :data:`SYSTEMS` / :data:`DEFAULT_CONFIGS` -- live views over the
-  registry (re-exported by :mod:`repro.experiments` for
-  compatibility); a backend registered at runtime appears in both.
+* :data:`SYSTEMS` / :data:`DEFAULT_CONFIGS` -- the registry itself
+  and a live name -> default-config view of it (both re-exported by
+  :mod:`repro.experiments`); a backend registered at runtime appears
+  in both.
 
 Custom backends registered at runtime are visible only in the
 registering process: run them through a serial Runner
@@ -28,12 +30,11 @@ worker processes see them too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.errors import ConfigurationError
+from repro.registry import Registry
 from repro.workloads.runner import DEFAULT_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,82 +133,8 @@ class SystemBackend:
         return f"<{type(self).__name__} '{self.name}'>"
 
 
-class SystemRegistry:
-    """Name -> :class:`SystemBackend`, in registration order."""
-
-    def __init__(self) -> None:
-        self._backends: dict[str, SystemBackend] = {}
-
-    @staticmethod
-    def _key(name: str) -> str:
-        return str(name).strip().lower()
-
-    def register(self, backend: SystemBackend, *,
-                 replace: bool = False) -> SystemBackend:
-        """Register a backend under its :attr:`~SystemBackend.name`.
-
-        ``replace=True`` swaps an existing backend in place.  Note
-        that :meth:`RunSpec.spec_hash` encodes the backend's *name*,
-        not its behavior: a replacement that simulates differently
-        under the same name will be served stale results by the
-        on-disk cache.  Give behaviorally different backends distinct
-        names (or point the Runner at a fresh ``cache_dir``).
-        """
-        key = self._key(backend.name)
-        if not key:
-            raise ConfigurationError("system backend needs a name")
-        if key in self._backends and not replace:
-            raise ConfigurationError(
-                f"system '{key}' already registered; pass replace=True "
-                "to override")
-        self._backends[key] = backend
-        return backend
-
-    def unregister(self, name: str) -> SystemBackend:
-        try:
-            return self._backends.pop(self._key(name))
-        except KeyError:
-            raise ConfigurationError(
-                f"system '{name}' is not registered") from None
-
-    def find(self, name: str) -> Optional[SystemBackend]:
-        return self._backends.get(self._key(name))
-
-    def get(self, name: str) -> SystemBackend:
-        backend = self.find(name)
-        if backend is None:
-            raise ConfigurationError(
-                f"unknown system '{name}'; registered systems: "
-                f"{tuple(self._backends)}")
-        return backend
-
-    def names(self) -> list[str]:
-        return list(self._backends)
-
-    def backends(self) -> list[SystemBackend]:
-        return list(self._backends.values())
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._key(name) in self._backends
-
-    def __len__(self) -> int:
-        return len(self._backends)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(list(self._backends))
-
-    @contextmanager
-    def temporary(self, backend: SystemBackend):
-        """Register ``backend`` for the duration of a ``with`` block."""
-        self.register(backend)
-        try:
-            yield backend
-        finally:
-            self.unregister(backend.name)
-
-
 #: the process-wide registry, populated by :mod:`repro.systems.backends`
-SYSTEM_REGISTRY = SystemRegistry()
+SYSTEM_REGISTRY: Registry[SystemBackend] = Registry("system")
 
 
 def register_system(backend: SystemBackend, *,
@@ -221,49 +148,25 @@ def get_system(name: str) -> SystemBackend:
     return SYSTEM_REGISTRY.get(name)
 
 
-class _SystemsView(Sequence):
-    """Live, tuple-like view of the registered system names."""
-
-    def __init__(self, registry: SystemRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, index):
-        return tuple(self._registry.names())[index]
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __repr__(self) -> str:
-        return repr(tuple(self._registry.names()))
+#: systems a RunSpec can target (the registry itself, so it is live)
+SYSTEMS = SYSTEM_REGISTRY
 
 
-class _DefaultConfigsView(Mapping):
-    """Live name -> ``default_config`` view of the registry."""
-
-    def __init__(self, registry: SystemRegistry) -> None:
-        self._registry = registry
+class _DefaultConfigs(Mapping):
+    """Live name -> ``default_config`` view of :data:`SYSTEM_REGISTRY`."""
 
     def __getitem__(self, name: str) -> str:
-        backend = self._registry.find(name)
-        if backend is None:
-            raise KeyError(name)
-        return backend.default_config
+        return SYSTEM_REGISTRY.get(name).default_config
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._registry)
+        return iter(SYSTEM_REGISTRY)
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return len(SYSTEM_REGISTRY)
 
     def __repr__(self) -> str:
         return repr(dict(self))
 
 
-#: systems a RunSpec can target (live registry view)
-SYSTEMS = _SystemsView(SYSTEM_REGISTRY)
-
 #: default machine configuration per system (live registry view)
-DEFAULT_CONFIGS = _DefaultConfigsView(SYSTEM_REGISTRY)
+DEFAULT_CONFIGS = _DefaultConfigs()

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.shredlib.runtime import QueuePolicy
 from repro.systems.base import SystemBackend, get_system
-from repro.timing.base import TimingModel, get_timing, resolve_timing
+from repro.timing.base import TimingModel, resolve_timing
 from repro.workloads.base import REGISTRY, WorkloadSpec
 from repro.workloads.runner import RunResult
 
@@ -104,17 +104,10 @@ class Session:
         (``"fixed"``, ``"scoreboard"``), a
         :class:`~repro.timing.TimingModel` subclass, or a prototype
         instance (copied per run -- bound models carry run state).
-        Names are validated immediately; the model itself is
-        instantiated fresh for every :meth:`run`.
+        Validated immediately; the model itself is instantiated fresh
+        for every :meth:`run`.
         """
-        if isinstance(timing, str):
-            get_timing(timing)  # fail fast on unknown names
-        elif not (isinstance(timing, TimingModel)
-                  or (isinstance(timing, type)
-                      and issubclass(timing, TimingModel))):
-            raise ConfigurationError(
-                f"cannot use {timing!r} as a timing model; pass a "
-                "registry name, a TimingModel subclass, or an instance")
+        resolve_timing(timing)  # fail fast on anything unresolvable
         new = self._clone()
         new._timing = timing
         return new

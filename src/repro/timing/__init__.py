@@ -1,8 +1,9 @@
 """Pluggable timing models (``TimingModel`` + ``TIMING_REGISTRY``).
 
 The timing subsystem separates *what the machine does* (functional
-execution) from *how long it takes* (pricing), mirroring the system
-registry in :mod:`repro.systems`.  Two models ship:
+execution) from *how long it takes* (pricing); models are looked up by
+name through the same :class:`~repro.registry.Registry` as systems
+and workloads.  Two models ship:
 
 * ``fixed`` -- constant per-op costs from :class:`~repro.params.
   MachineParams` (the default; bit-exact with the pre-subsystem
@@ -18,8 +19,8 @@ Select a model per run with :meth:`Session.timing
 """
 
 from repro.timing.base import (
-    TIMING_REGISTRY, TimingModel, TimingRegistry, canonical_timing_name,
-    get_timing, register_timing, resolve_timing,
+    TIMING_REGISTRY, TimingModel, canonical_timing_name, get_timing,
+    register_timing, resolve_timing,
 )
 from repro.timing.fixed import ISA_MEM_EXTRA, ISA_MUL_EXTRA, FixedTiming
 from repro.timing.scoreboard import ScoreboardTiming
@@ -27,7 +28,6 @@ from repro.timing.scoreboard import ScoreboardTiming
 __all__ = [
     "TIMING_REGISTRY",
     "TimingModel",
-    "TimingRegistry",
     "canonical_timing_name",
     "get_timing",
     "register_timing",

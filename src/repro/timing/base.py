@@ -3,9 +3,9 @@
 A *timing model* is where cycles come from: how each machine operation,
 inter-sequencer signal, and pipeline event is priced.  Functional
 execution (the ISA interpreter, ShredLib, the model kernel) decides
-*what happens*; the timing model decides *how long it takes*.  The
-split mirrors the system-backend registry
-(:mod:`repro.systems.base`):
+*what happens*; the timing model decides *how long it takes*.  Models
+are looked up by name like system backends and workloads, through one
+generic :class:`~repro.registry.Registry`:
 
 * :class:`TimingModel` -- the protocol: a ``name``, ``bind`` (attach
   to a machine and build per-sequencer/per-processor state),
@@ -34,10 +34,10 @@ state.  The built-in ``fixed`` model is the only capture-safe one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Type, Union
+from typing import TYPE_CHECKING, Optional, Type, Union
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import Machine
@@ -85,18 +85,12 @@ class StallAccount:
     possible hot-path API (:meth:`note` is one dict update); timing
     models and the machine's serialization sites write into it only
     when a run is observed, so un-observed runs never touch one.
-
-    Hot paths that cannot afford even :meth:`note` (the fixed model's
-    per-op charge closure) accumulate privately and register a *drain
-    source* via :meth:`add_source`; every read API settles the sources
-    first, so readers always see the merged totals.
     """
 
-    __slots__ = ("cycles", "_sources")
+    __slots__ = ("cycles",)
 
     def __init__(self) -> None:
         self.cycles: dict[tuple[int, str], int] = {}
-        self._sources: list = []
 
     def note(self, seq_id: int, klass: str, cycles: int) -> None:
         """Charge ``cycles`` on ``seq_id`` to stall class ``klass``."""
@@ -104,19 +98,8 @@ class StallAccount:
         c = self.cycles
         c[key] = c.get(key, 0) + cycles
 
-    def add_source(self, drain) -> None:
-        """Register ``drain(account)``: called before any read to merge
-        (and zero) a producer's private accumulation buffers."""
-        self._sources.append(drain)
-
-    def settle(self) -> None:
-        """Merge every registered source's pending cycles."""
-        for drain in self._sources:
-            drain(self)
-
     def per_sequencer(self) -> dict[int, dict[str, int]]:
         """``seq_id -> {class: cycles}`` with deterministic ordering."""
-        self.settle()
         out: dict[int, dict[str, int]] = {}
         for (seq_id, klass), cycles in sorted(self.cycles.items()):
             out.setdefault(seq_id, {})[klass] = cycles
@@ -124,19 +107,16 @@ class StallAccount:
 
     def by_class(self) -> dict[str, int]:
         """``class -> cycles`` summed over sequencers (sorted keys)."""
-        self.settle()
         out: dict[str, int] = {}
         for (_, klass), cycles in self.cycles.items():
             out[klass] = out.get(klass, 0) + cycles
         return dict(sorted(out.items()))
 
     def items(self) -> list[tuple[tuple[int, str], int]]:
-        """Sorted ``((seq_id, class), cycles)`` pairs, settled."""
-        self.settle()
+        """Sorted ``((seq_id, class), cycles)`` pairs."""
         return sorted(self.cycles.items())
 
     def total(self) -> int:
-        self.settle()
         return sum(self.cycles.values())
 
 
@@ -156,15 +136,8 @@ class TimingModel:
     supports_capture: bool = False
     #: one-line description for docs and error messages
     description: str = ""
-    #: :class:`StallAccount` when the run is observed, else None -- the
-    #: class default keeps the un-observed charge path branch-free for
-    #: models (like ``fixed``) that account through swapped closures
+    #: :class:`StallAccount` when the run is observed, else None
     stalls: Optional["StallAccount"] = None
-    #: set (on the instance) by :meth:`attach_observation` when the
-    #: model's charge path already bumps the observer's op/cycle
-    #: counters itself, so the machine must not stack its generic
-    #: counting wrapper on top
-    observation_counts_ops: bool = False
 
     def canonical_name(self) -> str:
         """The normalized registry name this model prices as."""
@@ -191,17 +164,6 @@ class TimingModel:
         default charge path stays untouched.
         """
         self.stalls = stalls
-
-    def attach_observation(self, obs) -> None:
-        """Attach an :class:`~repro.obs.observe.ObservedRun`.
-
-        The default forwards to :meth:`attach_stalls`; models that fuse
-        observation into their charge path (the fixed model's closure
-        swap) override this, bump ``obs.ops`` / ``obs.charged_cycles``
-        themselves, and set :attr:`observation_counts_ops` so the
-        machine skips its generic counting wrapper.
-        """
-        self.attach_stalls(obs.stalls)
 
     def split_signal(self, cost: int) -> tuple[tuple[str, int], ...]:
         """Decompose the most recent :meth:`signal_cycles` result into
@@ -253,86 +215,29 @@ class TimingModel:
         return f"<{type(self).__name__} '{self.name}'>"
 
 
-def canonical_timing_name(name: str) -> str:
-    return str(name).strip().lower()
-
-
-class TimingRegistry:
-    """Name -> :class:`TimingModel` subclass, in registration order."""
-
-    def __init__(self) -> None:
-        self._models: dict[str, Type[TimingModel]] = {}
+class _TimingRegistry(Registry[Type[TimingModel]]):
+    """Holds :class:`TimingModel` *classes*; :meth:`create` instantiates."""
 
     def register(self, model: Type[TimingModel], *,
                  replace: bool = False) -> Type[TimingModel]:
-        """Register a model class under its :attr:`~TimingModel.name`.
-
-        Like the system registry, :meth:`RunSpec.spec_hash` encodes
-        the model's *name*, not its behavior: give behaviorally
-        different models distinct names or the on-disk cache will
-        serve stale results.
-        """
         if not (isinstance(model, type) and issubclass(model, TimingModel)):
             raise ConfigurationError(
                 f"timing models register as TimingModel subclasses "
                 f"(they carry per-run state), got {model!r}")
-        key = canonical_timing_name(model.name)
-        if not key:
-            raise ConfigurationError("timing model needs a name")
-        if key in self._models and not replace:
-            raise ConfigurationError(
-                f"timing model '{key}' already registered; pass "
-                "replace=True to override")
-        self._models[key] = model
-        return model
-
-    def unregister(self, name: str) -> Type[TimingModel]:
-        try:
-            return self._models.pop(canonical_timing_name(name))
-        except KeyError:
-            raise ConfigurationError(
-                f"timing model '{name}' is not registered") from None
-
-    def find(self, name: str) -> Optional[Type[TimingModel]]:
-        return self._models.get(canonical_timing_name(name))
-
-    def get(self, name: str) -> Type[TimingModel]:
-        model = self.find(name)
-        if model is None:
-            raise ConfigurationError(
-                f"unknown timing model '{name}'; registered models: "
-                f"{tuple(self._models)}")
-        return model
+        return super().register(model, replace=replace)
 
     def create(self, name: str) -> TimingModel:
         """A fresh (unbound) instance of the named model."""
         return self.get(name)()
 
-    def names(self) -> list[str]:
-        return list(self._models)
-
-    def __contains__(self, name: object) -> bool:
-        return (isinstance(name, str)
-                and canonical_timing_name(name) in self._models)
-
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(list(self._models))
-
-    @contextmanager
-    def temporary(self, model: Type[TimingModel]):
-        """Register ``model`` for the duration of a ``with`` block."""
-        self.register(model)
-        try:
-            yield model
-        finally:
-            self.unregister(model.name)
-
 
 #: the process-wide registry, populated by :mod:`repro.timing`
-TIMING_REGISTRY = TimingRegistry()
+TIMING_REGISTRY = _TimingRegistry("timing model")
+
+
+def canonical_timing_name(name: str) -> str:
+    """The registry key ``name`` resolves to."""
+    return TIMING_REGISTRY.key(name)
 
 
 def register_timing(model: Type[TimingModel], *,

@@ -5,7 +5,7 @@ with the 16 applications of the paper's Section 5 evaluation.
 """
 
 from repro.workloads import legacy, rms, speccomp  # noqa: F401 -- registers the suites
-from repro.workloads.base import REGISTRY, WorkloadRegistry, WorkloadSpec
+from repro.workloads.base import REGISTRY, WorkloadSpec
 from repro.workloads.runner import (
     DEFAULT_LIMIT, RunResult, run_1p, run_hybrid, run_misp, run_smp,
 )
@@ -19,7 +19,7 @@ FIGURE4_ORDER = [
 ]
 
 __all__ = [
-    "REGISTRY", "WorkloadRegistry", "WorkloadSpec", "DEFAULT_LIMIT",
+    "REGISTRY", "WorkloadSpec", "DEFAULT_LIMIT",
     "RunResult", "run_1p", "run_hybrid", "run_misp", "run_smp",
     "FIGURE4_ORDER",
 ]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.exec.ops import Op
+from repro.registry import Registry
 from repro.shredlib.api import ShredAPI
 
 #: signature of a workload main-shred factory
@@ -48,36 +49,26 @@ class WorkloadSpec:
         return self.build(api, nworkers)
 
 
-class WorkloadRegistry:
-    """Name -> spec registry used by benchmarks and examples.
+class _WorkloadRegistry(Registry[WorkloadSpec]):
+    """Full-size specs plus each workload's *spec factory*, so scaled
+    (or otherwise parameterized) variants are constructed uniformly by
+    name everywhere -- the experiment layer resolves every
+    :class:`repro.experiments.RunSpec` through :meth:`build`.
 
-    Besides the full-size spec instances, the registry holds each
-    workload's *spec factory*, so scaled (or otherwise parameterized)
-    variants are constructed uniformly by name everywhere -- the
-    experiment layer resolves every :class:`repro.experiments.RunSpec`
-    through :meth:`build`.
+    Names match exactly: ``RayTracer`` and ``ADAt`` are spelled as-is
+    in every spec hash.
     """
 
     def __init__(self) -> None:
-        self._specs: dict[str, WorkloadSpec] = {}
-        self._factories: dict[str, SpecFactory] = {}
+        super().__init__("workload", key=str)
+        self._factories: dict[str, Optional[SpecFactory]] = {}
 
     def register(self, spec: WorkloadSpec,
-                 factory: Optional[SpecFactory] = None) -> WorkloadSpec:
-        if spec.name in self._specs:
-            raise ValueError(f"workload '{spec.name}' already registered")
-        self._specs[spec.name] = spec
-        if factory is not None:
-            self._factories[spec.name] = factory
+                 factory: Optional[SpecFactory] = None, *,
+                 replace: bool = False) -> WorkloadSpec:
+        super().register(spec, replace=replace)
+        self._factories[spec.name] = factory
         return spec
-
-    def get(self, name: str) -> WorkloadSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload '{name}'; known: {sorted(self._specs)}"
-            ) from None
 
     def build(self, name: str, scale: Optional[float] = None,
               **kwargs) -> WorkloadSpec:
@@ -87,10 +78,10 @@ class WorkloadRegistry:
         full-size spec; anything else goes through the workload's
         registered factory (``factory(scale=..., **kwargs)``).
         """
+        spec = self.get(name)
         if scale is None and not kwargs:
-            return self.get(name)
-        self.get(name)  # canonical unknown-name error
-        factory = self._factories.get(name)
+            return spec
+        factory = self._factories[name]
         if factory is None:
             raise KeyError(
                 f"workload '{name}' has no spec factory; it cannot be "
@@ -98,11 +89,9 @@ class WorkloadRegistry:
         return factory(scale=1.0 if scale is None else scale, **kwargs)
 
     def by_suite(self, suite: str) -> list[WorkloadSpec]:
-        return [s for s in self._specs.values() if s.suite == suite]
-
-    def names(self) -> list[str]:
-        return sorted(self._specs)
+        return [s for s in self.values() if s.suite == suite]
 
 
-#: the process-wide registry populated by the rms/ and speccomp/ modules
-REGISTRY = WorkloadRegistry()
+#: the process-wide registry populated by the rms/, speccomp/ and
+#: legacy/ modules
+REGISTRY = _WorkloadRegistry()

@@ -109,6 +109,12 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec("gauss", scale=-1.0)
 
+    @pytest.mark.parametrize("workload", ["no_such_app", "raytracer"])
+    def test_unknown_workload_rejected_at_construction(self, workload):
+        # workload names match exactly ("RayTracer" is registered)
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            RunSpec(workload, "misp", "1x4", scale=0.01)
+
     def test_multiprog_default_limit_is_the_driver_horizon(self):
         from repro.workloads.multiprog import MULTIPROG_HORIZON
         spec = RunSpec("RayTracer", "multiprog", "1x8")
