@@ -166,7 +166,7 @@ class Machine:
             raise SimulationError(
                 "enable_capture() must run before any events are scheduled")
         if self._cap is None:
-            self._cap = TraceCapture(self.engine)
+            self._cap = TraceCapture(self.engine, self.hierarchy)
             self.engine.set_recorder(self._cap)
         return self._cap
 

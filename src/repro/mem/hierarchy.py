@@ -30,13 +30,19 @@ physical addresses above the frame store, handed out per program
 image by :meth:`MemoryHierarchy.code_segment`.
 
 This is the simulator's hottest code: a page ``Touch`` streams 64
-lines through :meth:`MemoryHierarchy.access_range` and every
-instruction fetch probes the L1.  Cache sets are flat Python lists
-(LRU at index 0, MRU last) -- membership, promotion, and eviction on
-a 4/8-entry list are single C-level list operations -- and
-``access_range`` computes the line range once and charges the span
-analytically from batched per-level hit counts, preserving exact LRU
-semantics (asserted in ``tests/test_hierarchy.py``).
+lines through :meth:`MemoryHierarchy.access_range`, every
+instruction fetch probes the L1, and a replay at a new cache geometry
+re-drives a whole run's access stream.  Cache sets are flat Python
+lists (LRU at index 0, MRU last) -- membership, promotion, and
+eviction on a 4/8-entry list are single C-level list operations.  The
+coherence directory maps each cached line to one ``int``: a bitmask
+of the caches holding it, one bit per cache.  Fill, eviction
+bookkeeping and write-invalidate run inline in one line walk, with no
+per-line method call or allocation, and the walk charges a span
+analytically from batched per-level hit counts.  It matches a
+line-at-a-time reference model with a dict-of-holders directory in
+every cost, counter and LRU order (asserted in
+``tests/test_hierarchy.py``).
 """
 
 from __future__ import annotations
@@ -59,17 +65,18 @@ class Cache:
 
     Lines are identified by *line number* (``paddr // line_size``);
     the hierarchy does the division once per access.  ``access`` does
-    not allocate -- the hierarchy installs lines explicitly with
-    ``fill`` so it can keep its coherence directory in sync.
+    not allocate; ``fill`` installs a line.  A :class:`MemoryHierarchy`
+    works on ``_sets`` directly instead, so that its directory masks
+    change in the same step as the sets.
 
     Sets are flat lists ordered LRU-first: exact LRU, array-backed.
     """
 
-    __slots__ = ("name", "assoc", "num_sets", "_sets",
+    __slots__ = ("name", "assoc", "num_sets", "_sets", "bit",
                  "hits", "misses", "invalidations", "evictions")
 
     def __init__(self, name: str, size_bytes: int, assoc: int,
-                 line_size: int) -> None:
+                 line_size: int, bit: int = 0) -> None:
         if assoc <= 0:
             raise ConfigurationError(f"{name}: associativity must be >= 1")
         if line_size <= 0:
@@ -79,6 +86,8 @@ class Cache:
         self.assoc = assoc
         self.num_sets = max(1, lines // assoc)
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        #: this cache's bit in its hierarchy's directory masks
+        self.bit = bit
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -152,9 +161,13 @@ class MemoryHierarchy:
         self._l1s: dict[int, Cache] = {}
         self._l2_of: dict[int, Cache] = {}
         self.l2s: list[Cache] = []
-        #: coherence directory: line -> caches currently holding it
-        #: (an insertion-ordered dict-as-set, for determinism)
-        self._sharers: dict[int, dict[Cache, None]] = {}
+        #: every cache, indexed by the position of its directory bit
+        self._caches: list[Cache] = []
+        #: coherence directory: line -> bitmask of the caches holding
+        #: it.  A mask may keep the bit of a cache whose copy was
+        #: dropped through ``Cache.invalidate`` directly, never lacks
+        #: the bit of a cache that holds the line.
+        self._holders: dict[int, int] = {}
         #: accesses that went all the way to the flat memory level
         self.mem_accesses = 0
         # synthetic code-segment allocator (instruction fetch): bases
@@ -166,19 +179,25 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
+    def _new_cache(self, name: str, size_bytes: int, assoc: int) -> Cache:
+        cache = Cache(name, size_bytes, assoc, self.line_size,
+                      bit=1 << len(self._caches))
+        self._caches.append(cache)
+        return cache
+
     def add_domain(self, seq_ids: Iterable[int]) -> Cache:
         """Create one L2 shared by ``seq_ids`` (plus their private L1s)."""
         params = self.params
-        l2 = Cache(f"L2#{len(self.l2s)}", params.l2_size, params.l2_assoc,
-                   self.line_size)
+        l2 = self._new_cache(f"L2#{len(self.l2s)}", params.l2_size,
+                             params.l2_assoc)
         self.l2s.append(l2)
         for seq_id in seq_ids:
             if seq_id in self._l1s:
                 raise ConfigurationError(
                     f"sequencer {seq_id} already attached to a hierarchy "
                     "domain")
-            self._l1s[seq_id] = Cache(f"L1#{seq_id}", params.l1_size,
-                                      params.l1_assoc, self.line_size)
+            self._l1s[seq_id] = self._new_cache(
+                f"L1#{seq_id}", params.l1_size, params.l1_assoc)
             self._l2_of[seq_id] = l2
         return l2
 
@@ -212,24 +231,21 @@ class MemoryHierarchy:
         return self.access_line(seq_id, paddr // self.line_size, write)
 
     def access_line(self, seq_id: int, line: int, write: bool = False) -> int:
-        """One access by pre-computed line number (the scalar hot path)."""
-        params = self.params
+        """One access by pre-computed line number (the scalar hot path).
+
+        A read that hits the L1 -- most instruction fetches -- returns
+        here; every other access walks :meth:`_walk`.
+        """
         l1 = self._l1s.get(seq_id)
-        if l1 is None:
-            raise ConfigurationError(
-                f"sequencer {seq_id} is attached to no hierarchy domain")
-        l2 = self._l2_of[seq_id]
-        cycles = params.l1_hit_cost
-        if not l1.access(line):
-            cycles += params.l2_hit_cost
-            if not l2.access(line):
-                cycles += params.mem_cost
-                self.mem_accesses += 1
-                self._install(l2, line)
-            self._install(l1, line)
-        if write:
-            self._invalidate_sharers(line, l1, l2)
-        return cycles
+        if l1 is not None and not write:
+            entries = l1._sets[line % l1.num_sets]
+            if line in entries:
+                if entries[-1] != line:
+                    entries.remove(line)
+                    entries.append(line)
+                l1.hits += 1
+                return self.params.l1_hit_cost
+        return self._walk(seq_id, line, line, write)
 
     def access_range(self, seq_id: int, paddr: int, num_bytes: int,
                      write: bool = False) -> int:
@@ -238,28 +254,36 @@ class MemoryHierarchy:
         This is what a page :class:`~repro.exec.ops.Touch` charges:
         the loop body referencing every line of the page, so cache
         capacity, reuse, and the miss penalty all scale with the data
-        actually moved rather than with page count.
-
-        The line range is computed once (one division per call, not
-        per line), the per-line L1/L2 probes are inlined, and the
-        span's cycle charge is assembled analytically from the
-        per-level hit counts -- identical counters and total cost to
-        the scalar walk, without the per-line call overhead.
+        actually moved rather than with page count.  The line range is
+        computed once (one division per call, not per line).
         """
         line_size = self.line_size
         first = paddr // line_size
         last = (paddr + max(1, num_bytes) - 1) // line_size
         if first == last:
             return self.access_line(seq_id, first, write)
+        return self._walk(seq_id, first, last, write)
+
+    def _walk(self, seq_id: int, first: int, last: int, write: bool) -> int:
+        """Lines ``first..last`` by ``seq_id``, in order: the protocol.
+
+        Per line: probe the L1, then the domain L2; on a miss, fill
+        the missing levels, evicting their LRU lines; on a write,
+        invalidate the line in every other cache holding it.  The
+        directory masks change in the same step as the sets.  The
+        cycle charge is assembled from the per-level hit counts.
+        """
         l1 = self._l1s.get(seq_id)
         if l1 is None:
             raise ConfigurationError(
                 f"sequencer {seq_id} is attached to no hierarchy domain")
         l2 = self._l2_of[seq_id]
-        l1_sets, l1_num_sets = l1._sets, l1.num_sets
-        l2_sets, l2_num_sets = l2._sets, l2.num_sets
-        install = self._install
-        invalidate_sharers = self._invalidate_sharers if write else None
+        l1_sets, l1_num_sets, l1_assoc = l1._sets, l1.num_sets, l1.assoc
+        l2_sets, l2_num_sets, l2_assoc = l2._sets, l2.num_sets, l2.assoc
+        l1_bit, l2_bit = l1.bit, l2.bit
+        own = l1_bit | l2_bit
+        not_l1, not_l2, not_own = ~l1_bit, ~l2_bit, ~own
+        holders = self._holders
         n_l1_hits = 0
         n_l2_hits = 0
         n_mem = 0
@@ -271,18 +295,50 @@ class MemoryHierarchy:
                     entries.append(line)
                 n_l1_hits += 1
             else:
-                entries = l2_sets[line % l2_num_sets]
-                if line in entries:
-                    if entries[-1] != line:
-                        entries.remove(line)
-                        entries.append(line)
+                shared = l2_sets[line % l2_num_sets]
+                if line in shared:
+                    if shared[-1] != line:
+                        shared.remove(line)
+                        shared.append(line)
                     n_l2_hits += 1
+                    mask = holders[line] | l1_bit
                 else:
                     n_mem += 1
-                    install(l2, line)
-                install(l1, line)
-            if invalidate_sharers is not None:
-                invalidate_sharers(line, l1, l2)
+                    if len(shared) >= l2_assoc:
+                        victim = shared.pop(0)
+                        l2.evictions += 1
+                        left = holders[victim] & not_l2
+                        if left:
+                            holders[victim] = left
+                        else:
+                            del holders[victim]
+                    shared.append(line)
+                    mask = holders.get(line, 0) | own
+                if len(entries) >= l1_assoc:
+                    victim = entries.pop(0)
+                    l1.evictions += 1
+                    left = holders[victim] & not_l1
+                    if left:
+                        holders[victim] = left
+                    else:
+                        del holders[victim]
+                entries.append(line)
+                holders[line] = mask
+            if write:
+                mask = holders[line]
+                others = mask & not_own
+                if others:
+                    # invalidate-on-write: purge every other copy
+                    holders[line] = mask & own
+                    caches = self._caches
+                    while others:
+                        bit = others & -others
+                        others ^= bit
+                        cache = caches[bit.bit_length() - 1]
+                        entries = cache._sets[line % cache.num_sets]
+                        if line in entries:
+                            entries.remove(line)
+                            cache.invalidations += 1
         n_lines = last - first + 1
         n_l1_misses = n_lines - n_l1_hits
         l1.hits += n_l1_hits
@@ -296,25 +352,6 @@ class MemoryHierarchy:
         return (n_lines * params.l1_hit_cost
                 + n_l1_misses * params.l2_hit_cost
                 + n_mem * params.mem_cost)
-
-    def _install(self, cache: Cache, line: int) -> None:
-        evicted = cache.fill(line)
-        if evicted is not None:
-            holders = self._sharers.get(evicted)
-            if holders is not None:
-                holders.pop(cache, None)
-                if not holders:
-                    del self._sharers[evicted]
-        self._sharers.setdefault(line, {})[cache] = None
-
-    def _invalidate_sharers(self, line: int, l1: Cache, l2: Cache) -> None:
-        """Invalidate-on-write: purge the line from every other cache."""
-        holders = self._sharers.get(line)
-        if holders is None:
-            return
-        for cache in [c for c in holders if c is not l1 and c is not l2]:
-            cache.invalidate(line)
-            del holders[cache]
 
     # ------------------------------------------------------------------
     # Instruction fetch (synthetic code segments)

@@ -1,10 +1,12 @@
 """Physical memory: frame allocator plus word-addressable storage.
 
-Storage is sparse (a dict keyed by word address) because the mini-ISA
-programs touch few locations, while the direct-execution workloads
-never read simulated memory contents at all -- they only exercise the
-translation and paging machinery.  Frames are recycled through a free
-list so long multi-process runs do not leak.
+Storage is sparse (one dict per written frame, keyed by word address)
+because the mini-ISA programs touch few locations, while the
+direct-execution workloads never read simulated memory contents at
+all -- they only exercise the translation and paging machinery.
+Frames are recycled through a LIFO free list so long multi-process
+runs do not leak; the order matters, because frame numbers become
+physical addresses and so choose cache sets.
 """
 
 from __future__ import annotations
@@ -30,14 +32,17 @@ class PhysicalMemory:
         self.num_frames = num_frames
         self._next_fresh = 0
         self._free: list[int] = []
-        self._words: dict[int, int] = {}
+        #: frames handed out and not freed since
+        self._allocated: set[int] = set()
+        #: frame -> {word address: value}; freeing a frame drops its dict
+        self._words: dict[int, dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Frame allocation
     # ------------------------------------------------------------------
     @property
     def frames_allocated(self) -> int:
-        return self._next_fresh - len(self._free)
+        return len(self._allocated)
 
     @property
     def frames_free(self) -> int:
@@ -46,21 +51,24 @@ class PhysicalMemory:
     def alloc_frame(self) -> int:
         """Allocate a zeroed frame; raises when physical memory is full."""
         if self._free:
-            return self._free.pop()
-        if self._next_fresh >= self.num_frames:
+            frame = self._free.pop()
+        elif self._next_fresh < self.num_frames:
+            frame = self._next_fresh
+            self._next_fresh += 1
+        else:
             raise MemoryError_(
                 f"out of physical memory ({self.num_frames} frames in use)")
-        frame = self._next_fresh
-        self._next_fresh += 1
+        self._allocated.add(frame)
         return frame
 
     def free_frame(self, frame: int) -> None:
-        """Return a frame to the pool and clear its contents."""
-        if not 0 <= frame < self._next_fresh:
-            raise MemoryError_(f"freeing frame {frame} that was never allocated")
-        base = frame * PAGE_SIZE
-        for offset in range(0, PAGE_SIZE, self.WORD):
-            self._words.pop(base + offset, None)
+        """Return a frame to the pool and clear its contents; raises
+        for a frame that is not allocated (never, or freed already)."""
+        if frame not in self._allocated:
+            raise MemoryError_(f"freeing frame {frame}, which is not "
+                               "allocated")
+        self._allocated.remove(frame)
+        self._words.pop(frame, None)
         self._free.append(frame)
 
     # ------------------------------------------------------------------
@@ -69,12 +77,14 @@ class PhysicalMemory:
     def read_word(self, paddr: int) -> int:
         """Read the 32-bit word at a physical address (zero default)."""
         self._check_paddr(paddr)
-        return self._words.get(paddr & ~(self.WORD - 1), 0)
+        words = self._words.get(paddr // PAGE_SIZE)
+        return 0 if words is None else words.get(paddr & ~(self.WORD - 1), 0)
 
     def write_word(self, paddr: int, value: int) -> None:
         """Write a 32-bit word (wraps modulo 2**32)."""
         self._check_paddr(paddr)
-        self._words[paddr & ~(self.WORD - 1)] = value & 0xFFFFFFFF
+        words = self._words.setdefault(paddr // PAGE_SIZE, {})
+        words[paddr & ~(self.WORD - 1)] = value & 0xFFFFFFFF
 
     def _check_paddr(self, paddr: int) -> None:
         if not 0 <= paddr < self.num_frames * PAGE_SIZE:

@@ -181,6 +181,7 @@ class Family:
         self.help = help
         self.kind = kind
         self.labelnames = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._registry = registry
         self._kwargs = kwargs
         self._children: dict[tuple, object] = {}
@@ -189,11 +190,11 @@ class Family:
     def labels(self, **labelvalues: str):
         """The child metric for one label-value combination (created on
         first use).  Label values are coerced to ``str``."""
-        if set(labelvalues) != set(self.labelnames):
+        if labelvalues.keys() != self._labelset:
             raise ValueError(
                 f"metric '{self.name}' takes labels {self.labelnames}, "
                 f"got {tuple(labelvalues)}")
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
+        key = tuple([str(labelvalues[name]) for name in self.labelnames])
         child = self._children.get(key)
         if child is None:
             with self._registry._lock:

@@ -11,15 +11,19 @@ module implements the classic execution-driven/trace-driven split:
   when it was scheduled), its delay, and -- via annotations the
   machine attaches on the hot paths -- how that delay decomposes into
   :class:`~repro.params.MachineParams` coefficients and memory-
-  hierarchy accesses;
+  hierarchy accesses.  From the hierarchy's counters it also records
+  each event's access *profile* (lines, L1 misses, memory accesses);
 * :class:`CapturedTrace` is the resulting plain-data artifact
   (picklable, so worker processes can ship it);
 * :class:`ReplayMachine` re-charges a captured trace under new
-  parameters: it walks the event-dependency graph once, re-prices
-  each delay (``base + sum(param * mult // div) + hierarchy cost``),
-  and re-drives the recorded access stream through a freshly built
-  :class:`~repro.mem.hierarchy.MemoryHierarchy` -- no interpreter, no
-  shredlib, no kernel.
+  parameters -- no interpreter, no shredlib, no kernel.  It re-prices
+  each delay as ``base + sum(param * mult // div) + hierarchy cost``,
+  touching only the events that carry coefficients or accesses, then
+  turns delays into completion times in one pass over the
+  event-dependency graph.  The hierarchy cost comes from a per-event
+  profile of the cache geometry: the capture's own for the captured
+  geometry, else one re-drive of the recorded access stream through
+  a freshly built :class:`~repro.mem.hierarchy.MemoryHierarchy`.
 
 Replay is *exact* when parameters are unchanged (asserted in
 ``tests/test_replay.py``) and is a faithful trace-driven
@@ -44,6 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
     from repro.experiments.summary import RunSummary
     from repro.sim.engine import Engine
+
+#: per-event access profile: seqno -> (lines touched, L1 misses,
+#: memory accesses), plus the hierarchy's aggregate counters
+AccessProfile = tuple[dict[int, tuple[int, int, int]], dict[str, int]]
 
 #: MachineParams fields a captured trace may be re-priced across.
 #: These affect only *when* recorded events complete, never *which*
@@ -102,11 +110,15 @@ class TraceCapture:
     schedule with the parameter coefficients and hierarchy accesses
     that went into its delay, and drops *marks* (process exit, AMS
     suspend/resume, proxy raise/done) used to rebuild the derived
-    statistics at replay time.
+    statistics at replay time.  What each event's accesses did in
+    ``hierarchy`` -- its access profile -- is read off the hierarchy's
+    counters as the accesses are annotated.
     """
 
-    def __init__(self, engine: "Engine") -> None:
+    def __init__(self, engine: "Engine",
+                 hierarchy: MemoryHierarchy) -> None:
         self.engine = engine
+        self.hierarchy = hierarchy
         #: seqno -> scheduling event's seqno (-1 = scheduled outside run())
         self.parents: list[int] = []
         #: seqno -> recorded delay in cycles
@@ -118,6 +130,9 @@ class TraceCapture:
         #: seqno -> (recorded_hierarchy_cost, ((seq_id, paddr, span,
         #: write), ...)) in intra-event access order
         self.accesses: dict[int, tuple] = {}
+        #: seqno -> (lines, l1 misses, memory accesses) of those
+        #: accesses: the event's profile for the captured geometry
+        self.profile: dict[int, tuple[int, int, int]] = {}
         #: seqno -> seq_id whose busy_cycles this event's delay charged
         self.busy_seq: dict[int, int] = {}
         #: seqno -> seq_id the delay is *attributed* to without being
@@ -132,8 +147,19 @@ class TraceCapture:
         self._pend_coefs: list[tuple[str, int, int]] = []
         self._pend_accesses: list[tuple[int, int, int, bool]] = []
         self._pend_cost = 0
+        self._pend_lines = 0
+        self._pend_l1_misses = 0
+        self._pend_mem = 0
         self._pend_busy: Optional[int] = None
         self._pend_owner: Optional[int] = None
+        # the hierarchy's counters as of the previous access: seq_id ->
+        # (its L1, L1 hits, L1 misses), and memory accesses
+        self._l1_seen: dict[int, tuple] = {}
+        for domain in hierarchy.domains():
+            for seq_id in domain:
+                l1 = hierarchy.l1(seq_id)
+                self._l1_seen[seq_id] = (l1, l1.hits, l1.misses)
+        self._mem_seen = hierarchy.mem_accesses
 
     # ------------------------------------------------------------------
     # Engine hook
@@ -154,8 +180,11 @@ class TraceCapture:
         if self._pend_accesses:
             self.accesses[seqno] = (self._pend_cost,
                                     tuple(self._pend_accesses))
+            self.profile[seqno] = (self._pend_lines, self._pend_l1_misses,
+                                   self._pend_mem)
             self._pend_accesses = []
             self._pend_cost = 0
+            self._pend_lines = self._pend_l1_misses = self._pend_mem = 0
         if self._pend_busy is not None:
             self.busy_seq[seqno] = self._pend_busy
             self._pend_busy = None
@@ -174,9 +203,21 @@ class TraceCapture:
     def pend_access(self, seq_id: int, paddr: int, span: int, write: bool,
                     cost: int) -> None:
         """The next scheduled delay includes a hierarchy access that
-        charged ``cost`` cycles at capture time."""
+        charged ``cost`` cycles at capture time.
+
+        Called right after every access, so the access's profile is
+        the growth of the counters it touches since the previous one:
+        ``seq_id``'s L1 and the memory level.
+        """
         self._pend_accesses.append((seq_id, paddr, span, write))
         self._pend_cost += cost
+        l1, hits, misses = self._l1_seen[seq_id]
+        self._l1_seen[seq_id] = (l1, l1.hits, l1.misses)
+        self._pend_lines += l1.hits - hits + l1.misses - misses
+        self._pend_l1_misses += l1.misses - misses
+        mem = self.hierarchy.mem_accesses
+        self._pend_mem += mem - self._mem_seen
+        self._mem_seen = mem
 
     def pend_busy(self, seq_id: int) -> None:
         """The next scheduled delay was charged to ``seq_id``'s
@@ -225,6 +266,9 @@ class CapturedTrace:
     #: analysis-only sequencer attribution for serialization delays
     #: (see :meth:`TraceCapture.pend_owner`)
     owner_seq: dict[int, int] = field(default_factory=dict)
+    #: the access profile of the captured geometry, as recorded while
+    #: capturing; not serialized (replay re-drives when it is absent)
+    profile: Optional[AccessProfile] = field(default=None, repr=False)
     #: the execution-driven summary of the captured run, attached by
     #: the experiment layer (replay re-prices it)
     snapshot: Optional["RunSummary"] = field(default=None, repr=False)
@@ -246,6 +290,7 @@ class CapturedTrace:
             busy_seq=capture.busy_seq,
             marks=capture.marks,
             owner_seq=capture.owner_seq,
+            profile=(capture.profile, machine.hierarchy.counters()),
         )
 
     @property
@@ -308,8 +353,7 @@ class CapturedTrace:
 
 
 #: the MachineParams fields that shape the cache model (as opposed to
-#: pricing it); replays sharing a geometry share one re-driven access
-#: profile
+#: pricing it); replays sharing a geometry share one access profile
 _GEOMETRY_FIELDS = ("l1_size", "l1_assoc", "l2_size", "l2_assoc",
                     "cache_line_size")
 
@@ -318,19 +362,24 @@ _GEOMETRY_FIELDS = ("l1_size", "l1_assoc", "l2_size", "l2_assoc",
 _PROBE_RADIX = 1 << 21
 
 
+def _geometry(params: MachineParams) -> tuple:
+    return tuple(getattr(params, f) for f in _GEOMETRY_FIELDS)
+
+
 class ReplayMachine:
     """Re-charges a :class:`CapturedTrace` under new parameters.
 
-    One instance replays one trace any number of times.  The recorded
-    access stream is re-driven through a fresh
-    :class:`~repro.mem.hierarchy.MemoryHierarchy` once per cache
-    *geometry* (sizes, associativities, line size), producing a
-    per-event (lines, l1-misses, mem-accesses) profile; every replay
-    at that geometry -- e.g. each point of a ``mem_cost`` or
-    ``signal_cost`` sweep -- then re-prices events with pure
-    arithmetic.  The re-drive walks events in schedule order, which is
-    also the chronological order every access was recorded in, so the
-    cache model sees its original global reference stream.
+    One instance replays one trace any number of times.  Each replay
+    prices events from a per-event (lines, l1-misses, mem-accesses)
+    profile of its cache *geometry* (sizes, associativities, line
+    size).  The captured geometry's profile comes with the trace, so
+    a timing-only point -- each point of a ``mem_cost`` or
+    ``signal_cost`` sweep -- is pure arithmetic.  A new geometry
+    re-drives the recorded access stream through a fresh
+    :class:`~repro.mem.hierarchy.MemoryHierarchy` once.  The re-drive
+    walks events in schedule order, which is also the chronological
+    order every access was recorded in, so the cache model sees its
+    original global reference stream.
     """
 
     def __init__(self, trace: CapturedTrace) -> None:
@@ -340,13 +389,26 @@ class ReplayMachine:
                 "capture through the experiment layer or set "
                 "trace.snapshot first")
         self.trace = trace
-        #: geometry tuple -> (per-event counts, aggregate counters)
-        self._profiles: dict[tuple, tuple[dict, dict]] = {}
+        #: geometry tuple -> access profile
+        self._profiles: dict[tuple, AccessProfile] = {}
+        if trace.profile is not None:
+            self._profiles[_geometry(trace.params)] = trace.profile
+        # what every replay starts from: the recorded delays without
+        # their hierarchy cost, and the events grouped by the
+        # coefficients they carry and the sequencer they keep busy
+        bare = list(trace.delays)
+        for i, (cost, _records) in trace.accesses.items():
+            bare[i] -= cost
+        self._bare_delays = bare
+        self._coef_events: dict[tuple, list[int]] = {}
+        for i, coefs in trace.coefs.items():
+            self._coef_events.setdefault(coefs, []).append(i)
+        self._busy_events: dict[int, list[int]] = {}
+        for i, seq_id in trace.busy_seq.items():
+            self._busy_events.setdefault(seq_id, []).append(i)
 
     # ------------------------------------------------------------------
-    def _access_profile(self, params: MachineParams
-                        ) -> tuple[dict[int, tuple[int, int, int]],
-                                   dict[str, int]]:
+    def _access_profile(self, params: MachineParams) -> AccessProfile:
         """The trace's access behaviour under ``params``' geometry.
 
         Re-drives the recorded access stream with probe costs
@@ -354,7 +416,7 @@ class ReplayMachine:
         ``(lines touched, l1 misses, memory accesses)`` -- from which
         any cost assignment is a dot product.  Cached per geometry.
         """
-        key = tuple(getattr(params, f) for f in _GEOMETRY_FIELDS)
+        key = _geometry(params)
         cached = self._profiles.get(key)
         if cached is not None:
             return cached
@@ -396,43 +458,29 @@ class ReplayMachine:
         replayable_changes(old, new)
         per_event, mem_counters = self._access_profile(new)
 
-        parents = trace.parents
-        delays = trace.delays
-        root_now = trace.root_now
-        coefs_get = trace.coefs.get
-        counts_get = per_event.get
-        busy_get = trace.busy_seq.get
+        # re-price only the events whose delay has a repriced part
+        delays = self._bare_delays.copy()
         l1_cost = new.l1_hit_cost
         l2_cost = new.l2_hit_cost
         mem_cost = new.mem_cost
-        #: (key, mult, div) tuple -> summed price delta, cached (the
-        #: distinct coefficient shapes per run number in the dozens)
-        delta_cache: dict[tuple, int] = {}
-
-        n = len(parents)
-        times = [0] * n
-        busy: dict[int, int] = {}
-        for i in range(n):
-            d = delays[i]
-            c = coefs_get(i)
-            if c is not None:
-                delta = delta_cache.get(c)
-                if delta is None:
-                    delta = sum((getattr(new, key) * mult) // div
-                                - (getattr(old, key) * mult) // div
-                                for key, mult, div in c)
-                    delta_cache[c] = delta
-                d += delta
-            a = counts_get(i)
-            if a is not None:
-                lines, l1_misses, mem_refs = a
-                d += (lines * l1_cost + l1_misses * l2_cost
-                      + mem_refs * mem_cost - trace.accesses[i][0])
-            p = parents[i]
-            times[i] = (times[p] if p >= 0 else root_now[i]) + d
-            b = busy_get(i)
-            if b is not None:
-                busy[b] = busy.get(b, 0) + d
+        for i, (lines, l1_misses, mem_refs) in per_event.items():
+            delays[i] += (lines * l1_cost + l1_misses * l2_cost
+                          + mem_refs * mem_cost)
+        for coefs, events in self._coef_events.items():
+            delta = sum((getattr(new, key) * mult) // div
+                        - (getattr(old, key) * mult) // div
+                        for key, mult, div in coefs)
+            if delta:
+                for i in events:
+                    delays[i] += delta
+        busy = {seq_id: sum(map(delays.__getitem__, events))
+                for seq_id, events in self._busy_events.items()}
+        # delays -> completion times, in place: a parent is scheduled
+        # before its children, so times[p] is already a time
+        times = delays
+        root_now = trace.root_now
+        for i, p in enumerate(trace.parents):
+            times[i] += times[p] if p >= 0 else root_now[i]
 
         cycles, suspended, proxy_latency = self._derive_marks(times)
         if cycles is None:

@@ -75,7 +75,10 @@ class TraceLog:
 
     record_fine: bool = True
     _counts: Counter = field(default_factory=Counter)
-    _records: list[TraceRecord] = field(default_factory=list)
+    #: fine records as plain ``(start, end, sequencer, kind, detail)``
+    #: tuples; :meth:`records` builds the :class:`TraceRecord` views,
+    #: so an observed run does not pay for them while it simulates
+    _records: list[tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # Recording
@@ -89,7 +92,7 @@ class TraceLog:
         """Record a fine-grained interval and bump the coarse counter."""
         self.count(sequencer, kind)
         if self.record_fine:
-            self._records.append(TraceRecord(start, end, sequencer, kind, detail))
+            self._records.append((start, end, sequencer, kind, detail))
 
     def instant(self, time: int, sequencer: int, kind: EventKind,
                 detail: str = "") -> None:
@@ -102,7 +105,7 @@ class TraceLog:
         """
         self.count(sequencer, kind)
         if self.record_fine:
-            self._records.append(TraceRecord(time, time, sequencer, kind, detail))
+            self._records.append((time, time, sequencer, kind, detail))
 
     # ------------------------------------------------------------------
     # Queries
@@ -128,11 +131,11 @@ class TraceLog:
                 sequencer: Optional[int] = None) -> Iterator[TraceRecord]:
         """Iterate fine-grained records, optionally filtered."""
         for rec in self._records:
-            if kind is not None and rec.kind is not kind:
+            if kind is not None and rec[3] is not kind:
                 continue
-            if sequencer is not None and rec.sequencer != sequencer:
+            if sequencer is not None and rec[2] != sequencer:
                 continue
-            yield rec
+            yield TraceRecord(*rec)
 
     def time_in(self, kind: EventKind,
                 sequencer: Optional[int] = None) -> int:

@@ -1,6 +1,7 @@
 """Tests for the memory hierarchy: the Cache/MemoryHierarchy models,
-coherence between topologies, machine integration (TLB + caches on
-the access and fetch paths), and the RunSummary plumbing."""
+coherence between topologies, agreement with a line-at-a-time
+reference model, machine integration (TLB + caches on the access and
+fetch paths), and the RunSummary plumbing."""
 
 import random
 
@@ -200,6 +201,146 @@ class TestHierarchy:
         assert len(misp.hierarchy.l2s) == 1
         assert len(smp.hierarchy.l2s) == 4
         assert len(one.hierarchy.l2s) == 1
+
+
+# ----------------------------------------------------------------------
+# Reference model: line-at-a-time walk with a dict-of-holders directory
+# ----------------------------------------------------------------------
+class ReferenceHierarchy:
+    """The hierarchy protocol spelled out one line and one method call
+    at a time: ``Cache.access`` / ``fill`` / ``invalidate`` plus a
+    directory mapping each line to the caches holding it (an
+    insertion-ordered dict-as-set).  :class:`MemoryHierarchy` must
+    agree with it on every cost, counter and LRU order."""
+
+    def __init__(self, domains, params):
+        self.params = params
+        line = params.cache_line_size
+        self.l1s = {}
+        self.l2_of = {}
+        self.l2s = []
+        self.sharers = {}
+        self.mem_accesses = 0
+        for seq_ids in domains:
+            l2 = Cache(f"L2#{len(self.l2s)}", params.l2_size,
+                       params.l2_assoc, line)
+            self.l2s.append(l2)
+            for seq_id in seq_ids:
+                self.l1s[seq_id] = Cache(f"L1#{seq_id}", params.l1_size,
+                                         params.l1_assoc, line)
+                self.l2_of[seq_id] = l2
+
+    def access_range(self, seq_id, paddr, num_bytes, write=False):
+        line_size = self.params.cache_line_size
+        first = paddr // line_size
+        last = (paddr + max(1, num_bytes) - 1) // line_size
+        return sum(self.access_line(seq_id, line, write)
+                   for line in range(first, last + 1))
+
+    def access_line(self, seq_id, line, write=False):
+        params = self.params
+        l1, l2 = self.l1s[seq_id], self.l2_of[seq_id]
+        cycles = params.l1_hit_cost
+        if not l1.access(line):
+            cycles += params.l2_hit_cost
+            if not l2.access(line):
+                cycles += params.mem_cost
+                self.mem_accesses += 1
+                self._install(l2, line)
+            self._install(l1, line)
+        if write:
+            holders = self.sharers.get(line, {})
+            for cache in [c for c in holders if c is not l1 and c is not l2]:
+                cache.invalidate(line)
+                del holders[cache]
+        return cycles
+
+    def _install(self, cache, line):
+        evicted = cache.fill(line)
+        if evicted is not None:
+            holders = self.sharers.get(evicted)
+            if holders is not None:
+                holders.pop(cache, None)
+                if not holders:
+                    del self.sharers[evicted]
+        self.sharers.setdefault(line, {})[cache] = None
+
+    def counters(self):
+        l1s = self.l1s.values()
+        return {
+            "l1_hits": sum(c.hits for c in l1s),
+            "l1_misses": sum(c.misses for c in l1s),
+            "l1_invalidations": sum(c.invalidations for c in l1s),
+            "l2_hits": sum(c.hits for c in self.l2s),
+            "l2_misses": sum(c.misses for c in self.l2s),
+            "l2_invalidations": sum(c.invalidations for c in self.l2s),
+            "mem_accesses": self.mem_accesses,
+        }
+
+    def cache_counters(self):
+        return {c.name: {"hits": c.hits, "misses": c.misses,
+                         "invalidations": c.invalidations,
+                         "evictions": c.evictions}
+                for c in list(self.l1s.values()) + self.l2s}
+
+
+GEOMETRIES = [
+    dict(l1_size=2 * LINE, l1_assoc=1, l2_size=8 * LINE, l2_assoc=2),
+    dict(l1_size=4 * LINE, l1_assoc=2, l2_size=16 * LINE, l2_assoc=4),
+    dict(cache_line_size=32, l1_size=16 * 32, l1_assoc=4,
+         l2_size=64 * 32, l2_assoc=8),
+    {},
+]
+
+
+@pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+@pytest.mark.parametrize("factory", [shared_l2_per_processor,
+                                     private_l2_per_sequencer,
+                                     shared_l2_global])
+def test_hierarchy_matches_reference_model(factory, geometry):
+    """Seeded random streams of reads and writes, spans from one byte
+    to a page, by six sequencers: every per-access cost, the level
+    and per-cache counters (evictions and invalidations included) and
+    the LRU order of every set equal the reference model's."""
+    from repro.core.mp import build_machine
+    params = DEFAULT_PARAMS.with_changes(**GEOMETRIES[geometry])
+    hierarchy = build_machine([2, 1, 0], params=params,
+                              hierarchy=factory).hierarchy
+    reference = ReferenceHierarchy(hierarchy.domains(), params)
+    seq_ids = sorted(reference.l1s)
+    assert len(seq_ids) >= 3
+    line = params.cache_line_size
+    l2_sets = hierarchy.l2s[0].num_sets
+    # a window a few L2s wide, plus a pool of lines that all map to
+    # the same few sets, so every geometry also evicts
+    window = 3 * hierarchy.l2s[0].capacity_lines
+    conflicts = [s + k * l2_sets for s in range(3)
+                 for k in range(3 * params.l2_assoc)]
+    rng = random.Random(f"{factory.__name__}/{geometry}")
+    got, want = [], []
+    for _ in range(1500):
+        seq = rng.choice(seq_ids)
+        start = (rng.choice(conflicts) if rng.random() < 0.5
+                 else rng.randrange(window))
+        paddr = start * line + rng.randrange(line)
+        span = rng.choice([1, 4, line, rng.randint(1, PAGE_SIZE)])
+        write = rng.random() < 0.35
+        if span == 1 and rng.random() < 0.5:
+            got.append(hierarchy.access(seq, paddr, write=write))
+        else:
+            got.append(hierarchy.access_range(seq, paddr, span,
+                                              write=write))
+        want.append(reference.access_range(seq, paddr, span, write=write))
+    assert got == want
+    assert hierarchy.counters() == reference.counters()
+    assert hierarchy.cache_counters() == reference.cache_counters()
+    counters = reference.cache_counters()
+    assert sum(c["evictions"] for c in counters.values()) > 0
+    assert sum(c["invalidations"] for c in counters.values()) > 0
+    for seq in seq_ids:
+        assert hierarchy.l1(seq)._sets == reference.l1s[seq]._sets
+    for mine, theirs in zip(hierarchy.l2s, reference.l2s, strict=True):
+        assert mine._sets == theirs._sets
 
 
 # ----------------------------------------------------------------------

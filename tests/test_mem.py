@@ -38,6 +38,28 @@ class TestPhysicalMemory:
         with pytest.raises(MemoryError_):
             mem.free_frame(3)
 
+    def test_double_free_rejected(self):
+        """A frame freed twice must not sit on the free list twice,
+        where the next two allocations would both receive it."""
+        mem = PhysicalMemory(4)
+        frame = mem.alloc_frame()
+        mem.free_frame(frame)
+        with pytest.raises(MemoryError_):
+            mem.free_frame(frame)
+        assert mem.alloc_frame() == frame
+        assert mem.alloc_frame() != frame
+        assert mem.frames_allocated == 2
+
+    def test_free_list_is_lifo(self):
+        """Frame numbers become physical addresses, which choose cache
+        sets: the last frame freed is the next one handed out."""
+        mem = PhysicalMemory(4)
+        a, b, c = (mem.alloc_frame() for _ in range(3))
+        mem.free_frame(a)
+        mem.free_frame(c)
+        assert [mem.alloc_frame() for _ in range(3)] == [c, a, 3]
+        assert mem.frames_free == 0
+
     def test_words_default_zero(self):
         mem = PhysicalMemory(2)
         assert mem.read_word(0) == 0

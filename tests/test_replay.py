@@ -2,6 +2,8 @@
 integration: replay-vs-execute equivalence, timing-only sweep
 approximation, replay-class grouping, and cache timing identity."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.figure_mem import FIGURE_MEM_COSTS, run_figure_mem
@@ -11,6 +13,7 @@ from repro.params import DEFAULT_PARAMS
 from repro.service import (
     execute, execute_captured, execute_replay_group, replay_class,
 )
+from repro.sim import captrace
 from repro.sim.captrace import (
     REPLAY_SAFE_FIELDS, ReplayMachine, replayable_changes,
 )
@@ -52,6 +55,40 @@ class TestExactEquivalence:
         assert replayed.cycles == plain.cycles
         assert replayed.mem == plain.mem
         assert replayed.events == plain.events
+
+    @pytest.mark.parametrize("system", ["misp", "smp", "1p", "hybrid"])
+    def test_captured_profile_equals_redriven(self, system):
+        """The profile a capture records from the hierarchy's counters
+        is the one a from-scratch re-drive of its access stream
+        computes: per event, and in the aggregate counters."""
+        _, trace = execute_captured(spec_for(system))
+        seeded = ReplayMachine(trace)._access_profile(trace.params)
+        assert seeded is trace.profile
+        redriven = ReplayMachine(dataclasses.replace(trace, profile=None))
+        assert redriven._access_profile(trace.params) == seeded
+        per_event, counters = seeded
+        assert per_event.keys() == trace.accesses.keys()
+        assert counters == {name: getattr(trace.snapshot.mem, name)
+                            for name in counters}
+
+    def test_timing_only_replay_builds_no_hierarchy(self, monkeypatch):
+        """At the captured geometry a replay is arithmetic over the
+        capture's own profile; only a new geometry re-drives."""
+        _, trace = execute_captured(spec_for("misp"))
+        built = []
+
+        class CountingHierarchy(captrace.MemoryHierarchy):
+            def __init__(self, params):
+                built.append(params)
+                super().__init__(params)
+
+        monkeypatch.setattr(captrace, "MemoryHierarchy", CountingHierarchy)
+        machine = ReplayMachine(trace)
+        machine.run(params=DEFAULT_PARAMS.with_changes(mem_cost=240))
+        machine.run(params=DEFAULT_PARAMS.with_changes(signal_cost=5000))
+        assert built == []
+        machine.run(params=DEFAULT_PARAMS.with_changes(l2_size=4096))
+        assert len(built) == 1
 
     def test_replay_group_first_executes_rest_replay(self):
         specs = [spec_for("misp", mem_cost=mc) for mc in (60, 240, 960)]
