@@ -3,7 +3,7 @@
 Two guarantees, one per test:
 
 * ``test_obs_overhead_observed`` times the **observed** Figure 4 smoke
-  grid (``Session.observe(...)``: charge-path counting closures, fine
+  grid (``Session.observe(...)``: signal counting closure, fine
   trace records, end-of-run registry pump) as a committed
   ``BENCH_baseline.json`` entry, so the cost of observability itself
   has a regression trajectory like every other artifact.
@@ -14,8 +14,8 @@ Two guarantees, one per test:
   observability layer.
 
 The grid is the Figure 4 system triple on one workload at smoke scale;
-structure (per-op charge wrapper, per-event instant records) is what
-costs, not workload size, so the small grid bounds the full one.
+structure (per-event instant records, the per-run registry pump) is
+what costs, not workload size, so the small grid bounds the full one.
 """
 
 import os

@@ -113,20 +113,17 @@ class Machine:
         if self._obs is not None:
             # observed runs attribute priced cycles into the run's
             # stall account; attach after bind (models hoist params
-            # there) and before the charge hoists below (models may
+            # there) and before the charge hoist below (models may
             # attach by shadowing charge with a closure)
             self.timing.attach_stalls(self._obs.stalls)
         # hot-path hoists: one bound-method lookup per op, not an
-        # attribute chain (these rebind on set_timing)
-        charge = self.timing.charge
+        # attribute chain (these rebind on set_timing).  The charge
+        # path is never wrapped: an observed run reads its op and
+        # cycle totals off the sequencers (ops_issued / busy_cycles)
+        self._charge = self.timing.charge
         signal_cycles = self.timing.signal_cycles
         if self._obs is not None:
-            # observed runs count ops/cycles through a closure; when
-            # observation is off the raw bound methods are installed
-            # and the charge path is untouched
-            charge = self._obs.wrap_charge(charge)
             signal_cycles = self._obs.wrap_signal(signal_cycles)
-        self._charge = charge
         self._signal_cycles = signal_cycles
 
     def set_timing(self, timing: TimingModel) -> None:
@@ -173,11 +170,12 @@ class Machine:
     def enable_observation(self, obs: Any) -> Any:
         """Attach an :class:`~repro.obs.observe.ObservedRun`.
 
-        Must run before any events are scheduled (the charge-path
-        wrapper has to see every op).  Turns on fine-grained trace
-        recording so the run can be exported as a timeline; when never
-        called, no wrapper, no fine records, and no registry writes
-        exist -- observation is strictly zero-cost when disabled.
+        Must run before any events are scheduled (the signal wrapper
+        and the stall account have to see every charge).  Turns on
+        fine-grained trace recording so the run can be exported as a
+        timeline; when never called, no wrapper, no fine records, and
+        no registry writes exist -- observation is strictly zero-cost
+        when disabled.
         """
         if self.engine.events_executed or self.engine.pending():
             raise SimulationError(
@@ -212,6 +210,13 @@ class Machine:
     def describe(self) -> str:
         """Configuration string in the paper's Figure 6 notation."""
         return config_name([len(p.amss) for p in self.processors])
+
+    def ops_issued(self) -> int:
+        """Ops the timing model has priced so far: completed, dropped
+        with a killed stream, or still in flight (a drive loop may stop
+        before the engine drains, as multiprogramming's does)."""
+        return (sum(s.ops_executed + s.ops_dropped for s in self.sequencers)
+                + self.engine.queued(self._complete))
 
     # ------------------------------------------------------------------
     # Process / thread API
@@ -302,7 +307,7 @@ class Machine:
         """Let a sequencer make progress if it can."""
         if seq.busy or seq.suspend_depth > 0 or seq.proxy_wait:
             return
-        if seq.is_oms and seq.ring == 3 and self._pending[seq.processor.proc_id]:
+        if seq.is_oms and self._pending[seq.processor.proc_id] and seq.ring == 3:
             self._take_pending(seq)
             return
         if seq.stream is None:
@@ -321,44 +326,46 @@ class Machine:
                op: MachineOp) -> None:
         """Decompose an op's functional cost, price it through the
         timing model, and schedule its completion."""
-        params = self.params
         cap = self._cap
         stream.sequencer = seq  # bind for commit-time translation
         base: int
         walks = 0
         access = 0
         action: Optional[tuple] = None
-        if isinstance(op, Compute):
+        # exact-type dispatch, commonest first: the op classes are
+        # final (nothing subclasses them)
+        kind = type(op)
+        if kind is Compute:
             base = op.cycles
-        elif isinstance(op, AtomicOp):
-            base = op.cycles or params.atomic_op_cost
+        elif kind is AtomicOp:
+            base = op.cycles or self.params.atomic_op_cost
             if cap is not None and not op.cycles:
                 cap.pend_coef("atomic_op_cost")
             if op.vaddr is not None:   # a lock word in shared memory
                 walks, access, action = self._classify_access(
                     seq, op.vaddr, True)
-        elif isinstance(op, Touch):
+        elif kind is Touch:
             base = op.cycles
             walks, access, action = self._classify_access(
                 seq, op.region.vpn(op.page_index) * PAGE_SIZE, op.write,
                 span=PAGE_SIZE)
-        elif isinstance(op, MemAccess):
+        elif kind is MemAccess:
             base = op.cycles
             walks, access, action = self._classify_access(
                 seq, op.vaddr, op.write)
-        elif isinstance(op, SyscallOp):
+        elif kind is SyscallOp:
             base, action = 0, ("syscall", op)
-        elif isinstance(op, SignalShred):
+        elif kind is SignalShred:
             base, action = self._signal_cycles(seq), ("signal", op)
             if cap is not None:
                 cap.pend_coef("signal_cost")
         else:
             raise SimulationError(f"unknown machine op {op!r}")
         fetch = 0
-        fetch_addr = stream.fetch_addr(self.hierarchy)
-        if fetch_addr is not None:
+        if stream.models_fetch:
             # instruction fetch goes through the same hierarchy (a
             # fault retry refetches, like the re-executed instruction)
+            fetch_addr = stream.fetch_addr(self.hierarchy)
             fetch = self.hierarchy.access(seq.seq_id, fetch_addr)
             if cap is not None:
                 cap.pend_access(seq.seq_id, fetch_addr, 1, False, fetch)
@@ -408,6 +415,7 @@ class Machine:
         seq.busy = False
         if stream.killed:
             # the owning process exited; drop the in-flight operation
+            seq.ops_dropped += 1
             return
         seq.ops_executed += 1
         if action is None:

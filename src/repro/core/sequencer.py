@@ -41,6 +41,9 @@ class Sequencer:
         #: globally unique id (index into ``machine.sequencers``)
         self.seq_id = seq_id
         self.role = role
+        #: OS-managed (a plain attribute: the dispatch loop tests it
+        #: on every op, and the role never changes)
+        self.is_oms = role is SequencerRole.OMS
         #: logical Sequencer ID within the owning MISP processor, the
         #: SID operand of the SIGNAL instruction (0 = the OMS).
         self.sid: int = -1
@@ -65,6 +68,9 @@ class Sequencer:
         self.proxy_wait = False
         # -- statistics ----------------------------------------------------
         self.ops_executed = 0
+        #: issued ops whose completion was dropped because the owning
+        #: process exited meanwhile (issued = executed + dropped)
+        self.ops_dropped = 0
         self.busy_cycles = 0
         self.suspended_cycles = 0
         self._suspended_since: Optional[int] = None
@@ -89,10 +95,6 @@ class Sequencer:
     # ------------------------------------------------------------------
     # Run state
     # ------------------------------------------------------------------
-    @property
-    def is_oms(self) -> bool:
-        return self.role is SequencerRole.OMS
-
     @property
     def has_work(self) -> bool:
         return self.stream is not None and not self.stream.finished

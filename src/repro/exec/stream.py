@@ -41,16 +41,19 @@ class InstructionStream:
     #: machine at issue time; commit-phase translation goes through
     #: its TLB)
     sequencer: Optional["Sequencer"] = None
+    #: whether the machine charges an instruction fetch per op through
+    #: :meth:`fetch_addr`; direct-execution streams fold fetch into
+    #: their op costs, so the machine skips the call for them
+    models_fetch: bool = False
 
-    def fetch_addr(self, hierarchy: "MemoryHierarchy") -> Optional[int]:
+    def fetch_addr(self, hierarchy: "MemoryHierarchy") -> int:
         """Synthetic physical address of the next instruction fetch.
 
-        ``None`` (the default) means fetch is not modelled separately:
-        direct-execution streams fold it into their op costs.  The
-        mini-ISA interpreter overrides this so fetches go through the
-        owning sequencer's cache hierarchy.
+        The machine calls this only on streams that set
+        :attr:`models_fetch`.  The mini-ISA interpreter does, so its
+        fetches go through the owning sequencer's cache hierarchy.
         """
-        return None
+        raise NotImplementedError
 
     def next_op(self) -> Optional[MachineOp]:
         """Fetch the next operation, or ``None`` when the stream ends.

@@ -51,6 +51,9 @@ def _wrap(value: int) -> int:
 class AsmStream(InstructionStream):
     """One hardware thread context running mini-ISA code."""
 
+    #: every instruction is fetched through the cache hierarchy
+    models_fetch = True
+
     def __init__(self, program: list[Instruction], process: Process,
                  params: MachineParams, entry: int = 0,
                  stack_top: Optional[int] = None, label: str = "asm") -> None:
@@ -104,7 +107,7 @@ class AsmStream(InstructionStream):
         self._pending_instr = instr
         return op
 
-    def fetch_addr(self, hierarchy: "MemoryHierarchy") -> Optional[int]:
+    def fetch_addr(self, hierarchy: "MemoryHierarchy") -> int:
         """Fetch address of the issuing instruction (cache-modelled)."""
         if self._code_base is None:
             self._code_base = hierarchy.code_segment(id(self.program),

@@ -255,13 +255,15 @@ class MemoryHierarchy:
         the loop body referencing every line of the page, so cache
         capacity, reuse, and the miss penalty all scale with the data
         actually moved rather than with page count.  The line range is
-        computed once (one division per call, not per line).
+        computed once (one division per call, not per line).  A
+        single-line read takes :meth:`access_line`'s L1-hit fast path;
+        everything else, such as a lock word's RMW, walks directly.
         """
         line_size = self.line_size
         first = paddr // line_size
         last = (paddr + max(1, num_bytes) - 1) // line_size
-        if first == last:
-            return self.access_line(seq_id, first, write)
+        if first == last and not write:
+            return self.access_line(seq_id, first)
         return self._walk(seq_id, first, last, write)
 
     def _walk(self, seq_id: int, first: int, last: int, write: bool) -> int:

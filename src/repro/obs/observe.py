@@ -4,9 +4,13 @@ An :class:`ObservedRun` is the bridge between one simulation and the
 metrics registry.  When a run is observed (``Session.observe(...)`` or
 ``machine.enable_observation(obs)``):
 
-* the machine's timing-model hot path (``TimingModel.charge`` /
-  ``signal_cycles``) is wrapped in a counting closure, attributing ops
-  and charged cycles to the timing layer;
+* the timing model's ``signal_cycles`` is wrapped in a counting
+  closure (signals are rare); the per-op ``charge`` path is never
+  wrapped -- the ops and cycles it priced are read off the sequencers
+  at the end of the run (:meth:`Machine.ops_issued
+  <repro.core.machine.Machine.ops_issued>` and the sum of
+  ``busy_cycles``, which ``Machine._issue`` accumulates from the same
+  charge);
 * fine-grained :class:`~repro.sim.trace.TraceLog` recording turns on,
   so the run can be exported as a Perfetto timeline
   (:mod:`repro.obs.perfetto`);
@@ -17,10 +21,9 @@ metrics registry.  When a run is observed (``Session.observe(...)`` or
   published into the registry as families labeled with the run's
   correlation id.
 
-When observation is *not* enabled none of this exists: no wrapper on
-the charge path, no fine records, no registry writes -- the default
-run is bit-for-bit and allocation-for-allocation the un-instrumented
-one.
+When observation is *not* enabled none of this exists: no signal
+wrapper, no fine records, no registry writes -- the default run is
+bit-for-bit and allocation-for-allocation the un-instrumented one.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ class ObservedRun:
         self.registry = registry if registry is not None else get_registry()
         self.run_id = run_id or new_run_id()
         self.machine: Optional["Machine"] = None
-        #: counted by the charge-path wrappers (plain ints on purpose:
-        #: the hot path must not take locks or allocate)
-        self.ops = 0
-        self.charged_cycles = 0
+        #: counted by the signal wrapper (plain ints on purpose: the
+        #: hot path must not take locks or allocate)
         self.signal_charges = 0
         self.signal_cycles = 0
         #: stall-taxonomy account the timing model notes into
@@ -63,16 +64,26 @@ class ObservedRun:
         self.finished = False
 
     # ------------------------------------------------------------------
-    # Hot-path wrappers (installed by Machine._bind_timing)
+    # Timing-layer totals
     # ------------------------------------------------------------------
-    def wrap_charge(self, charge: Callable) -> Callable:
-        def charge_counted(seq, op, base, walks=0, access=0, fetch=0):
-            cost = charge(seq, op, base, walks, access, fetch)
-            self.ops += 1
-            self.charged_cycles += cost
-            return cost
-        return charge_counted
+    @property
+    def ops(self) -> int:
+        """Ops the timing model priced (0 before a machine is bound)."""
+        machine = self.machine
+        return machine.ops_issued() if machine is not None else 0
 
+    @property
+    def charged_cycles(self) -> int:
+        """Cycles the timing model charged to ops, summed over
+        sequencers (0 before a machine is bound)."""
+        machine = self.machine
+        if machine is None:
+            return 0
+        return sum(seq.busy_cycles for seq in machine.sequencers)
+
+    # ------------------------------------------------------------------
+    # Hot-path wrapper (installed by Machine._bind_timing)
+    # ------------------------------------------------------------------
     def wrap_signal(self, signal_cycles: Callable) -> Callable:
         def signal_counted(seq, count=1):
             cost = signal_cycles(seq, count)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.exec.context import ExecContext
-from repro.exec.ops import AtomicOp, Block, Compute, ExitShred, Op, YieldShred
+from repro.exec.ops import Block, ExitShred, Op, YieldShred
 from repro.shredlib.runtime import ShredRuntime
 from repro.shredlib.shred import Shred
 from repro.shredlib.sync import (
@@ -43,10 +43,11 @@ class ShredAPI:
         The Shred_create of Figure 3: push a continuation onto the
         mutex-protected work queue.
         """
-        yield AtomicOp(vaddr=self.rt.lock_vaddr)
-        yield Compute(self.rt.params.queue_op_cost)
-        shred = self.rt.new_shred(body, name)
-        self.rt.push(shred)
+        rt = self.rt
+        yield rt.lock_op
+        yield rt.queue_op
+        shred = rt.new_shred(body, name)
+        rt.push(shred)
         return shred
 
     def create_fn(self, fn: Callable[..., Iterator[Op]], *args: Any,
@@ -56,16 +57,17 @@ class ShredAPI:
         ``fn(shred, *args)`` must return a generator.  Use this when
         the body needs identity-dependent services such as TLS.
         """
-        yield AtomicOp(vaddr=self.rt.lock_vaddr)
-        yield Compute(self.rt.params.queue_op_cost)
-        shred = self.rt.new_shred(None, name)
+        rt = self.rt
+        yield rt.lock_op
+        yield rt.queue_op
+        shred = rt.new_shred(None, name)
         shred.gen = fn(shred, *args)
-        self.rt.push(shred)
+        rt.push(shred)
         return shred
 
     def join(self, shred: Shred) -> Iterator[Op]:
         """Park until ``shred`` finishes; returns its result."""
-        yield AtomicOp(vaddr=self.rt.lock_vaddr)
+        yield self.rt.lock_op
         if not shred.done:
             # the done check and the Block share one atomic segment,
             # so a finish racing with this join cannot be missed

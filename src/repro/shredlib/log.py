@@ -41,6 +41,12 @@ class ShredEvent(enum.Enum):
     QUEUE_POP = "queue_pop"
     QUEUE_EMPTY_POLL = "queue_empty_poll"
 
+    # identity hash, in C: ShredLog.note hashes one member per counted
+    # event, and Enum's own hash is a Python call.  Members are
+    # singletons compared by identity; only set order could show the
+    # per-process hash values, and the counters are dicts.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class ShredLog:

@@ -29,7 +29,9 @@ from collections import deque
 from typing import Any, Iterator, Optional
 
 from repro.errors import ShredLibError
-from repro.exec.ops import Block, ExitShred, MachineOp, Op, YieldShred
+from repro.exec.ops import (
+    AtomicOp, Block, Compute, ExitShred, MachineOp, Op, YieldShred,
+)
 from repro.params import MachineParams
 from repro.shredlib.log import ShredEvent, ShredLog
 from repro.shredlib.shred import Shred, ShredState
@@ -65,6 +67,24 @@ class ShredRuntime:
         self.shared_vaddr: Optional[int] = None
         self._shared_lines = 0
         self._next_line = 0
+        # -- prebuilt machine ops ------------------------------------------
+        # The scheduler and API yield these on every queue operation;
+        # they are fixed for the runtime's life, so they are built once
+        # (ops are frozen, and no consumer keys on op identity).
+        # Yielders read them off the runtime at yield time, so a
+        # scheduler built before attach_shared still takes the placed
+        # lock op.
+        #: the work-queue lock RMW (flat-cost until attach_shared)
+        self.lock_op = AtomicOp()
+        #: queue manipulation (Shred_create's push)
+        self.queue_op = Compute(params.queue_op_cost)
+        #: dequeue + unlock + light-weight switch into a shred
+        self.switch_in_op = Compute(params.queue_op_cost
+                                    + params.shred_switch_cost)
+        #: light-weight switch back out of a shred
+        self.switch_out_op = Compute(params.shred_switch_cost)
+        #: PAUSE-loop backoff on an empty queue
+        self.idle_poll_op = Compute(params.idle_poll_cost)
         # -- counters ------------------------------------------------------
         self.created = 0
         self.finished = 0
@@ -84,14 +104,10 @@ class ShredRuntime:
         sharing rather than failing.
         """
         self.shared_vaddr = base_vaddr
+        self.lock_op = AtomicOp(vaddr=base_vaddr)
         line = self.params.cache_line_size
         self._shared_lines = max(2, num_bytes // line)
         self._next_line = 1
-
-    @property
-    def lock_vaddr(self) -> Optional[int]:
-        """Address of the work-queue lock word (None if unplaced)."""
-        return self.shared_vaddr
 
     def sync_line(self) -> Optional[int]:
         """Allocate a cache line for one sync object (None if unplaced)."""
@@ -205,6 +221,9 @@ class ShredRuntime:
                 shred.result = stop.value
                 self.finish_shred(shred)
                 return "done"
+            if isinstance(op, MachineOp):      # the common case
+                send_value = yield op
+                continue
             if isinstance(op, Block):
                 op.waiters.append(shred)
                 shred.state = ShredState.BLOCKED
@@ -223,7 +242,4 @@ class ShredRuntime:
                 shred.result = None
                 self.finish_shred(shred)
                 return "done"
-            if not isinstance(op, MachineOp):
-                raise ShredLibError(
-                    f"{shred} yielded unknown op {op!r}")
-            send_value = yield op
+            raise ShredLibError(f"{shred} yielded unknown op {op!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.exec.ops import AtomicOp, Compute, Op
+from repro.exec.ops import Op
 from repro.shredlib.log import ShredEvent
 from repro.shredlib.runtime import ShredRuntime
 
@@ -31,22 +31,22 @@ def gang_scheduler(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
     switch into the shred, run it until it blocks / yields / finishes,
     switch back, repeat.  An empty queue is polled with a backoff
     compute; the loop exits once the runtime signals shutdown and the
-    queue has drained ("Exit?" in Figure 3).
+    queue has drained ("Exit?" in Figure 3).  Every op it yields is
+    one of the runtime's prebuilt ops.
     """
-    params = rt.params
     while True:
-        yield AtomicOp(vaddr=rt.lock_vaddr)    # lock the work queue
+        yield rt.lock_op                  # lock the work queue
         shred = rt.pop(worker_id)
         if shred is None:
             if rt.all_work_done:
                 return
             rt.log.note(ShredEvent.QUEUE_EMPTY_POLL)
-            yield Compute(params.idle_poll_cost)   # PAUSE-loop backoff
+            yield rt.idle_poll_op         # PAUSE-loop backoff
             continue
         # dequeue + unlock + light-weight switch into the shred
-        yield Compute(params.queue_op_cost + params.shred_switch_cost)
+        yield rt.switch_in_op
         yield from rt.run_shred(shred, worker_id)
-        yield Compute(params.shred_switch_cost)   # switch back
+        yield rt.switch_out_op            # switch back
 
 
 def drain_once(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
@@ -57,12 +57,11 @@ def drain_once(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
     which is useful for bounded helping (e.g. a shred that donates its
     sequencer while waiting).
     """
-    params = rt.params
     while True:
-        yield AtomicOp(vaddr=rt.lock_vaddr)
+        yield rt.lock_op
         shred = rt.pop(worker_id)
         if shred is None:
             return
-        yield Compute(params.queue_op_cost + params.shred_switch_cost)
+        yield rt.switch_in_op
         yield from rt.run_shred(shred, worker_id)
-        yield Compute(params.shred_switch_cost)
+        yield rt.switch_out_op

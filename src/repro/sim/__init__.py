@@ -5,11 +5,11 @@ from repro.sim.captrace import (
     REPLAY_SAFE_FIELDS, CapturedTrace, ReplayMachine, TraceCapture,
     replayable_changes,
 )
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.trace import EventKind, TraceLog, TraceRecord
 
 __all__ = [
-    "Engine", "Event", "EventKind", "TraceLog", "TraceRecord",
+    "Engine", "EventKind", "TraceLog", "TraceRecord",
     "REPLAY_SAFE_FIELDS", "CapturedTrace", "ReplayMachine",
     "TraceCapture", "replayable_changes",
 ]

@@ -6,15 +6,20 @@ scheduled at absolute cycle times and executed in time order, with a
 monotonically increasing sequence number breaking ties so execution is
 fully deterministic.
 
-Heap entries are ``(time, seqno, event)`` tuples rather than the
-:class:`Event` objects themselves, so every sift comparison inside
-``heapq`` is a C-level tuple compare instead of a Python-level
-``Event.__lt__`` call -- the engine's hottest path.
+A scheduled callback is one plain heap entry, the list
+``[time, seqno, callback, args, engine]``; :meth:`Engine.schedule`
+returns it as the handle :meth:`Engine.cancel` takes.  Seqnos are
+unique, so every sift comparison inside ``heapq`` is a C-level list
+compare that settles on ``(time, seqno)`` and never reaches the
+callback -- the engine's hottest path builds no object beyond the
+entry itself.  Entries are marked in place: cancelling one drops its
+callback (slot 2), and the run loop drops the engine (slot 4) from an
+entry it pops to execute, so a later cancel of it is a no-op.
 
 The engine knows nothing about sequencers, kernels, or memory -- those
 layers schedule events against it.  It does expose one observation
 hook: a *recorder* (see :mod:`repro.sim.captrace`) notified of every
-``schedule`` with the identity of the event being executed at that
+``schedule`` with the seqno of the event being executed at that
 moment, which is how trace capture reconstructs the run's event
 dependency graph without touching the machine's control flow.
 """
@@ -27,45 +32,14 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 
 
-class Event:
-    """A scheduled callback.
-
-    Events are created through :meth:`Engine.schedule` and may be
-    cancelled with :meth:`Engine.cancel`.  A cancelled event stays in
-    the heap but is skipped when popped (lazy deletion).
-    """
-
-    __slots__ = ("time", "seqno", "callback", "args", "cancelled",
-                 "finished", "engine")
-
-    def __init__(self, time: int, seqno: int,
-                 callback: Callable[..., None], args: tuple,
-                 engine: Optional["Engine"] = None) -> None:
-        self.time = time
-        self.seqno = seqno
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.finished = False
-        self.engine = engine
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seqno) < (other.time, other.seqno)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<Event t={self.time} #{self.seqno} {name}{state}>"
-
-
 class Engine:
     """Deterministic discrete-event simulator with an integer clock."""
 
     def __init__(self) -> None:
         self._now = 0
-        #: heap of (time, seqno, Event) -- tuple keys keep heapq
-        #: comparisons in C
-        self._heap: list[tuple[int, int, Event]] = []
+        #: heap of [time, seqno, callback, args, engine] entries;
+        #: callback is None once cancelled (lazy deletion)
+        self._heap: list[list] = []
         self._next_seqno = 0
         self._running = False
         self._executed = 0
@@ -108,53 +82,54 @@ class Engine:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any) -> Event:
+                 *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
-        events already scheduled for the current cycle.
+        events already scheduled for the current cycle.  Returns the
+        event's heap entry, the handle :meth:`cancel` takes.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seqno = self._next_seqno
         self._next_seqno = seqno + 1
-        event = Event(self._now + delay, seqno, callback, args, engine=self)
-        heapq.heappush(self._heap, (event.time, seqno, event))
+        entry = [self._now + delay, seqno, callback, args, self]
+        heapq.heappush(self._heap, entry)
         recorder = self._recorder
         if recorder is not None:
             recorder.on_schedule(seqno, self._current_seqno, self._now, delay)
-        return event
+        return entry
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    *args: Any) -> Event:
+                    *args: Any) -> list:
         """Schedule ``callback(*args)`` at an absolute cycle time."""
         return self.schedule(time - self._now, callback, *args)
 
     @staticmethod
-    def cancel(event: Event) -> None:
+    def cancel(event: list) -> None:
         """Cancel a pending event (no-op if it already ran).
 
-        Cancellation is lazy, but when cancelled events outnumber live
-        ones the heap is compacted so a cancel-heavy workload cannot
-        keep dead events resident (amortized O(1): a rebuild resets
-        the count, so the next rebuild needs as many fresh cancels as
-        there are live events).
+        ``event`` is the entry :meth:`schedule` returned.  Cancellation
+        is lazy, but when cancelled events outnumber live ones the heap
+        is compacted so a cancel-heavy workload cannot keep dead events
+        resident (amortized O(1): a rebuild resets the count, so the
+        next rebuild needs as many fresh cancels as there are live
+        events).
         """
-        if event.cancelled or event.finished:
-            return
-        event.cancelled = True
-        engine = event.engine
-        if engine is not None:
-            engine._cancelled_queued += 1
-            if engine._cancelled_queued * 2 > len(engine._heap):
-                engine._compact()
+        engine = event[4]
+        if engine is None or event[2] is None:
+            return          # already ran, or already cancelled
+        event[2] = None
+        engine._cancelled_queued += 1
+        if engine._cancelled_queued * 2 > len(engine._heap):
+            engine._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled events (order preserved
         by the (time, seqno) ordering invariant).  In place, because
         run() holds a local alias to the heap list."""
         self._heap[:] = [entry for entry in self._heap
-                         if not entry[2].cancelled]
+                         if entry[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled_queued = 0
 
@@ -166,34 +141,42 @@ class Engine:
         """Run until the queue drains, ``until`` cycles pass, or
         ``max_events`` callbacks execute.
 
-        Returns the simulation time when the loop stopped.
+        ``until`` may not lie before the current time: the clock never
+        runs backwards.  Returns the simulation time when the loop
+        stopped.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) would move the clock back from "
+                f"{self._now}")
         self._running = True
         executed_this_run = 0
         heap = self._heap
         pop = heapq.heappop
         try:
             while heap:
-                time, seqno, event = heap[0]
-                if event.cancelled:
+                entry = heap[0]
+                callback = entry[2]
+                if callback is None:
                     pop(heap)
                     self._cancelled_queued -= 1
                     continue
+                time = entry[0]
                 if until is not None and time > until:
                     self._now = until
                     break
                 if max_events is not None and executed_this_run >= max_events:
                     break
                 pop(heap)
-                event.finished = True
+                entry[4] = None       # ran: cancel is now a no-op
                 if time < self._now:
                     raise SimulationError(
                         f"time went backwards: event at {time}, now {self._now}")
                 self._now = time
-                self._current_seqno = seqno
-                event.callback(*event.args)
+                self._current_seqno = entry[1]
+                callback(*entry[3])
                 self._executed += 1
                 executed_this_run += 1
         finally:
@@ -204,6 +187,11 @@ class Engine:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued, in O(1)."""
         return len(self._heap) - self._cancelled_queued
+
+    def queued(self, callback: Callable[..., None]) -> int:
+        """Live queued events that will call ``callback`` (a heap scan,
+        for end-of-run accounting rather than the hot path)."""
+        return sum(1 for entry in self._heap if entry[2] == callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine now={self._now} pending={self.pending()}>"

@@ -48,6 +48,12 @@ class EventKind(enum.Enum):
     SHRED_END = "shred_end"              # a shred finished
     YIELD_EVENT = "yield_event"          # asynchronous control transfer
 
+    # identity hash, in C: TraceLog.count hashes one member per counted
+    # event, and Enum's own hash is a Python call.  Members are
+    # singletons compared by identity; only set order could show the
+    # per-process hash values, and the counters are dicts.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class TraceRecord:

@@ -128,10 +128,11 @@ class Session:
                 run_id: Optional[str] = None) -> "Session":
         """Instrument the run with the observability layer.
 
-        An observed run wraps the timing charge path in op/cycle
-        counters, turns on fine-grained trace records (timeline
+        An observed run counts signal charges, attributes stall
+        classes, turns on fine-grained trace records (timeline
         export), timestamps ShredLib contention, and pumps everything
-        into a metrics registry (default: the process-wide one from
+        -- op and cycle totals included -- into a metrics registry
+        (default: the process-wide one from
         :func:`repro.obs.get_registry`) under one correlation id.  The
         :class:`~repro.obs.observe.ObservedRun` rides back on
         ``RunResult.obs``.  Un-observed sessions pay nothing.

@@ -15,6 +15,7 @@ from repro.obs import (
 )
 from repro.obs.emit import ReportEmitter
 from repro.systems import Session
+from repro.timing import get_timing
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +267,41 @@ class TestObservedRun:
     def test_finish_requires_machine(self):
         with pytest.raises(ValueError):
             ObservedRun(registry=MetricsRegistry()).finish()
+
+    @pytest.mark.parametrize("timing", ["fixed", "scoreboard"])
+    @pytest.mark.parametrize("system", ["misp", "hybrid", "multiprog"])
+    def test_timing_totals_equal_a_counting_charge(self, monkeypatch,
+                                                   system, timing):
+        """The published op and cycle totals are derived from the
+        sequencers, not counted per charge; they must equal what a
+        wrapper around the model's charge counts.  These runs drop
+        completions of killed shreds, and multiprogramming stops with
+        an op still in flight, so both correction terms are exercised."""
+        model = get_timing(timing)
+        charge = model.charge
+        counted = {"ops": 0, "cycles": 0}
+
+        def counting(self, seq, op, base, walks=0, access=0, fetch=0):
+            cost = charge(self, seq, op, base, walks, access, fetch)
+            counted["ops"] += 1
+            counted["cycles"] += cost
+            return cost
+
+        monkeypatch.setattr(model, "charge", counting)
+        reg = MetricsRegistry()
+        session = Session(system).timing(timing)
+        if system == "multiprog":
+            session = session.background(2)
+        result = (session.observe(registry=reg, run_id="totals")
+                  .run("dense_mvm", scale=0.02))
+        snap = reg.snapshot()
+        [ops] = snap["repro_timing_ops_total"]["samples"]
+        cycles = {s["labels"]["kind"]: s["value"]
+                  for s in snap["repro_timing_cycles_total"]["samples"]}
+        assert ops["value"] == counted["ops"] == result.obs.ops
+        assert cycles["op"] == counted["cycles"] == result.obs.charged_cycles
+        executed = sum(s.ops_executed for s in result.machine.sequencers)
+        assert counted["ops"] > executed
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,14 @@ machine's event interleaving.
 
 import pytest
 
+from repro.core.machine import Machine
 from repro.errors import ShredLibError
-from repro.exec.ops import Compute
+from repro.exec.context import ExecContext
+from repro.exec.ops import Compute, SignalShred
 from repro.params import DEFAULT_PARAMS
 from repro.shredlib import (
-    PthreadsAPI, QueuePolicy, ShredRuntime, ShredState, TlsKey, Win32API,
+    PthreadsAPI, QueuePolicy, ShredAPI, ShredRuntime, ShredState, TlsKey,
+    Win32API, gang_scheduler,
 )
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.runner import run_misp
@@ -97,6 +100,71 @@ class TestRuntime:
         assert rt.created == 3 and rt.active == 3
         rt.finish_shred(shreds[0])
         assert rt.finished == 1 and rt.active == 2
+
+
+def _lock_traffic(place_first: bool, place: bool = True) -> dict:
+    """Hierarchy counters of a create/join program on a 1x4 MISP
+    machine whose only memory traffic is the work-queue lock.
+
+    The runtime is placed in shared memory before, or (with
+    ``place_first`` False) after, the ShredAPI and the four gang
+    schedulers are built.
+    """
+    machine = Machine([3])
+    process = machine.spawn_process("prog")
+    rt = ShredRuntime(DEFAULT_PARAMS)
+    shared = process.address_space.reserve("shredlib", 1)
+    process.address_space.handle_fault(shared.start_vpn)
+
+    def attach():
+        if place:
+            rt.attach_shared(shared.base_vaddr, shared.size_bytes)
+
+    if place_first:
+        attach()
+    api = ShredAPI(rt, ExecContext(process, DEFAULT_PARAMS))
+    schedulers = [gang_scheduler(rt, worker_id=i) for i in range(4)]
+    if not place_first:
+        attach()
+
+    def worker(i):
+        yield Compute(2_000 * (i + 1))
+
+    def main():
+        shreds = []
+        for i in range(6):
+            shreds.append((yield from api.create(worker(i))))
+        yield from api.join_all(shreds)
+
+    shred = rt.new_shred(main(), name="main")
+    shred.affinity = 0
+    rt.set_main(shred)
+    rt.push(shred)
+
+    def body():
+        for sid in range(1, 4):
+            yield SignalShred(sid, schedulers[sid])
+        yield from schedulers[0]
+
+    machine.spawn_thread(process, "main", body(), pinned_cpu=0)
+    machine.run_to_completion()
+    assert rt.finished == 7
+    return machine.hierarchy.counters()
+
+
+def test_prebuilt_lock_op_follows_attach_shared():
+    """The scheduler and API yield the runtime's prebuilt lock op;
+    placing the runtime after they are built must still route every
+    lock RMW through the cache hierarchy, not degrade it to a flat-cost
+    atomic."""
+    placed_first = _lock_traffic(place_first=True)
+    assert _lock_traffic(place_first=False) == placed_first
+    # the lock line really moved: RMWs from four sequencers ping-pong
+    # it between their L1s behind the shared L2
+    assert placed_first["l1_invalidations"] > 0
+    assert placed_first["l2_hits"] > 0
+    unplaced = _lock_traffic(place_first=True, place=False)
+    assert set(unplaced.values()) == {0}
 
 
 # ----------------------------------------------------------------------
