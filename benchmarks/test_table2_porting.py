@@ -14,8 +14,8 @@ from conftest import run_once
 
 from repro.analysis import format_table2, run_table2
 from repro.analysis.table2 import ode_restructuring_speedup, table2_experiment
+from repro.systems import Session
 from repro.workloads.legacy import make_ode_like
-from repro.workloads.runner import run_smp
 
 
 def test_table2_ports(benchmark, runner):
@@ -28,7 +28,7 @@ def test_table2_ports(benchmark, runner):
         assert row.lines_changed == 1        # the shim "header include"
         assert row.api_calls_translated > 0
     # every app also runs unmodified on the SMP baseline
-    smp = run_smp(make_ode_like(restructured=True), ncpus=4)
+    smp = Session("smp", "smp4").run(make_ode_like(restructured=True))
     assert smp.runtime.active == 0
 
 

@@ -5,8 +5,8 @@ Demonstrates the orchestration subsystem end to end:
 1. declare a grid (workloads x systems) plus a parameter sweep;
 2. run it through one Runner -- shared runs deduplicate, independent
    runs execute in parallel worker processes;
-3. re-run it to show the in-memory memo (and, with REPRO_CACHE_DIR or
-   --cache-dir, the on-disk cache) serving repeat invocations.
+3. re-run it to show the in-memory memo (and, with --cache-dir, the
+   on-disk store) serving repeat invocations.
 
 Run me:  PYTHONPATH=src python examples/experiment_sweep.py
 """
@@ -26,7 +26,7 @@ def main() -> None:
                         help="persist finished runs on disk")
     parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args()
-    runner = Runner(cache_dir=args.cache_dir, max_workers=args.jobs)
+    runner = Runner(store=args.cache_dir or None, max_workers=args.jobs)
 
     # --- a Figure-4-shaped grid, plus a signal-cost sweep ------------
     grid = ExperimentSpec.grid(

@@ -11,7 +11,7 @@ Run:  python examples/multiprogramming.py [rt_scale]
 
 import sys
 
-from repro.workloads.multiprog import speedup_curve
+from repro.analysis.figure7 import run_figure7
 
 CONFIGS = ["ideal", "smp", "4x2", "2x4", "1x8"]
 
@@ -19,10 +19,13 @@ CONFIGS = ["ideal", "smp", "4x2", "2x4", "1x8"]
 def main():
     rt_scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.08
     loads = range(5)
+    # one declared grid: shared points run once, independent ones in
+    # parallel worker processes
+    result = run_figure7(series=CONFIGS, loads=loads, rt_scale=rt_scale)
     print(f"RayTracer speedup vs unloaded (rt_scale={rt_scale})")
     print(f"{'config':8s} " + " ".join(f"load={n:<2d}" for n in loads))
     for config in CONFIGS:
-        curve = speedup_curve(config, loads=loads, rt_scale=rt_scale)
+        curve = result.curve(config)
         print(f"{config:8s} " + " ".join(f"{v:7.3f}" for v in curve))
 
 

@@ -10,15 +10,15 @@ sequentially on 1P.
 Run:  python examples/porting_pthreads.py
 """
 
+from repro.systems import Session
 from repro.workloads.legacy import make_lame_mt, make_ode_like
-from repro.workloads.runner import run_1p, run_misp, run_smp
 
 
 def main():
     app = make_lame_mt()
-    base = run_1p(app)
-    misp = run_misp(app, ams_count=7)
-    smp = run_smp(app, ncpus=8)
+    base = Session("1p").run(app)
+    misp = Session("misp", "1x8").run(app)
+    smp = Session("smp", "smp8").run(app)
 
     print("lame_mt (legacy Pthreads source, zero lines changed):")
     print(f"  1P        : {base.cycles:>12,} cycles")
@@ -31,8 +31,8 @@ def main():
           f"{shim.calls_translated}")
     print()
 
-    naive = run_misp(make_ode_like(restructured=False), ams_count=7)
-    fixed = run_misp(make_ode_like(restructured=True), ams_count=7)
+    naive = Session("misp", "1x8").run(make_ode_like(restructured=False))
+    fixed = Session("misp", "1x8").run(make_ode_like(restructured=True))
     print("ode_like (the one app needing a structural change, §5.5):")
     print(f"  naive port (main thread sleeps in OS) : {naive.cycles:>12,}")
     print(f"  restructured (native I/O thread)      : {fixed.cycles:>12,}")

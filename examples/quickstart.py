@@ -8,8 +8,8 @@ API, runs it on the 1P baseline and on a MISP uniprocessor
 Run:  python examples/quickstart.py
 """
 
+from repro.systems import Session
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.runner import run_1p, run_misp
 
 
 def build(api, nworkers):
@@ -40,8 +40,8 @@ def build(api, nworkers):
 def main():
     workload = WorkloadSpec("quickstart", "micro", build)
 
-    base = run_1p(workload)
-    misp = run_misp(workload, ams_count=7)
+    base = Session("1p").run(workload)
+    misp = Session("misp", "1x8").run(workload)
 
     print(f"1P baseline : {base.cycles:>12,} cycles")
     print(f"MISP 1x8    : {misp.cycles:>12,} cycles")

@@ -11,8 +11,8 @@ Run:  python examples/raytracer_demo.py [scale]
 
 import sys
 
+from repro.systems import Session
 from repro.workloads.rms.raytracer import make_raytracer
-from repro.workloads.runner import run_1p, run_misp, run_smp
 
 
 def main():
@@ -20,10 +20,10 @@ def main():
     plain = make_raytracer(scale=scale)
     probed = make_raytracer(scale=scale, probe_pages=True)
 
-    base = run_1p(plain)
-    misp = run_misp(plain, ams_count=7)
-    smp = run_smp(plain, ncpus=8)
-    misp_probed = run_misp(probed, ams_count=7)
+    base = Session("1p").run(plain)
+    misp = Session("misp", "1x8").run(plain)
+    smp = Session("smp", "smp8").run(plain)
+    misp_probed = Session("misp", "1x8").run(probed)
 
     print(f"RayTracer (scale={scale})")
     print(f"  1P        : {base.cycles:>14,} cycles")

@@ -8,23 +8,17 @@ ring-transition serialization -- on a discrete-event machine simulator
 with a model OS kernel, plus the ShredLib user-level threading runtime
 and the paper's full Section 5 evaluation.
 
-Quick start::
-
-    from repro.core import build_machine
-    from repro.workloads import REGISTRY, run_misp, run_1p
-
-    workload = REGISTRY.get("RayTracer")
-    base = run_1p(workload)
-    misp = run_misp(workload, ams_count=7)
-    print("speedup:", base.cycles / misp.cycles)
-
-Systems (MISP, SMP, 1P, multiprogramming, hybrid partitions, plus any
-backend you register) are composed through :mod:`repro.systems`::
+Quick start: every system (MISP, SMP, 1P, multiprogramming, hybrid
+partitions, plus any backend you register) runs through one
+:class:`~repro.systems.Session`::
 
     from repro.systems import Session
 
+    base = Session("1p").run("RayTracer", scale=0.1)
+    misp = Session("misp", "1x8").run("RayTracer", scale=0.1)
     hybrid = Session("hybrid", "1x4+1x2").run("RayTracer", scale=0.1)
-    print("hybrid:", hybrid.cycles)
+    print("speedup:", base.cycles / misp.cycles,
+          "hybrid:", base.cycles / hybrid.cycles)
 
 Whole experiment grids (with shared-run deduplication, parallel
 execution, and on-disk caching) go through :mod:`repro.experiments`::

@@ -10,13 +10,14 @@ and idles the AMSs; adding MISP processors (2x4, 4x2) flattens the
 curve; the per-load ideal partition (background processes on AMS-less
 OMSs) stays at 1.0.
 
-The 45-point sweep is declared as a ``configs x loads`` grid over
-:mod:`repro.experiments`.  Declaring it (instead of looping over
-:func:`~repro.workloads.multiprog.run_multiprogram`) buys two things:
-grid members run in parallel worker processes, and the "ideal" series
-resolves each load to its explicit partition (``1x(8-N)+N``), so its
-points are deduplicated against the identically configured members of
-the fixed-partition series.
+The 45-point sweep is declared as a ``configs x loads`` grid of
+``multiprog`` :class:`~repro.experiments.RunSpec` points, and
+:func:`run_figure7` is the one Figure 7 driver.  Declaring the sweep
+(instead of running one multiprogramming session per point) buys two
+things: grid members run in parallel worker processes, and the "ideal"
+series resolves each load to its explicit partition (``1x(8-N)+N``),
+so its points are deduplicated against the identically configured
+members of the fixed-partition series.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.notation import config_name, ideal_config_for_load
-from repro.experiments import (
-    FIGURE7_SEQUENCERS, ExperimentSpec, Runner, RunSpec, default_runner,
+from repro.core.notation import (
+    FIGURE7_SEQUENCERS, config_name, ideal_config_for_load,
 )
+from repro.experiments import ExperimentSpec, Runner, RunSpec, default_runner
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.workloads.multiprog import DEFAULT_RT_SCALE
 

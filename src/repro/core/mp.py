@@ -2,8 +2,7 @@
 
 The partition notation itself (``"4x2"``, ``"1x4+4"``, ``"smp8"``,
 ...) lives in :mod:`repro.core.notation`; this module builds live
-machines from it.  The notation helpers are re-exported here for
-backward compatibility.
+machines from it.
 
 :func:`build_machine` is the single machine factory the system
 backends (:mod:`repro.systems.backends`) build on: all-plain-CPU
@@ -17,18 +16,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.machine import Machine
-from repro.core.notation import (
-    FIGURE6_CONFIGS, FIGURE7_CONFIGS, FIGURE7_SEQUENCERS, config_name,
-    ideal_config_for_load, parse_config, total_sequencers,
-)
+from repro.core.notation import parse_config
 from repro.mem.hierarchy import HierarchyFactory
 from repro.params import DEFAULT_PARAMS, MachineParams
 
-__all__ = [
-    "FIGURE6_CONFIGS", "FIGURE7_CONFIGS", "FIGURE7_SEQUENCERS",
-    "build_machine", "config_name", "ideal_config_for_load",
-    "parse_config", "total_sequencers",
-]
+__all__ = ["build_machine"]
 
 
 def build_machine(config: str | Sequence[int],

@@ -15,8 +15,7 @@ The subsystem separates *what to simulate* from *how it executes*:
   stays in-process).
 
 Systems are resolved through :data:`repro.systems.SYSTEM_REGISTRY`:
-``SYSTEMS`` is that registry and ``DEFAULT_CONFIGS`` a live view over
-it, and registering a :class:`~repro.systems.base.SystemBackend` is all it
+registering a :class:`~repro.systems.base.SystemBackend` is all it
 takes to make a new system spec-able, grid-able, and cacheable.
 
 Quick start::
@@ -25,18 +24,14 @@ Quick start::
 
     exp = ExperimentSpec.grid("demo", ["RayTracer", "gauss"],
                               systems=("1p", "misp", "smp"), scale=0.1)
-    runner = Runner(cache_dir="~/.cache/repro")
+    runner = Runner(store="~/.cache/repro")
     result = runner.run_experiment(exp)
     for summary in result.summaries():
         print(summary.workload, summary.system, summary.cycles)
 """
 
-from repro.experiments.runner import (
-    Runner, default_runner, runner_from_env, set_default_runner,
-)
-from repro.experiments.spec import (
-    DEFAULT_CONFIGS, FIGURE7_SEQUENCERS, SYSTEMS, ExperimentSpec, RunSpec,
-)
+from repro.experiments.runner import Runner, default_runner, runner_from_env
+from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments.summary import (
     EVENT_KEYS, MemorySummary, ProxySummary, RunSummary,
     UtilizationSummary, summarize_run,
@@ -45,8 +40,6 @@ from repro.service import ExperimentResult
 
 __all__ = [
     "ExperimentResult", "Runner", "default_runner", "runner_from_env",
-    "set_default_runner",
-    "DEFAULT_CONFIGS", "FIGURE7_SEQUENCERS", "SYSTEMS", "ExperimentSpec",
-    "RunSpec", "EVENT_KEYS", "MemorySummary", "ProxySummary", "RunSummary",
-    "UtilizationSummary", "summarize_run",
+    "ExperimentSpec", "RunSpec", "EVENT_KEYS", "MemorySummary",
+    "ProxySummary", "RunSummary", "UtilizationSummary", "summarize_run",
 ]

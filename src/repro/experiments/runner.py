@@ -27,36 +27,21 @@ import os
 from typing import Iterable, Optional, Union
 
 from repro.experiments.spec import ExperimentSpec, RunSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.service import (
-    ExperimentResult, ExperimentService, ResultStore, store_from_env,
-)
+from repro.service import ExperimentResult, ExperimentService, store_from_env
 
 
 class Runner(ExperimentService):
     """Deduplicating, caching, parallel experiment executor.
 
-    An :class:`~repro.service.ExperimentService` whose ``cache_dir``
-    (or explicit ``store``) is the on-disk layer, and whose worker
-    pool lives for one synchronous call: it is shut down before
-    :meth:`run`, :meth:`run_many` or :meth:`run_experiment` returns.
-    Batches run for seconds to minutes, so spawn cost is noise, and a
-    long-lived Runner (the process-wide default) never holds idle
-    worker processes between experiments.
+    An :class:`~repro.service.ExperimentService` (same constructor:
+    ``store`` takes a :class:`~repro.service.ResultStore` or a
+    directory) whose worker pool lives for one synchronous call: it
+    is shut down before :meth:`run`, :meth:`run_many` or
+    :meth:`run_experiment` returns.  Batches run for seconds to
+    minutes, so spawn cost is noise, and a long-lived Runner (the
+    process-wide default) never holds idle worker processes between
+    experiments.
     """
-
-    def __init__(self, cache_dir: Optional[Union[str, os.PathLike]] = None,
-                 max_workers: Optional[int] = None,
-                 parallel: bool = True,
-                 replay: bool = False,
-                 store: Optional[ResultStore] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        super().__init__(store=store if store is not None
-                         else cache_dir or None,
-                         max_workers=max_workers, parallel=parallel,
-                         replay=replay, registry=registry,
-                         instance=instance)
 
     def run_experiment(self, experiment: Union[ExperimentSpec,
                                                Iterable[RunSpec]]
@@ -100,9 +85,3 @@ def default_runner() -> Runner:
     if _default_runner is None:
         _default_runner = runner_from_env()
     return _default_runner
-
-
-def set_default_runner(runner: Optional[Runner]) -> None:
-    """Replace (or with None, reset) the process-wide default Runner."""
-    global _default_runner
-    _default_runner = runner

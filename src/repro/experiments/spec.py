@@ -18,8 +18,7 @@ Systems are resolved purely through
 :data:`repro.systems.SYSTEM_REGISTRY`: each backend owns its
 configuration-notation rules (``canonical_config``) and its default
 cycle budget, so registering a backend is all it takes for specs to
-validate, canonicalize, and hash against it.  :data:`SYSTEMS` is that
-registry and :data:`DEFAULT_CONFIGS` a live view over it.
+validate, canonicalize, and hash against it.
 """
 
 from __future__ import annotations
@@ -30,19 +29,15 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from repro.core.notation import FIGURE7_SEQUENCERS
 from repro.errors import ConfigurationError
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.shredlib.runtime import QueuePolicy
-from repro.systems import DEFAULT_CONFIGS, SYSTEM_REGISTRY, SYSTEMS
+from repro.systems import SYSTEM_REGISTRY
 from repro.timing import TIMING_REGISTRY, canonical_timing_name
-from repro.workloads.base import REGISTRY
+from repro.workloads.base import REGISTRY, check_scale
 from repro.workloads.runner import DEFAULT_LIMIT
 
-__all__ = [
-    "DEFAULT_CONFIGS", "FIGURE7_SEQUENCERS", "SYSTEMS", "SPEC_VERSION",
-    "ExperimentSpec", "RunSpec",
-]
+__all__ = ["SPEC_VERSION", "ExperimentSpec", "RunSpec"]
 
 #: bump to invalidate previously hashed specs after semantic changes
 #: (2: timing-model identity + scoreboard sb_* params joined the hash)
@@ -111,8 +106,7 @@ class RunSpec:
                   else str(self.policy).strip().lower())
         QueuePolicy(policy)  # validate
         s("policy", policy)
-        if self.scale is not None and self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive: {self.scale}")
+        check_scale(self.scale)
         if self.background < 0:
             raise ConfigurationError("background must be >= 0")
         if self.background and not backend.supports_background:
@@ -221,8 +215,9 @@ class ExperimentSpec:
         runs = []
         for workload in workloads:
             for entry in systems:
-                system, config = (entry if isinstance(entry, tuple)
-                                  else (entry, DEFAULT_CONFIGS[entry]))
+                system, config = (
+                    entry if isinstance(entry, tuple)
+                    else (entry, SYSTEM_REGISTRY.get(entry).default_config))
                 runs.append(RunSpec(workload, system, config, scale=scale,
                                     params=params, policy=policy,
                                     timing_model=timing_model))

@@ -22,8 +22,7 @@ Quick start::
 """
 
 from repro.systems.base import (
-    DEFAULT_CONFIGS, SYSTEM_REGISTRY, SYSTEMS, StagedRun, SystemBackend,
-    get_system, register_system,
+    SYSTEM_REGISTRY, StagedRun, SystemBackend, get_system, register_system,
 )
 from repro.systems.backends import (
     HYBRID, MISP, MULTIPROG, ONE_P, SMP, HybridBackend, MispBackend,
@@ -32,8 +31,8 @@ from repro.systems.backends import (
 from repro.systems.session import Session
 
 __all__ = [
-    "DEFAULT_CONFIGS", "SYSTEM_REGISTRY", "SYSTEMS", "StagedRun",
-    "SystemBackend", "get_system", "register_system",
+    "SYSTEM_REGISTRY", "StagedRun", "SystemBackend", "get_system",
+    "register_system",
     "HYBRID", "MISP", "MULTIPROG", "ONE_P", "SMP", "HybridBackend",
     "MispBackend", "MultiprogBackend", "OnePBackend", "SmpBackend",
     "Session",

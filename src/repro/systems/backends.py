@@ -30,8 +30,7 @@ from repro.workloads.multiprog import (
     MULTIPROG_HORIZON, MULTIPROG_SLICE, background_body,
 )
 from repro.workloads.runner import (
-    _setup, misp_group_body, misp_thread_body, smp_main_body,
-    smp_worker_body,
+    _setup, misp_group_body, smp_main_body, smp_worker_body,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,8 +71,8 @@ class MispBackend(SystemBackend):
         rt.policy = policy
         thread = machine.spawn_thread(
             process, f"{workload.name}-main",
-            misp_thread_body(machine, 0, rt, api, workload,
-                             nworkers=1 + ams_count),
+            misp_group_body(machine, 0, rt, api, workload,
+                            nworkers=1 + ams_count),
             pinned_cpu=0)
         thread.is_shredded = ams_count > 0
         return StagedRun(machine, process, rt, thread, config=config)
@@ -248,8 +247,8 @@ class MultiprogBackend(SystemBackend):
             counts = parse_config(config)
             thread = machine.spawn_thread(
                 process, f"{workload.name}-main",
-                misp_thread_body(machine, 0, rt, api, workload,
-                                 nworkers=1 + counts[0]),
+                misp_group_body(machine, 0, rt, api, workload,
+                                nworkers=1 + counts[0]),
                 pinned_cpu=0)
             thread.is_shredded = counts[0] > 0
         rt.policy = policy
@@ -276,7 +275,7 @@ class MultiprogBackend(SystemBackend):
         return process.exit_time
 
 
-#: the built-in backends, in the legacy SYSTEMS presentation order
+#: the built-in backends, in presentation order
 MISP = register_system(MispBackend())
 SMP = register_system(SmpBackend())
 ONE_P = register_system(OnePBackend())

@@ -14,13 +14,11 @@ workloads:
   rules for this system), ``build_machine``, ``stage`` (lay the
   application onto the machine), ``drive`` (run it), ``summarize``;
 * :data:`SYSTEM_REGISTRY` -- name -> backend, consulted by
-  :class:`~repro.experiments.spec.RunSpec` validation and by
+  :class:`~repro.experiments.spec.RunSpec` validation, by
+  :meth:`~repro.experiments.spec.ExperimentSpec.grid` (a bare system
+  name runs in the backend's ``default_config``) and by
   :func:`~repro.service.executor.execute`, so *registering a backend
-  is sufficient* to make it spec-able, cacheable, and grid-able;
-* :data:`SYSTEMS` / :data:`DEFAULT_CONFIGS` -- the registry itself
-  and a live name -> default-config view of it (both re-exported by
-  :mod:`repro.experiments`); a backend registered at runtime appears
-  in both.
+  is sufficient* to make it spec-able, cacheable, and grid-able.
 
 Custom backends registered at runtime are visible only in the
 registering process: run them through a serial Runner
@@ -30,9 +28,8 @@ worker processes see them too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.registry import Registry
 from repro.workloads.runner import DEFAULT_LIMIT
@@ -146,27 +143,3 @@ def register_system(backend: SystemBackend, *,
 def get_system(name: str) -> SystemBackend:
     """Look up a backend by name (raises ConfigurationError if unknown)."""
     return SYSTEM_REGISTRY.get(name)
-
-
-#: systems a RunSpec can target (the registry itself, so it is live)
-SYSTEMS = SYSTEM_REGISTRY
-
-
-class _DefaultConfigs(Mapping):
-    """Live name -> ``default_config`` view of :data:`SYSTEM_REGISTRY`."""
-
-    def __getitem__(self, name: str) -> str:
-        return SYSTEM_REGISTRY.get(name).default_config
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(SYSTEM_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(SYSTEM_REGISTRY)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-#: default machine configuration per system (live registry view)
-DEFAULT_CONFIGS = _DefaultConfigs()

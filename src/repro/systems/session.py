@@ -13,9 +13,8 @@ workloads on it::
               .run("RayTracer", scale=0.1))
 
 Sessions are immutable: every knob method returns a *new* session, so
-a configured session can be kept and reused as a template.  The
-legacy ``run_misp`` / ``run_smp`` / ``run_1p`` functions are thin
-wrappers over sessions, and :func:`repro.service.executor.execute`
+a configured session can be kept and reused as a template.  A session
+is the one way to run a workload: :func:`repro.service.executor.execute`
 builds one per :class:`~repro.experiments.spec.RunSpec`.
 """
 
@@ -28,7 +27,9 @@ from repro.errors import ConfigurationError
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.shredlib.runtime import QueuePolicy
 from repro.systems.base import SystemBackend, get_system
-from repro.timing.base import TimingModel, resolve_timing
+from repro.timing.base import (
+    TimingModel, canonical_timing_name, resolve_timing,
+)
 from repro.workloads.base import REGISTRY, WorkloadSpec
 from repro.workloads.runner import RunResult
 
@@ -162,9 +163,9 @@ class Session:
         return backend, config
 
     def _timing_name(self) -> str:
-        if isinstance(self._timing, str):
-            return self._timing
-        return self._timing.name
+        name = (self._timing if isinstance(self._timing, str)
+                else self._timing.name)
+        return canonical_timing_name(name)
 
     def describe(self) -> str:
         backend, config = self.resolve()

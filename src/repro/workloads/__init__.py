@@ -6,9 +6,7 @@ with the 16 applications of the paper's Section 5 evaluation.
 
 from repro.workloads import legacy, rms, speccomp  # noqa: F401 -- registers the suites
 from repro.workloads.base import REGISTRY, WorkloadSpec
-from repro.workloads.runner import (
-    DEFAULT_LIMIT, RunResult, run_1p, run_hybrid, run_misp, run_smp,
-)
+from repro.workloads.runner import DEFAULT_LIMIT, RunResult
 
 #: the 11 RMS + 5 SPEComp applications of Figure 4 / Table 1, in the
 #: paper's presentation order
@@ -19,7 +17,6 @@ FIGURE4_ORDER = [
 ]
 
 __all__ = [
-    "REGISTRY", "WorkloadSpec", "DEFAULT_LIMIT",
-    "RunResult", "run_1p", "run_hybrid", "run_misp", "run_smp",
+    "REGISTRY", "WorkloadSpec", "DEFAULT_LIMIT", "RunResult",
     "FIGURE4_ORDER",
 ]

@@ -18,9 +18,11 @@ workload can size its shred count (M >= N, Section 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from repro.errors import ConfigurationError
 from repro.exec.ops import Op
 from repro.registry import Registry
 from repro.shredlib.api import ShredAPI
@@ -47,6 +49,13 @@ class WorkloadSpec:
 
     def instantiate(self, api: ShredAPI, nworkers: int) -> Iterator[Op]:
         return self.build(api, nworkers)
+
+
+def check_scale(scale: Optional[float]) -> None:
+    """Reject a workload scale that is not a positive, finite number
+    (``None`` means full size)."""
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(f"scale must be positive and finite: {scale}")
 
 
 class _WorkloadRegistry(Registry[WorkloadSpec]):
@@ -76,8 +85,10 @@ class _WorkloadRegistry(Registry[WorkloadSpec]):
 
         ``scale=None`` with no extra arguments returns the registered
         full-size spec; anything else goes through the workload's
-        registered factory (``factory(scale=..., **kwargs)``).
+        registered factory (``factory(scale=..., **kwargs)``).  A
+        scale that is not positive and finite is a ConfigurationError.
         """
+        check_scale(scale)
         spec = self.get(name)
         if scale is None and not kwargs:
             return spec

@@ -16,27 +16,18 @@ per-load uneven partition 1x(8-N)+N that gives each background process
 its own AMS-less OMS).
 
 The staging and drive loop live in
-:class:`repro.systems.backends.MultiprogBackend`;
-:func:`run_multiprogram` is a compatibility wrapper over a
-``Session("multiprog", ...)``.  This module keeps the driver-level
-constants, the CPU-bound :func:`background_body` the backend stages,
-and the Figure 7 curve helper.
+:class:`repro.systems.backends.MultiprogBackend`, and the Figure 7
+sweep (every series' speedup-vs-unloaded curve) is declared and run
+by :func:`repro.analysis.figure7.run_figure7`.  This module keeps the
+driver-level constants and the CPU-bound :func:`background_body` the
+backend stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
-from repro.core.machine import Machine
-from repro.core.mp import (
-    FIGURE7_SEQUENCERS, config_name, ideal_config_for_load,
-)
 from repro.exec.ops import Compute, Op
-from repro.params import DEFAULT_PARAMS, MachineParams
-from repro.shredlib.runtime import QueuePolicy
-from repro.workloads.base import WorkloadSpec
-from repro.workloads.rms.raytracer import make_raytracer
 
 #: RayTracer size used for the sweep (full scale is unnecessarily slow
 #: for a 45-run experiment; the curve is a ratio of its own runtimes)
@@ -45,8 +36,8 @@ DEFAULT_RT_SCALE = 0.15
 #: simulation slice while polling for application completion
 MULTIPROG_SLICE = 100_000_000
 
-#: absolute per-run budget before declaring a hang (shared with the
-#: experiment layer so both drivers time out identically)
+#: absolute per-run budget before declaring a hang (the multiprog
+#: backend's default cycle limit)
 MULTIPROG_HORIZON = 200_000_000_000
 
 
@@ -54,64 +45,3 @@ def background_body() -> Iterator[Op]:
     """A single-threaded, CPU-bound process that never exits."""
     while True:
         yield Compute(100_000)
-
-
-@dataclass(frozen=True)
-class MultiprogResult:
-    config: str
-    background: int
-    raytracer_cycles: int
-    machine: Machine
-
-
-def run_multiprogram(config: str, background: int,
-                     rt_scale: float = DEFAULT_RT_SCALE,
-                     params: MachineParams = DEFAULT_PARAMS,
-                     horizon: int = MULTIPROG_HORIZON,
-                     workload: Optional[WorkloadSpec] = None,
-                     policy: QueuePolicy = QueuePolicy.FIFO
-                     ) -> MultiprogResult:
-    """Run a shredded workload (default: RayTracer at ``rt_scale``)
-    plus N background processes on one configuration."""
-    from repro.systems import Session
-    if workload is None:
-        workload = make_raytracer(scale=rt_scale)
-    run = (Session("multiprog", config)
-           .params(params).policy(policy).limit(horizon)
-           .background(background).run(workload))
-    # keep the caller's series name ("ideal", "smp") on the result
-    return MultiprogResult(config, background, run.cycles, run.machine)
-
-
-def speedup_curve(config: str, loads: Sequence[int] = range(5),
-                  rt_scale: float = DEFAULT_RT_SCALE,
-                  params: MachineParams = DEFAULT_PARAMS) -> list[float]:
-    """Speedup (vs unloaded) of RayTracer as load increases (one line
-    of Figure 7).
-
-    Every Figure 7 curve is normalized to its own configuration
-    running unloaded -- that is why all curves start at 1.0 even
-    though, say, 4x2 gives RayTracer only two sequencers.  For the
-    per-load "ideal" partition the configuration changes with the
-    load, so the baseline is re-measured per point: background
-    processes on their own AMS-less OMSs leave RayTracer at 1.0.
-    """
-    curve: list[float] = []
-    baseline: Optional[int] = None
-    for load in loads:
-        result = run_multiprogram(config, load, rt_scale, params)
-        if config == "ideal":
-            unloaded = _ideal_unloaded(load, rt_scale, params)
-            curve.append(unloaded / result.raytracer_cycles)
-            continue
-        if baseline is None:
-            baseline = result.raytracer_cycles
-        curve.append(baseline / result.raytracer_cycles)
-    return curve
-
-
-def _ideal_unloaded(load: int, rt_scale: float,
-                    params: MachineParams) -> int:
-    """Unloaded RayTracer runtime on the load-``load`` ideal partition."""
-    partition = config_name(ideal_config_for_load(FIGURE7_SEQUENCERS, load))
-    return run_multiprogram(partition, 0, rt_scale, params).raytracer_cycles

@@ -1,23 +1,22 @@
-"""Staging primitives and legacy run functions for the system backends.
+"""Staging primitives the system backends compose.
 
 This module holds the building blocks every system backend composes
 (Section 5.2's methodology):
 
-* :func:`misp_group_body` / :func:`misp_thread_body` -- the body of a
-  multi-shredded OS thread (Figure 3): register the proxy handler,
-  push the main shred, ``SIGNAL`` a gang scheduler onto every AMS,
-  then run a gang scheduler on the OMS;
+* :func:`misp_group_body` -- the body of a multi-shredded OS thread
+  (Figure 3): register the proxy handler, push the main shred,
+  ``SIGNAL`` a gang scheduler onto every AMS, then run a gang
+  scheduler on the OMS;
 * :func:`smp_main_body` / :func:`smp_worker_body` -- the same
   application code run as ``ncpus`` OS threads (one gang scheduler
   each), the way an OpenMP runtime would run it on a real SMP;
-* :func:`_setup` -- process + runtime + API plumbing shared by all.
+* :func:`_setup` -- process + runtime + API plumbing shared by all;
+* :class:`RunResult` -- the live outcome of one run.
 
 The actual system assembly lives in :mod:`repro.systems`: backends
 (``misp``, ``smp``, ``1p``, ``multiprog``, ``hybrid``, ...) stage
 these bodies onto machines, and the composable
 :class:`~repro.systems.session.Session` builder drives them.
-:func:`run_misp`, :func:`run_smp`, :func:`run_1p`, and
-:func:`run_hybrid` are thin compatibility wrappers over sessions.
 """
 
 from __future__ import annotations
@@ -27,14 +26,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.machine import Machine
-from repro.core.mp import config_name
 from repro.exec.context import ExecContext
 from repro.exec.ops import Op, SignalShred, SyscallOp
 from repro.kernel.process import OSThread, Process
-from repro.params import DEFAULT_PARAMS, MachineParams
+from repro.params import MachineParams
 from repro.shredlib.api import ShredAPI
 from repro.shredlib.proxyhandler import GenericProxyHandler
-from repro.shredlib.runtime import QueuePolicy, ShredRuntime
+from repro.shredlib.runtime import ShredRuntime
 from repro.shredlib.scheduler import gang_scheduler
 from repro.sim.trace import EventKind
 from repro.workloads.base import WorkloadSpec
@@ -112,11 +110,11 @@ def misp_group_body(machine: Machine, proc_index: int, rt: ShredRuntime,
                     nworkers: int, worker_base: int = 0) -> Iterator[Op]:
     """Body of one multi-shredded OS thread driving one MISP processor.
 
-    The generalization behind Figure 3 that multi-processor (hybrid)
-    partitions stage once per MISP processor: gang-scheduler worker
-    ids start at ``worker_base`` (they must be unique runtime-wide),
-    and only the *primary* group -- the one given a ``workload`` --
-    instantiates and pushes the main shred.
+    A single-processor run stages it once (Figure 3); multi-processor
+    (hybrid) partitions stage it once per MISP processor, with
+    gang-scheduler worker ids starting at ``worker_base`` (they must
+    be unique runtime-wide).  Only the *primary* group -- the one
+    given a ``workload`` -- instantiates and pushes the main shred.
     """
     processor = machine.processors[proc_index]
     handler = GenericProxyHandler()
@@ -132,17 +130,6 @@ def misp_group_body(machine: Machine, proc_index: int, rt: ShredRuntime,
         yield SignalShred(sid, gang_scheduler(rt, worker_id=worker_base + sid),
                           label=f"gang-{worker_base + sid}")
     yield from gang_scheduler(rt, worker_id=worker_base)
-
-
-def misp_thread_body(machine: Machine, proc_index: int, rt: ShredRuntime,
-                     api: ShredAPI, workload: WorkloadSpec,
-                     nworkers: int) -> Iterator[Op]:
-    """Body of the single multi-shredded OS thread (Figure 3).
-
-    Exposed publicly so the Figure 7 driver can build mixed workloads.
-    """
-    yield from misp_group_body(machine, proc_index, rt, api, workload,
-                               nworkers, worker_base=0)
 
 
 def smp_worker_body(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
@@ -164,50 +151,3 @@ def smp_main_body(machine: Machine, process: Process, rt: ShredRuntime,
         machine.spawn_thread(process, f"{workload.name}-w{i}",
                              smp_worker_body(rt, i))
     yield from gang_scheduler(rt, worker_id=0)
-
-
-# ----------------------------------------------------------------------
-# Legacy run functions: thin wrappers over repro.systems.Session
-# ----------------------------------------------------------------------
-def run_misp(workload: WorkloadSpec, ams_count: int = 7,
-             params: MachineParams = DEFAULT_PARAMS,
-             limit: int = DEFAULT_LIMIT,
-             policy: QueuePolicy = QueuePolicy.FIFO) -> RunResult:
-    """Run a workload on a MISP uniprocessor with ``ams_count`` AMSs."""
-    from repro.systems import Session
-    return (Session("misp", config_name([ams_count]))
-            .params(params).policy(policy).limit(limit).run(workload))
-
-
-def run_smp(workload: WorkloadSpec, ncpus: int = 8,
-            params: MachineParams = DEFAULT_PARAMS,
-            limit: int = DEFAULT_LIMIT,
-            policy: QueuePolicy = QueuePolicy.FIFO) -> RunResult:
-    """Run a workload on the ``ncpus``-way SMP baseline."""
-    from repro.systems import Session
-    return (Session("smp", f"smp{ncpus}")
-            .params(params).policy(policy).limit(limit).run(workload))
-
-
-def run_1p(workload: WorkloadSpec,
-           params: MachineParams = DEFAULT_PARAMS,
-           limit: int = DEFAULT_LIMIT,
-           policy: QueuePolicy = QueuePolicy.FIFO) -> RunResult:
-    """Single-sequencer baseline run (Figure 4's denominator)."""
-    return run_smp(workload, ncpus=1, params=params, limit=limit,
-                   policy=policy)
-
-
-def run_hybrid(workload: WorkloadSpec, config: str = "1x4+1x2",
-               params: MachineParams = DEFAULT_PARAMS,
-               limit: int = DEFAULT_LIMIT,
-               policy: QueuePolicy = QueuePolicy.FIFO) -> RunResult:
-    """Run a workload shredded across a multi-group MISP partition.
-
-    Every MISP processor in ``config`` (e.g. ``"1x4+1x2"``) drives its
-    own gang of shreds via its own OS thread; plain CPUs, if any, run
-    bare gang-scheduler worker threads.
-    """
-    from repro.systems import Session
-    return (Session("hybrid", config)
-            .params(params).policy(policy).limit(limit).run(workload))

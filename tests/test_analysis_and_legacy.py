@@ -7,12 +7,12 @@ from repro.analysis.figure4 import Figure4Result, SpeedupRow
 from repro.analysis.figure5 import PAPER_TICK_CYCLES, sensitivity_from_run
 from repro.analysis.report import figure6_text
 from repro.analysis.table1 import EventRow, PAPER_TABLE1, format_table1
+from repro.systems import Session
+from repro.workloads.base import REGISTRY
 from repro.workloads.legacy import (
     make_jrockit_like, make_lame_mt, make_media_encoder, make_ode_like,
     make_thread_checker_like,
 )
-from repro.workloads.base import REGISTRY
-from repro.workloads.runner import run_1p, run_misp, run_smp
 
 
 class TestFigure4Math:
@@ -72,7 +72,7 @@ class TestTable1Rows:
 
 class TestFigure5Model:
     def test_decompression_ratio(self):
-        result = run_misp(REGISTRY.build("dense_mvm", 0.1), ams_count=3)
+        result = Session("misp", "1x4").run(REGISTRY.build("dense_mvm", 0.1))
         row = sensitivity_from_run(result)
         stretch = PAPER_TICK_CYCLES / 2_000_000
         for measured, decompressed in zip(row.overheads,
@@ -96,25 +96,25 @@ class TestLegacyApps:
         lambda: make_ode_like(restructured=True),
     ])
     def test_runs_on_misp_and_smp(self, factory):
-        misp = run_misp(factory(), ams_count=3)
+        misp = Session("misp", "1x4").run(factory())
         assert misp.runtime.active == 0
-        smp = run_smp(factory(), ncpus=4)
+        smp = Session("smp", "smp4").run(factory())
         assert smp.runtime.active == 0
 
     def test_legacy_apps_scale(self):
         app = make_lame_mt()
-        base = run_1p(app)
-        misp = run_misp(app, ams_count=7)
+        base = Session("1p").run(app)
+        misp = Session("misp", "1x8").run(app)
         assert base.cycles / misp.cycles > 4.0
 
     def test_shim_counter_exposed(self):
-        result = run_misp(make_lame_mt(), ams_count=3)
+        result = Session("misp", "1x4").run(make_lame_mt())
         shim = result.runtime.legacy_shim
         assert shim.calls_translated > 0
 
     def test_ode_naive_freezes_team(self):
-        naive = run_misp(make_ode_like(restructured=False), ams_count=7)
-        fixed = run_misp(make_ode_like(restructured=True), ams_count=7)
+        naive = Session("misp", "1x8").run(make_ode_like(restructured=False))
+        fixed = Session("misp", "1x8").run(make_ode_like(restructured=True))
         assert naive.cycles > fixed.cycles
         # the naive port blocks its shredded thread in the kernel
         assert naive.main_thread.context_switches > 0

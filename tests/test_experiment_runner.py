@@ -15,6 +15,7 @@ from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
 from repro.service import ResultStore, execute
 from repro.shredlib.runtime import QueuePolicy
+from repro.systems import Session
 
 #: a fast workload for runner-behaviour tests
 FAST = dict(workload="dense_mvm", scale=0.05)
@@ -109,6 +110,14 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec("gauss", scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        # one check guards the spec and the direct Session path alike
+        with pytest.raises(ConfigurationError, match="scale must be"):
+            RunSpec("dense_mvm", "1p", scale=scale)
+        with pytest.raises(ConfigurationError, match="scale must be"):
+            Session("1p").run("dense_mvm", scale=scale)
+
     @pytest.mark.parametrize("workload", ["no_such_app", "raytracer"])
     def test_unknown_workload_rejected_at_construction(self, workload):
         # workload names match exactly ("RayTracer" is registered)
@@ -155,11 +164,11 @@ class TestRunner:
         assert runner.stats.memo_hits == 3
 
     def test_cache_miss_then_hit(self, fast_grid, tmp_path):
-        first = Runner(cache_dir=tmp_path, parallel=False)
+        first = Runner(store=tmp_path, parallel=False)
         a = first.run_many(fast_grid)
         assert first.stats.executed == 3 and first.stats.store_hits == 0
         # a fresh Runner (fresh process, conceptually) hits the disk cache
-        second = Runner(cache_dir=tmp_path, parallel=False)
+        second = Runner(store=tmp_path, parallel=False)
         b = second.run_many(fast_grid)
         assert second.stats.executed == 0
         assert second.stats.store_hits == 3
@@ -170,7 +179,7 @@ class TestRunner:
         spec = fast_grid[0]
         cache.path_for(spec).write_text("{not json")
         assert cache.get(spec) is None
-        runner = Runner(cache_dir=tmp_path, parallel=False)
+        runner = Runner(store=tmp_path, parallel=False)
         summary = runner.run(spec)
         assert runner.stats.executed == 1
         assert cache.get(spec) == summary     # repaired on write
@@ -179,12 +188,12 @@ class TestRunner:
                                                       tmp_path):
         good = fast_grid[0]
         bad = RunSpec(system="misp", config="1x4", limit=10, **FAST)
-        runner = Runner(cache_dir=tmp_path, parallel=False)
+        runner = Runner(store=tmp_path, parallel=False)
         with pytest.raises(SimulationError):
             runner.run_many([good, bad])
         assert runner.stats.executed == 1     # the good run was kept
         # a retry only re-runs the failure; the good run is cached
-        retry = Runner(cache_dir=tmp_path, parallel=False)
+        retry = Runner(store=tmp_path, parallel=False)
         with pytest.raises(SimulationError):
             retry.run_many([good, bad])
         assert retry.stats.store_hits == 1 and retry.stats.executed == 0
@@ -213,12 +222,12 @@ class TestRunner:
         from repro.analysis import run_figure4, run_table1
 
         names = ["dense_mvm", "ADAt"]
-        first = Runner(cache_dir=tmp_path, parallel=True, max_workers=2)
+        first = Runner(store=tmp_path, parallel=True, max_workers=2)
         fig_a = run_figure4(names, ams_count=3, scale=0.05, runner=first)
         assert first.stats.executed == 6     # 2 workloads x {1p,misp,smp}
         assert first.stats.store_hits == 0
 
-        second = Runner(cache_dir=tmp_path, parallel=True, max_workers=2)
+        second = Runner(store=tmp_path, parallel=True, max_workers=2)
         fig_b = run_figure4(names, ams_count=3, scale=0.05, runner=second)
         assert second.stats.executed == 0
         assert second.stats.store_hits == 6

@@ -8,12 +8,12 @@ from repro.analysis import (
     format_table1, measured_row, paper_row_scaled, run_figure4,
     sensitivity_from_run,
 )
-from repro.analysis.figure7 import Figure7Result
+from repro.analysis.figure7 import Figure7Result, run_figure7
 from repro.analysis.table1 import PAPER_TABLE1
 from repro.analysis.table2 import (
     ode_restructuring_speedup, run_table2,
 )
-from repro.workloads.multiprog import speedup_curve
+from repro.experiments import Runner
 
 SUBSET = ["dense_mmm", "gauss", "RayTracer", "swim"]
 
@@ -86,39 +86,46 @@ class TestFigure5:
         assert "worst" in text
 
 
-class TestFigure7:
-    RT_SCALE = 0.05
+@pytest.fixture(scope="module")
+def fig7_curve():
+    """One Figure 7 series at rt_scale 0.05, through one serial Runner
+    so points shared between tests (the unloaded baselines) simulate
+    once."""
+    runner = Runner(parallel=False)
 
-    def test_1x8_degrades_nearly_linearly(self):
-        curve = speedup_curve("1x8", loads=range(3), rt_scale=self.RT_SCALE)
+    def curve(config, loads):
+        return run_figure7(series=[config], loads=loads, rt_scale=0.05,
+                           runner=runner).curve(config)
+    return curve
+
+
+class TestFigure7:
+    def test_1x8_degrades_nearly_linearly(self, fig7_curve):
+        curve = fig7_curve("1x8", loads=range(3))
         assert curve[0] == pytest.approx(1.0)
         assert curve[1] == pytest.approx(0.5, abs=0.1)
         assert curve[2] == pytest.approx(1 / 3, abs=0.1)
 
-    def test_4x2_flat_until_cpus_exhausted(self):
-        curve = speedup_curve("4x2", loads=range(4), rt_scale=self.RT_SCALE)
+    def test_4x2_flat_until_cpus_exhausted(self, fig7_curve):
+        curve = fig7_curve("4x2", loads=range(4))
         for value in curve:
             assert value > 0.9
 
-    def test_ideal_stays_at_one(self):
-        curve = speedup_curve("ideal", loads=range(3),
-                              rt_scale=self.RT_SCALE)
+    def test_ideal_stays_at_one(self, fig7_curve):
+        curve = fig7_curve("ideal", loads=range(3))
         for value in curve:
             assert value == pytest.approx(1.0, abs=0.05)
 
-    def test_smp_degrades_gracefully(self):
-        curve = speedup_curve("smp", loads=[0, 2], rt_scale=self.RT_SCALE)
+    def test_smp_degrades_gracefully(self, fig7_curve):
+        curve = fig7_curve("smp", loads=[0, 2])
         assert curve[1] > 0.6    # ~ 8/(8+2)
 
-    def test_more_processors_flatter(self):
+    def test_more_processors_flatter(self, fig7_curve):
         """Section 5.4: scaling improves with more MISP processors."""
         at_load = 2
-        one = speedup_curve("1x8", loads=[0, at_load],
-                            rt_scale=self.RT_SCALE)[1]
-        two = speedup_curve("2x4", loads=[0, at_load],
-                            rt_scale=self.RT_SCALE)[1]
-        four = speedup_curve("4x2", loads=[0, at_load],
-                             rt_scale=self.RT_SCALE)[1]
+        one = fig7_curve("1x8", loads=[0, at_load])[1]
+        two = fig7_curve("2x4", loads=[0, at_load])[1]
+        four = fig7_curve("4x2", loads=[0, at_load])[1]
         assert one < two <= four
 
     def test_format(self):

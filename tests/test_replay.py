@@ -198,7 +198,7 @@ class TestRunnerIntegration:
 
     def test_runner_replay_mode_captures_once(self, tmp_path):
         specs = [spec_for("misp", mem_cost=mc) for mc in (15, 60, 240)]
-        runner = Runner(cache_dir=tmp_path, parallel=False, replay=True)
+        runner = Runner(store=tmp_path, parallel=False, replay=True)
         out = runner.run_many(specs)
         assert runner.stats.executed == 1
         assert runner.stats.captured == 1
@@ -207,18 +207,18 @@ class TestRunnerIntegration:
 
     def test_replay_cache_entries_never_alias_execution(self, tmp_path):
         specs = [spec_for("misp", mem_cost=mc) for mc in (15, 60, 240)]
-        Runner(cache_dir=tmp_path, parallel=False,
+        Runner(store=tmp_path, parallel=False,
                replay=True).run_many(specs)
         # an execution-driven runner sees only the captured spec's
         # entry; the replay summaries are invisible to it
-        exec_runner = Runner(cache_dir=tmp_path, parallel=False)
+        exec_runner = Runner(store=tmp_path, parallel=False)
         out = exec_runner.run_many(specs)
         assert all(s.timing == "execute" for s in out)
         assert exec_runner.stats.store_hits == 1
         assert exec_runner.stats.executed == 2
         # once execution-driven entries exist, a replay-mode runner
         # prefers them (they are exact)
-        third = Runner(cache_dir=tmp_path, parallel=False, replay=True)
+        third = Runner(store=tmp_path, parallel=False, replay=True)
         out3 = third.run_many(specs)
         assert third.stats.store_hits == 3
         assert third.stats.executed == 0

@@ -281,7 +281,7 @@ class TestFailureReporting:
         good = RunSpec(system="1p", **FAST)
         bad1 = RunSpec(system="misp", config="1x4", limit=10, **FAST)
         bad2 = RunSpec(system="smp", config="smp4", limit=10, **FAST)
-        runner = Runner(cache_dir=tmp_path, parallel=False)
+        runner = Runner(store=tmp_path, parallel=False)
         with pytest.raises(ExperimentExecutionError) as excinfo:
             runner.run_many([good, bad1, bad2])
         err = excinfo.value
@@ -292,7 +292,7 @@ class TestFailureReporting:
         assert runner.stats.failed == 2
         assert runner.stats.executed == 1              # the good run kept
         # survivors are stored: a retry only re-runs the failures
-        retry = Runner(cache_dir=tmp_path, parallel=False)
+        retry = Runner(store=tmp_path, parallel=False)
         with pytest.raises(ExperimentExecutionError):
             retry.run_many([good, bad1, bad2])
         assert retry.stats.store_hits == 1
@@ -329,7 +329,7 @@ class TestStoreWriteFailure:
     def test_runner_fails_named_then_retry_serves(self, tmp_path):
         specs = [RunSpec(system="1p", **FAST),
                  RunSpec(system="misp", config="1x4", **FAST)]
-        runner = Runner(cache_dir=tmp_path, parallel=False)
+        runner = Runner(store=tmp_path, parallel=False)
         fail_next_put(runner.store)
         with pytest.raises(ExperimentExecutionError):
             within(120, runner.run_many, specs)
@@ -350,7 +350,7 @@ class TestConcurrency:
 
         def race(name):
             try:
-                runner = Runner(cache_dir=tmp_path, parallel=False)
+                runner = Runner(store=tmp_path, parallel=False)
                 results[name] = runner.run(spec)
             except Exception as exc:                   # pragma: no cover
                 errors.append(exc)

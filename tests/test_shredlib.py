@@ -9,6 +9,7 @@ machine's event interleaving.
 import pytest
 
 from repro.core.machine import Machine
+from repro.core.notation import config_name
 from repro.errors import ShredLibError
 from repro.exec.context import ExecContext
 from repro.exec.ops import Compute, SignalShred
@@ -17,13 +18,14 @@ from repro.shredlib import (
     PthreadsAPI, QueuePolicy, ShredAPI, ShredRuntime, ShredState, TlsKey,
     Win32API, gang_scheduler,
 )
+from repro.systems import Session
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.runner import run_misp
 
 
 def run_program(build, ams_count=3, policy=QueuePolicy.FIFO):
     spec = WorkloadSpec("test-prog", "micro", build)
-    return run_misp(spec, ams_count=ams_count, policy=policy)
+    return (Session("misp", config_name([ams_count]))
+            .policy(policy).run(spec))
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,12 @@ experiment Runner without touching any ``experiments/`` module."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    DEFAULT_CONFIGS, SYSTEMS, ExperimentSpec, Runner, RunSpec,
-)
+from repro.experiments import ExperimentSpec, Runner, RunSpec
 from repro.shredlib.runtime import QueuePolicy
 from repro.systems import (
     SYSTEM_REGISTRY, MispBackend, Session, SystemBackend, get_system,
 )
-from repro.workloads import REGISTRY, run_1p, run_hybrid
+from repro.workloads import REGISTRY
 from repro.workloads.runner import RunResult
 
 #: a fast workload for end-to-end runs
@@ -57,18 +55,23 @@ class TestRegistry:
             assert "toy" in SYSTEM_REGISTRY
         assert "toy" not in SYSTEM_REGISTRY
 
-    def test_views_are_live(self):
+    def test_grid_uses_registered_default_config(self):
+        # a bare system name in a grid runs in the backend's default
+        # config, looked up live in the registry
         class Toy(MispBackend):
             name = "toy_view"
             default_config = "1x2"
-        assert "toy_view" not in SYSTEMS
-        with SYSTEM_REGISTRY.temporary(Toy()):
-            assert "toy_view" in SYSTEMS
-            assert DEFAULT_CONFIGS["toy_view"] == "1x2"
-        assert "toy_view" not in SYSTEMS
+
+        def grid():
+            return ExperimentSpec.grid("toy", ["gauss"],
+                                       systems=["toy_view"], scale=0.1)
         with pytest.raises(KeyError):
-            DEFAULT_CONFIGS["toy_view"]
-        assert DEFAULT_CONFIGS.get("toy_view") is None  # Mapping protocol
+            grid()
+        with SYSTEM_REGISTRY.temporary(Toy()):
+            [spec] = grid().runs
+            assert (spec.system, spec.config) == ("toy_view", "1x2")
+        with pytest.raises(KeyError):
+            grid()
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +153,9 @@ class TestSession:
             Session("misp").background(1).resolve()
 
     def test_run_1p_honors_policy(self):
-        # satellite: run_1p used to silently drop the policy knob
+        # the 1p backend must not drop the policy knob
         spec = fast_workload()
-        result = run_1p(spec, policy=QueuePolicy.LIFO)
+        result = Session("1p").policy(QueuePolicy.LIFO).run(spec)
         assert result.runtime.policy is QueuePolicy.LIFO
         assert result.system == "1p" and result.runtime.active == 0
 
@@ -162,7 +165,7 @@ class TestSession:
 # ----------------------------------------------------------------------
 class TestHybrid:
     def test_smoke_completes_with_table1_events(self):
-        result = run_hybrid(fast_workload(), "1x2+1x2")
+        result = Session("hybrid", "1x2+1x2").run(fast_workload())
         assert result.system == "hybrid" and result.config == "2x2"
         assert result.runtime.active == 0            # every shred retired
         assert result.runtime.finished == result.runtime.created
@@ -175,12 +178,12 @@ class TestHybrid:
 
     def test_parallelism_beats_1p(self):
         spec = fast_workload()
-        hybrid = run_hybrid(spec, "1x2+1x2")
-        base = run_1p(spec)
+        hybrid = Session("hybrid", "1x2+1x2").run(spec)
+        base = Session("1p").run(spec)
         assert base.cycles / hybrid.cycles > 2.0     # 4 sequencers help
 
     def test_plain_cpus_join_the_gang(self):
-        result = run_hybrid(fast_workload(), "1x2+2")
+        result = Session("hybrid", "1x2+2").run(fast_workload())
         assert result.config == "1x2+2"
         assert result.runtime.active == 0
         assert result.machine.num_cpus == 3

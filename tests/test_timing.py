@@ -217,6 +217,16 @@ class TestSpecIdentity:
         assert "~scoreboard" in (Session("misp").timing("scoreboard")
                                  .describe())
 
+    def test_session_describe_canonicalizes_timing_names(self):
+        # a padded or mixed-case name is the same model, so Session
+        # labels it the way RunSpec.describe() does
+        assert Session("misp").timing("fixed ").describe() == "misp:1x8"
+        scoreboard = Session("misp").timing(" Scoreboard ")
+        assert scoreboard.describe() == "misp:1x8~scoreboard"
+        assert repr(scoreboard) == "Session('misp:1x8~scoreboard')"
+        spec = RunSpec(system="misp", timing_model=" Scoreboard ", **FAST)
+        assert spec.describe() == "dense_mvm@0.05/misp:1x8~scoreboard"
+
     def test_grid_carries_timing_model(self):
         exp = ExperimentSpec.grid("g", ["dense_mvm"], systems=("misp",),
                                   scale=0.05, timing_model="scoreboard")
@@ -245,7 +255,7 @@ class TestCustomTimingEndToEnd:
             exp = ExperimentSpec.grid(
                 "toy", ["dense_mvm"], systems=("misp",), scale=0.05,
                 timing_model="toy_free_signal")
-            runner = Runner(parallel=False, cache_dir=tmp_path)
+            runner = Runner(parallel=False, store=tmp_path)
             result = runner.run_experiment(exp)
             toy_spec = RunSpec("dense_mvm", "misp", "1x8", scale=0.05,
                                timing_model="toy_free_signal")
@@ -258,7 +268,7 @@ class TestCustomTimingEndToEnd:
             assert toy.cycles < fixed.cycles
 
             # and the cache round-trips it under its own key
-            again = Runner(parallel=False, cache_dir=tmp_path)
+            again = Runner(parallel=False, store=tmp_path)
             cached = again.run_experiment(exp)[toy_spec]
             assert again.stats.executed == 0
             assert again.stats.store_hits == 1

@@ -4,7 +4,8 @@ scale (scale=0.02) so the whole file stays fast."""
 import pytest
 
 from repro.sim.trace import EventKind
-from repro.workloads import REGISTRY, FIGURE4_ORDER, run_1p, run_misp, run_smp
+from repro.systems import Session
+from repro.workloads import REGISTRY, FIGURE4_ORDER
 from repro.workloads import rms, speccomp
 from repro.workloads.base import WorkloadSpec
 
@@ -66,7 +67,7 @@ def test_duplicate_registration_rejected():
 
 @pytest.mark.parametrize("name", FIGURE4_ORDER)
 def test_workload_completes_on_misp(name):
-    result = run_misp(small(name), ams_count=3)
+    result = Session("misp", "1x4").run(small(name))
     assert result.runtime.active == 0          # every shred retired
     assert result.runtime.finished == result.runtime.created
     assert result.cycles > 0
@@ -75,16 +76,16 @@ def test_workload_completes_on_misp(name):
 
 @pytest.mark.parametrize("name", ["gauss", "RayTracer", "swim"])
 def test_workload_completes_on_smp_and_1p(name):
-    smp = run_smp(small(name), ncpus=4)
-    base = run_1p(small(name))
+    smp = Session("smp", "smp4").run(small(name))
+    base = Session("1p").run(small(name))
     assert smp.runtime.active == 0 and base.runtime.active == 0
     assert base.cycles > smp.cycles            # parallelism helps
 
 
 def test_misp_parallelism_beats_1p():
     spec = _FACTORIES["RayTracer"](scale=0.05)
-    base = run_1p(spec)
-    misp = run_misp(spec, ams_count=7)
+    base = Session("1p").run(spec)
+    misp = Session("misp", "1x8").run(spec)
     assert base.cycles / misp.cycles > 3.0
 
 
@@ -93,41 +94,41 @@ class TestEventProfiles:
 
     def test_init_on_main_faults_on_oms(self):
         # gauss initializes its grid on the main shred -> OMS faults
-        result = run_misp(small("gauss"), ams_count=3)
+        result = Session("misp", "1x4").run(small("gauss"))
         events = result.serializing_events()
         assert events["oms_pf"] > 50
         assert events["ams_pf"] <= 2
 
     def test_shred_first_touch_faults_on_ams(self):
-        result = run_misp(_FACTORIES["sparse_mvm_sym"](scale=0.2),
-                          ams_count=3)
+        result = Session("misp", "1x4").run(
+            _FACTORIES["sparse_mvm_sym"](scale=0.2))
         events = result.serializing_events()
         assert events["ams_pf"] > events["oms_pf"]
 
     def test_gauss_syscalls_on_oms_only(self):
-        result = run_misp(small("gauss"), ams_count=3)
+        result = Session("misp", "1x4").run(small("gauss"))
         events = result.serializing_events()
         assert events["oms_syscall"] == 8
         assert events["ams_syscall"] == 0
 
     def test_art_has_worker_syscalls(self):
-        result = run_misp(_FACTORIES["art"](scale=0.5), ams_count=3)
+        result = Session("misp", "1x4").run(_FACTORIES["art"](scale=0.5))
         events = result.serializing_events()
         # art is the only application with AMS-side syscalls (Table 1)
         assert events["ams_syscall"] + events["oms_syscall"] > 0
 
     def test_timers_only_on_oms(self):
-        result = run_misp(small("kmeans"), ams_count=3)
+        result = Session("misp", "1x4").run(small("kmeans"))
         trace = result.machine.trace
         assert trace.total(EventKind.TIMER, result.machine.ams_ids()) == 0
 
     def test_smp_has_no_proxy_events(self):
-        result = run_smp(small("dense_mmm"), ncpus=4)
+        result = Session("smp", "smp4").run(small("dense_mmm"))
         assert result.machine.proxy_stats.requests == 0
         assert result.serializing_events()["ams_pf"] == 0
 
     def test_misp_ams_faults_are_proxied(self):
-        result = run_misp(small("RayTracer"), ams_count=3)
+        result = Session("misp", "1x4").run(small("RayTracer"))
         events = result.serializing_events()
         assert result.machine.proxy_stats.requests == (
             events["ams_pf"] + events["ams_syscall"])
@@ -144,23 +145,23 @@ class TestRunnerMechanics:
                 captured["main"] = api.rt.main_shred
             return main()
 
-        result = run_misp(WorkloadSpec("t", "micro", build), ams_count=2)
+        result = Session("misp", "1x3").run(WorkloadSpec("t", "micro", build))
         assert captured["main"].affinity == 0
         assert captured["main"].last_worker == 0
 
     def test_proxy_handler_registered(self):
         from repro.core.yieldcond import Scenario
-        result = run_misp(small("dense_mvm"), ams_count=2)
+        result = Session("misp", "1x3").run(small("dense_mvm"))
         table = result.machine.processors[0].scenarios
         assert Scenario.PROXY_REQUEST in table
 
     def test_smp_spawns_one_thread_per_cpu(self):
-        result = run_smp(small("dense_mvm"), ncpus=4)
+        result = Session("smp", "smp4").run(small("dense_mvm"))
         process = result.main_thread.process
         assert len(process.threads) == 4
 
     def test_seed_determinism(self):
-        a = run_misp(small("sparse_mvm"), ams_count=3)
-        b = run_misp(small("sparse_mvm"), ams_count=3)
+        a = Session("misp", "1x4").run(small("sparse_mvm"))
+        b = Session("misp", "1x4").run(small("sparse_mvm"))
         assert a.cycles == b.cycles
         assert a.serializing_events() == b.serializing_events()
