@@ -1,52 +1,36 @@
-"""Shared benchmark configuration.
+"""Shared configuration of the artifact tests.
 
-Each benchmark regenerates one of the paper's tables or figures by
+Each test regenerates one of the paper's tables or figures by
 declaring its run grid against :mod:`repro.experiments` and consuming
-``RunSummary`` values from a :class:`~repro.experiments.Runner`.
-Simulated experiments are deterministic, so every benchmark runs
-exactly once (``pedantic(rounds=1)``); the benchmark timing is the
-wall-clock cost of regenerating the artifact.
+``RunSummary`` values from a :class:`~repro.experiments.Runner`, then
+asserts the artifact's shape.  Simulated experiments are
+deterministic, so every test runs its grid exactly once.  Timing the
+repository is ``bench/``'s job (see ``bench/README.md``).
 
-Environment knobs:
+``BENCH_SCALE`` scales the workloads: 1.0 is the full-size run, the
+default keeps the suite quick.  Event *structure* (syscall counts,
+page profiles, curve shapes) is scale-invariant; timer counts shrink
+with the scale.
 
-* ``REPRO_BENCH_SCALE`` (default 0.25) scales the workloads: 1.0
-  reproduces the full-size runs reported in EXPERIMENTS.md, smaller
-  values keep the suite quick.  Event *structure* (syscall counts,
-  page profiles, curve shapes) is scale-invariant; timer counts shrink
-  with the scale.
-* ``REPRO_FIG7_SCALE`` (default 0.08) scales RayTracer for the
-  45-point Figure 7 sweep.
-* The Runner honors the library-wide knobs documented on
-  :func:`repro.experiments.runner_from_env`: ``REPRO_MAX_WORKERS``
-  bounds worker processes, ``REPRO_SERIAL=1`` forces in-process
-  serial execution (timings directly comparable to the pre-Runner
-  harness), and ``REPRO_CACHE_DIR`` makes repeat invocations
-  incremental.
+The Runner honors the library-wide knobs documented on
+:func:`repro.experiments.runner_from_env`: ``REPRO_MAX_WORKERS``
+bounds worker processes, ``REPRO_SERIAL=1`` forces in-process serial
+execution, and ``REPRO_CACHE_DIR`` makes repeat invocations
+incremental.
 """
-
-import os
 
 import pytest
 
-from repro.experiments import Runner, runner_from_env
+from repro.experiments import runner_from_env
 
-#: workload scale for benchmark runs
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
+#: workload scale for the artifact tests
+BENCH_SCALE = 0.25
 
 #: RayTracer scale for the Figure 7 sweep (45 machine runs)
-FIG7_RT_SCALE = float(os.environ.get("REPRO_FIG7_SCALE", "0.08"))
-
-
-def make_runner() -> Runner:
-    """A fresh Runner per benchmark, so timings stay independent."""
-    return runner_from_env()
+FIG7_RT_SCALE = 0.08
 
 
 @pytest.fixture()
 def runner():
-    return make_runner()
-
-
-def run_once(benchmark, fn):
-    """Run a deterministic experiment exactly once under timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+    """A fresh Runner per test, so its stats stay independent."""
+    return runner_from_env()

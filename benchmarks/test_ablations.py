@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of three of the paper's design choices.
 
 1. **Page probing** (Section 5.3): "If the OMS probes each page ...
    while executing in the serial region ... the number of proxy
@@ -16,8 +16,6 @@ fields, so variants are declared rather than hand-driven, and their
 proxy statistics come back in the RunSummary.
 """
 
-from conftest import run_once
-
 from repro.experiments import RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.shredlib.runtime import QueuePolicy
@@ -25,13 +23,13 @@ from repro.shredlib.runtime import QueuePolicy
 SCALE = 0.25
 
 
-def test_ablation_page_probe(benchmark, runner):
+def test_ablation_page_probe(runner):
     specs = [
         RunSpec("RayTracer", "misp", "1x8", scale=SCALE),
         RunSpec("RayTracer", "misp", "1x8", scale=SCALE,
                 args={"probe_pages": True}),
     ]
-    plain, probed = run_once(benchmark, lambda: runner.run_many(specs))
+    plain, probed = runner.run_many(specs)
     plain_events = plain.serializing_events()
     probed_events = probed.serializing_events()
     print(f"\n  AMS proxy faults: plain={plain_events['ams_pf']} "
@@ -43,16 +41,12 @@ def test_ablation_page_probe(benchmark, runner):
     assert probed_events["oms_pf"] > plain_events["oms_pf"]
 
 
-def test_ablation_queue_policy(benchmark, runner):
+def test_ablation_queue_policy(runner):
     specs = {policy: RunSpec("RayTracer", "misp", "1x8", scale=SCALE,
                              policy=policy)
              for policy in (QueuePolicy.FIFO, QueuePolicy.LIFO)}
-
-    def run():
-        return {policy: runner.run(spec).cycles
-                for policy, spec in specs.items()}
-
-    cycles = run_once(benchmark, run)
+    cycles = {policy: runner.run(spec).cycles
+              for policy, spec in specs.items()}
     fifo, lifo = cycles[QueuePolicy.FIFO], cycles[QueuePolicy.LIFO]
     print(f"\n  FIFO={fifo:,} LIFO={lifo:,} "
           f"(LIFO/FIFO = {lifo / fifo:.3f})")
@@ -61,19 +55,14 @@ def test_ablation_queue_policy(benchmark, runner):
     assert abs(lifo - fifo) / fifo < 0.05
 
 
-def test_ablation_serialization_cost(benchmark, runner):
+def test_ablation_serialization_cost(runner):
     """Dynamic cost of suspend-on-ring-transition on a proxy-heavy app."""
     signals = (0, 500, 1000, 5000)
     # sparse_mvm_sym: 669 shred-side faults
     sweep = [RunSpec("sparse_mvm_sym", "misp", "1x8", scale=SCALE,
                      params=DEFAULT_PARAMS.with_changes(signal_cost=signal))
              for signal in signals]
-
-    def run():
-        return dict(zip(signals,
-                        (s.cycles for s in runner.run_many(sweep))))
-
-    cycles = run_once(benchmark, run)
+    cycles = dict(zip(signals, (s.cycles for s in runner.run_many(sweep))))
     ideal = cycles[0]
     print()
     for signal, value in cycles.items():

@@ -8,16 +8,14 @@ SMP within a few percent, and the suite means are small (paper: RMS
 +1.5%, SPEComp -1.9%).
 """
 
-from conftest import BENCH_SCALE, run_once
+from conftest import BENCH_SCALE
 
 from repro.analysis import format_figure4, run_figure4
 from repro.workloads import FIGURE4_ORDER
 
 
-def test_figure4(benchmark, runner):
-    result = run_once(benchmark,
-                      lambda: run_figure4(FIGURE4_ORDER, scale=BENCH_SCALE,
-                                          runner=runner))
+def test_figure4(runner):
+    result = run_figure4(FIGURE4_ORDER, scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure4(result))
     print(f"  [runner: {runner.stats}]")

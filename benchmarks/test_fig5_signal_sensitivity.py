@@ -12,7 +12,7 @@ Two reproductions of the same claim:
 """
 
 import pytest
-from conftest import BENCH_SCALE, run_once
+from conftest import BENCH_SCALE
 
 from repro.analysis import FIGURE5_SIGNAL_COSTS, format_figure5, run_figure5
 from repro.experiments import ExperimentSpec, RunSpec
@@ -22,10 +22,8 @@ from repro.workloads import FIGURE4_ORDER
 APPS = FIGURE4_ORDER
 
 
-def test_figure5_analytic(benchmark, runner):
-    rows = run_once(benchmark,
-                    lambda: run_figure5(APPS, scale=BENCH_SCALE,
-                                        runner=runner))
+def test_figure5_analytic(runner):
+    rows = run_figure5(APPS, scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure5(rows))
     for row in rows:
@@ -37,7 +35,7 @@ def test_figure5_analytic(benchmark, runner):
         assert row.overheads_decompressed[-1] < 0.02
 
 
-def test_figure5_dynamic_sweep(benchmark, runner):
+def test_figure5_dynamic_sweep(runner):
     """End-to-end: sweep the machine's actual signal cost on kmeans
     (the paper's worst case)."""
     signals = (0,) + FIGURE5_SIGNAL_COSTS
@@ -45,13 +43,9 @@ def test_figure5_dynamic_sweep(benchmark, runner):
         RunSpec("kmeans", "misp", "1x8", scale=BENCH_SCALE,
                 params=DEFAULT_PARAMS.with_changes(signal_cost=signal))
         for signal in signals))
-
-    def run():
-        result = runner.run_experiment(sweep)
-        return {spec.params.signal_cost: result[spec].cycles
-                for spec in sweep.runs}
-
-    cycles = run_once(benchmark, run)
+    result = runner.run_experiment(sweep)
+    cycles = {spec.params.signal_cost: result[spec].cycles
+              for spec in sweep.runs}
     ideal = cycles[0]
     print()
     for signal in FIGURE5_SIGNAL_COSTS:

@@ -1,12 +1,10 @@
 """Figure 6 — the MISP MP configurations.
 
 The figure is an enumeration of how eight sequencers partition into
-MISP processors.  The benchmark builds every configuration as a live
+MISP processors.  The test builds every configuration as a live
 machine, validates the topology (OS-visible CPUs, SIDs, AMS counts),
 and prints the partition listing.
 """
-
-from conftest import run_once
 
 from repro.analysis.report import figure6_text
 from repro.core import (
@@ -15,12 +13,9 @@ from repro.core import (
 )
 
 
-def test_figure6(benchmark):
-    def build_all():
-        return {name: build_machine(name)
+def test_figure6():
+    machines = {name: build_machine(name)
                 for name in set(FIGURE6_CONFIGS) | set(FIGURE7_CONFIGS)}
-
-    machines = run_once(benchmark, build_all)
     print()
     print(figure6_text())
     for name, machine in machines.items():

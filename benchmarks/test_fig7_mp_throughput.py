@@ -11,15 +11,13 @@ the curve, and the per-load ideal partition stays at 1.0.
 """
 
 import pytest
-from conftest import FIG7_RT_SCALE, run_once
+from conftest import FIG7_RT_SCALE
 
 from repro.analysis import FIGURE7_SERIES, format_figure7, run_figure7
 
 
-def test_figure7(benchmark, runner):
-    result = run_once(
-        benchmark, lambda: run_figure7(rt_scale=FIG7_RT_SCALE,
-                                       runner=runner))
+def test_figure7(runner):
+    result = run_figure7(rt_scale=FIG7_RT_SCALE, runner=runner)
     print()
     print(format_figure7(result))
     print(f"  [runner: {runner.stats}]")

@@ -19,7 +19,7 @@ Asserted shape:
   cross-L2 invalidations and memory accesses.
 """
 
-from conftest import BENCH_SCALE, run_once
+from conftest import BENCH_SCALE
 
 from repro.analysis import FIGURE_MEM_COSTS, format_figure_mem, run_figure_mem
 
@@ -28,9 +28,8 @@ from repro.analysis import FIGURE_MEM_COSTS, format_figure_mem, run_figure_mem
 SLACK = 1.002
 
 
-def test_figure_mem_sweep(benchmark, runner):
-    rows = run_once(benchmark,
-                    lambda: run_figure_mem(scale=BENCH_SCALE, runner=runner))
+def test_figure_mem_sweep(runner):
+    rows = run_figure_mem(scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure_mem(rows))
     assert [row.mem_cost for row in rows] == list(FIGURE_MEM_COSTS)

@@ -22,17 +22,15 @@ Asserted shape:
   for its shred gang.
 """
 
-from conftest import BENCH_SCALE, run_once
+from conftest import BENCH_SCALE
 
 from repro.analysis import (
     FIGURE_PIPELINE_FU_COUNTS, format_figure_pipeline, run_figure_pipeline,
 )
 
 
-def test_figure_pipeline(benchmark, runner):
-    rows = run_once(benchmark,
-                    lambda: run_figure_pipeline(scale=BENCH_SCALE,
-                                                runner=runner))
+def test_figure_pipeline(runner):
+    rows = run_figure_pipeline(scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure_pipeline(rows))
     assert [row.fu_count for row in rows] == list(FIGURE_PIPELINE_FU_COUNTS)

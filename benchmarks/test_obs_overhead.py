@@ -1,34 +1,26 @@
 """Observability overhead gate: instrumented runs must stay cheap.
 
-Two guarantees, one per test:
-
-* ``test_obs_overhead_observed`` times the **observed** Figure 4 smoke
-  grid (``Session.observe(...)``: signal counting closure, fine
-  trace records, end-of-run registry pump) as a committed
-  ``BENCH_baseline.json`` entry, so the cost of observability itself
-  has a regression trajectory like every other artifact.
-* ``test_obs_overhead_ratio`` runs the same grid plain and observed
-  (interleaved rounds, best-of-N per side, same process) and gates the
-  enabled-observability overhead below ``OVERHEAD_LIMIT`` -- the
-  "zero-cost when disabled, cheap when enabled" contract from the
-  observability layer.
+``test_obs_overhead_ratio`` runs the Figure 4 smoke grid plain and
+**observed** (``Session.observe(...)``: signal counting closure, fine
+trace records, end-of-run registry pump) in interleaved rounds,
+best-of-N per side, in one process, and gates the
+enabled-observability overhead below ``OVERHEAD_LIMIT`` -- the
+"zero-cost when disabled, cheap when enabled" contract from the
+observability layer.
 
 The grid is the Figure 4 system triple on one workload at smoke scale;
 structure (per-event instant records, the per-run registry pump) is
 what costs, not workload size, so the small grid bounds the full one.
 """
 
-import os
 import time
-
-from conftest import run_once
 
 from repro.obs import MetricsRegistry
 from repro.systems import Session
 
 #: workload scale for the overhead grid (kept small: the gate measures
 #: instrumentation structure, which is scale-invariant)
-SMOKE_SCALE = float(os.environ.get("REPRO_OBS_BENCH_SCALE", "0.05"))
+SMOKE_SCALE = 0.05
 WORKLOAD = "dense_mvm"
 #: the Figure 4 system triple (1P denominator, MISP, SMP baseline)
 GRID = (("1p", "smp1"), ("misp", "1x8"), ("smp", "smp8"))
@@ -46,10 +38,6 @@ def _run_grid(observe: bool) -> None:
             session = session.observe(registry=registry,
                                       run_id=f"bench-{system}")
         session.run(WORKLOAD, scale=SMOKE_SCALE)
-
-
-def test_obs_overhead_observed(benchmark):
-    run_once(benchmark, lambda: _run_grid(observe=True))
 
 
 def test_obs_overhead_ratio():

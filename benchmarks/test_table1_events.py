@@ -5,20 +5,18 @@ Interrupt, AMS SysCall / PF) from the declared MISP grid and prints
 them next to the paper's reference counts (SPEComp at the proxies'
 documented 1/50 event scale).  Structural counts (syscalls, page
 profiles) are asserted against the paper; time-coupled counts (Timer,
-Interrupt) scale with REPRO_BENCH_SCALE and are asserted as ratios.
+Interrupt) scale with ``BENCH_SCALE`` and are asserted as ratios.
 """
 
 import pytest
-from conftest import BENCH_SCALE, run_once
+from conftest import BENCH_SCALE
 
 from repro.analysis import format_table1, run_table1
 from repro.workloads import FIGURE4_ORDER
 
 
-def test_table1(benchmark, runner):
-    rows = run_once(benchmark,
-                    lambda: run_table1(FIGURE4_ORDER, scale=BENCH_SCALE,
-                                       runner=runner))
+def test_table1(runner):
+    rows = run_table1(FIGURE4_ORDER, scale=BENCH_SCALE, runner=runner)
     print()
     print(format_table1(rows))
 

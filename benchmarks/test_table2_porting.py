@@ -10,17 +10,14 @@ because the ODE runs are grid members too, the speedup is computed
 from memoized summaries, not fresh simulations.
 """
 
-from conftest import run_once
-
 from repro.analysis import format_table2, run_table2
 from repro.analysis.table2 import ode_restructuring_speedup, table2_experiment
 from repro.systems import Session
 from repro.workloads.legacy import make_ode_like
 
 
-def test_table2_ports(benchmark, runner):
-    rows = run_once(benchmark, lambda: run_table2(ams_count=7,
-                                                  runner=runner))
+def test_table2_ports(runner):
+    rows = run_table2(ams_count=7, runner=runner)
     print()
     print(format_table2(rows))
     for row in rows:
@@ -32,10 +29,8 @@ def test_table2_ports(benchmark, runner):
     assert smp.runtime.active == 0
 
 
-def test_table2_ode_restructuring(benchmark, runner):
-    speedup = run_once(
-        benchmark, lambda: ode_restructuring_speedup(ams_count=7,
-                                                     runner=runner))
+def test_table2_ode_restructuring(runner):
+    speedup = ode_restructuring_speedup(ams_count=7, runner=runner)
     naive, fixed = runner.run_many(table2_experiment(ams_count=7).runs[-2:])
     print(f"\n  naive: {naive.cycles:,} cycles; "
           f"restructured: {fixed.cycles:,} cycles; "

@@ -9,13 +9,12 @@ signaling) implementation.  The paper evaluates signal ∈ {500, 1000,
 that "throughput performance of the applications is insensitive to
 the overhead of the inter-sequencer signaling".
 
-One caveat documented in EXPERIMENTS.md: our simulated runs are
-time-compressed (a 2M-cycle timer quantum against the testbed's tens
-of millions), so events are denser per cycle and the *absolute*
-percentages are correspondingly larger.  The module therefore also
-reports a decompressed estimate using the paper's quantum for
-apples-to-apples magnitudes; orderings and linearity in the signal
-cost are invariant either way.
+One caveat: our simulated runs are time-compressed (a 2M-cycle timer
+quantum against the testbed's tens of millions), so events are denser
+per cycle and the *absolute* percentages are correspondingly larger.
+The module therefore also reports a decompressed estimate using the
+paper's quantum for apples-to-apples magnitudes; orderings and
+linearity in the signal cost are invariant either way.
 """
 
 from __future__ import annotations

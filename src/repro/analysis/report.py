@@ -252,8 +252,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--stream", action="store_true",
                         help="serve Figure 4 through the runner's "
                              "submit() job API (partial results stream "
-                             "as runs finish; prints the store hit-rate "
-                             "line)")
+                             "as runs finish; with --cache-dir, prints "
+                             "the store hit-rate line)")
     parser.add_argument("--smoke", action="store_true",
                         help="fast end-to-end slice: Figure 4 grid only, "
                              "small default scale (CI's observability run)")
@@ -314,12 +314,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scale = 0.05
 
     emitter = ReportEmitter(structured=args.structured)
-    store_dir = args.cache_dir
-    if args.stream and not store_dir:
-        import tempfile
-        store_dir = tempfile.mkdtemp(prefix="repro-store-")
-    store = (store_from_env(store_dir, instance=emitter.run_id)
-             if store_dir else None)
+    store = (store_from_env(args.cache_dir, instance=emitter.run_id)
+             if args.cache_dir else None)
     with Runner(store=store, max_workers=args.jobs,
                 parallel=not args.serial, replay=args.replay,
                 instance=emitter.run_id) as runner:

@@ -67,7 +67,6 @@ class Machine:
 
     def __init__(self, ams_per_processor: Sequence[int],
                  params: MachineParams = DEFAULT_PARAMS,
-                 record_fine_trace: bool = False,
                  hierarchy: Optional[HierarchyFactory] = None,
                  timing: Optional[TimingModel] = None) -> None:
         if not ams_per_processor:
@@ -76,7 +75,7 @@ class Machine:
             raise ConfigurationError("AMS counts must be non-negative")
         self.params = params
         self.engine = Engine()
-        self.trace = TraceLog(record_fine=record_fine_trace)
+        self.trace = TraceLog(record_fine=False)
         self.proxy_stats = ProxyStats()
         #: trace capture (repro.sim.captrace.TraceCapture), if enabled
         self._cap: Optional[Any] = None

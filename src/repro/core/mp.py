@@ -25,7 +25,6 @@ __all__ = ["build_machine"]
 
 def build_machine(config: str | Sequence[int],
                   params: MachineParams = DEFAULT_PARAMS,
-                  record_fine_trace: bool = False,
                   hierarchy: Optional[HierarchyFactory] = None) -> Machine:
     """Build a machine from a name or an AMS-count tuple.
 
@@ -38,8 +37,5 @@ def build_machine(config: str | Sequence[int],
     if counts and not any(counts):
         from repro.smp.machine import build_smp_machine
         return build_smp_machine(len(counts), params=params,
-                                 record_fine_trace=record_fine_trace,
                                  hierarchy=hierarchy)
-    return Machine(counts, params=params,
-                   record_fine_trace=record_fine_trace,
-                   hierarchy=hierarchy)
+    return Machine(counts, params=params, hierarchy=hierarchy)

@@ -61,20 +61,22 @@ AccessProfile = tuple[dict[int, tuple[int, int, int]], dict[str, int]]
 #: periods, TLB shape, frame counts, costs baked into generated
 #: Compute ops (queue/shred-switch/idle-poll/ISA costs) -- steers
 #: control flow, so sweeping it demands a fresh execution-driven run.
+#: ``syscall_service_cost`` and ``atomic_op_cost`` are baked in too:
+#: SMP thread creation yields a ``SyscallOp`` with an explicit cost,
+#: and the proxy handler's registration a ``Compute`` of two atomics,
+#: so neither records a coefficient a replay could re-price.
 #: The scoreboard pipeline knobs (``sb_*``) are likewise excluded:
 #: capture itself requires the constant-cost ``fixed`` timing model
 #: (under which they are inert), so replaying across them would
 #: silently answer a question the trace never asked.
 REPLAY_SAFE_FIELDS = frozenset({
     "signal_cost",
-    "syscall_service_cost",
     "page_fault_service_cost",
     "timer_service_cost",
     "interrupt_service_cost",
     "context_switch_cost",
     "sequencer_state_save_cost",
     "page_walk_cost",
-    "atomic_op_cost",
     "l1_hit_cost",
     "l2_hit_cost",
     "mem_cost",

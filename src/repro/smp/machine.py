@@ -36,7 +36,6 @@ def ensure_thread_create(machine: Machine) -> Machine:
 
 def build_smp_machine(num_cpus: int,
                       params: MachineParams = DEFAULT_PARAMS,
-                      record_fine_trace: bool = False,
                       hierarchy: Optional[HierarchyFactory] = None) -> Machine:
     """Build an SMP machine with ``num_cpus`` OS-visible cores.
 
@@ -46,5 +45,4 @@ def build_smp_machine(num_cpus: int,
     """
     return ensure_thread_create(
         Machine([0] * num_cpus, params=params,
-                record_fine_trace=record_fine_trace,
                 hierarchy=hierarchy or private_l2_per_sequencer))

@@ -13,8 +13,9 @@ against the ShredLib API with the structure of the real algorithm:
   the tasks a deterministic work skew.
 
 Work amounts (cycles) and page-profile targets come from the paper's
-Table 1 event counts for these kernels; see EXPERIMENTS.md for the
-paper-vs-measured comparison.
+Table 1 event counts for these kernels; the report's Table 1
+(``python -m repro.analysis.report``) prints the measured counts next
+to the paper's.
 """
 
 from __future__ import annotations

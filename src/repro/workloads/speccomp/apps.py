@@ -3,7 +3,7 @@
 The paper runs five SPEComp benchmarks (reference inputs) through a
 MISP-enabled OpenMP runtime (Section 5.2).  We cannot run the Fortran
 originals, so each is a synthetic proxy that preserves what MISP can
-see of the application (DESIGN.md, substitution table):
+see of the application:
 
 * the OpenMP structure -- alternating serial stanzas and parallel
   regions with implicit barriers over exactly N workers;

@@ -510,6 +510,20 @@ def test_report_stream_prints_the_batch_figure4(tmp_path, capsys):
     assert tail.rstrip().splitlines()[-1].startswith("[store: 0 hits / ")
 
 
+def test_report_stream_leaves_no_temp_store(tmp_path, monkeypatch, capsys):
+    import tempfile
+
+    from repro.analysis.report import main
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["--smoke", "--serial", "--workloads", "dense_mvm",
+                 "--scale", "0.02", "--stream"]) == 0
+    out = capsys.readouterr().out
+    assert "[3/3] dense_mvm/" in out
+    assert "[store: " not in out
+    assert not list(tmp_path.glob("repro-store-*"))
+
+
 def test_report_store_honours_env_bounds(tmp_path, monkeypatch, capsys):
     from repro.analysis.report import main
 

@@ -166,6 +166,24 @@ class TestValidity:
             ReplayMachine(trace).run(
                 params=DEFAULT_PARAMS.with_changes(**{field: value}))
 
+    @pytest.mark.parametrize("field,system", [
+        ("syscall_service_cost", "smp"),
+        ("atomic_op_cost", "misp"),
+    ])
+    def test_costs_baked_into_generated_ops_refused(self, field, system):
+        """SMP thread creation yields a ``SyscallOp`` with an explicit
+        cost and proxy registration a ``Compute`` of two atomics, so
+        neither records a coefficient: a replay would keep the
+        captured cost.  Replay refuses the field; the planner executes
+        such points."""
+        assert field not in REPLAY_SAFE_FIELDS
+        spec = spec_for(system, workload="dense_mvm")
+        swept = spec_for(system, workload="dense_mvm", **{field: 200_000})
+        assert replay_class(spec) != replay_class(swept)
+        _, trace = execute_captured(spec)
+        with pytest.raises(ConfigurationError):
+            ReplayMachine(trace).run(spec=swept)
+
     def test_multiprog_capture_refused(self):
         with pytest.raises(ConfigurationError):
             Session("multiprog").capture().run("RayTracer", scale=SCALE)
