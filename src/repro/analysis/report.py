@@ -30,6 +30,7 @@ from repro.analysis.table2 import (
 from repro.core.notation import FIGURE6_CONFIGS, config_name, parse_config
 from repro.experiments import Runner, default_runner
 from repro.obs.emit import ReportEmitter
+from repro.params import DEFAULT_PARAMS
 from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
 
@@ -168,7 +169,12 @@ _ANALYZE_SYSTEMS = (("1p", "smp1"), ("misp", "1x8"), ("smp", "smp8"))
 
 
 def _parse_params(pairs: Optional[Sequence[str]]) -> dict:
-    """``--param KEY=VALUE`` pairs as MachineParams field overrides."""
+    """``--param KEY=VALUE`` pairs as MachineParams field overrides.
+
+    Every field is an integer; a malformed pair, a non-integer value or
+    a value :class:`~repro.params.MachineParams` rejects exits with a
+    message naming it.
+    """
     changes: dict = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
@@ -177,7 +183,12 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict:
         try:
             changes[key] = int(value)
         except ValueError:
-            changes[key] = float(value)
+            raise SystemExit(f"--param {key} expects an integer, "
+                             f"got {value!r}") from None
+    try:
+        DEFAULT_PARAMS.with_changes(**changes)
+    except ValueError as exc:
+        raise SystemExit(f"--param: {exc}") from None
     return changes
 
 
@@ -297,6 +308,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="attribute the cycle delta between two "
                              "--analyze-out JSON files and exit")
     args = parser.parse_args(argv)
+    if args.param and not (args.analyze or args.analyze_out):
+        raise SystemExit("--param applies to --analyze / --analyze-out "
+                         "runs only")
+    params = _parse_params(args.param)
     if args.diff:
         from repro.obs.diff import diff_analyses, format_diff
         path_a, path_b = args.diff
@@ -327,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         emitter.section("Bottleneck attribution (critical path & stalls)")
         analysis = _bottleneck_analysis(
             names, scale, timing=args.timing,
-            params=_parse_params(args.param), emitter=emitter)
+            params=params, emitter=emitter)
         for key in analysis["runs"]:
             emitter.emit(format_analysis(analysis["runs"][key]),
                          kind="artifact", artifact="analysis", run_key=key)

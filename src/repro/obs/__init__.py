@@ -1,12 +1,12 @@
-"""Unified observability: metrics registry, span tracing, run observation.
+"""Unified observability: metrics registry and run observation.
 
 See :mod:`repro.obs.metrics` (registry + stats views),
-:mod:`repro.obs.spans` (wall-time span tracing with correlation ids),
 :mod:`repro.obs.observe` (instrumented simulation runs),
 :mod:`repro.obs.perfetto` (Chrome-trace-event timeline export),
 :mod:`repro.obs.critpath` (critical-path / stall-taxonomy bottleneck
 attribution), and :mod:`repro.obs.diff` (run-diff regression
-attribution).
+attribution).  The serving pipeline's wall time per resolution phase
+lives on :meth:`repro.service.JobHandle.metrics`.
 """
 
 from repro.obs.critpath import (
@@ -15,18 +15,16 @@ from repro.obs.critpath import (
 )
 from repro.obs.diff import diff_analyses, format_diff
 from repro.obs.metrics import (
-    Counter, Family, Gauge, Histogram, MetricsRegistry, StatsView,
-    get_registry, new_run_id, set_registry,
+    Counter, Family, Gauge, MetricsRegistry, StatsView, get_registry,
+    new_run_id, set_registry,
 )
 from repro.obs.observe import ObservedRun
 from repro.obs.perfetto import export_run, trace_events, write_trace
-from repro.obs.spans import Span, SpanTracer
 
 __all__ = [
-    "Counter", "Family", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Family", "Gauge", "MetricsRegistry",
     "StatsView", "get_registry", "new_run_id", "set_registry",
     "ObservedRun", "export_run", "trace_events", "write_trace",
-    "Span", "SpanTracer",
     "analyze_observed", "analyze_result", "analyze_trace",
     "busy_timeline", "critical_path", "event_slack", "event_times",
     "format_analysis", "diff_analyses", "format_diff",

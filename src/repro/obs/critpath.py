@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
+from repro.sim.captrace import derive_marks
 from repro.timing.base import PARAM_CLASS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -158,27 +159,6 @@ def _event_classes(trace: "CapturedTrace", i: int,
     return out
 
 
-def _suspended_cycles(trace: "CapturedTrace",
-                      times: list[int]) -> dict[int, int]:
-    """Per-sequencer suspended cycles from the sus/res mark pairs."""
-    depth: dict[int, int] = {}
-    since: dict[int, int] = {}
-    suspended: dict[int, int] = {}
-    for kind, at_seqno, at_now, arg in trace.marks:
-        if kind not in ("sus", "res"):
-            continue
-        t = times[at_seqno] if at_seqno >= 0 else at_now
-        if kind == "sus":
-            if depth.get(arg, 0) == 0:
-                since[arg] = t
-            depth[arg] = depth.get(arg, 0) + 1
-        else:
-            depth[arg] = depth.get(arg, 0) - 1
-            if depth[arg] == 0:
-                suspended[arg] = suspended.get(arg, 0) + t - since.pop(arg)
-    return suspended
-
-
 def busy_timeline(trace: "CapturedTrace",
                   times: Optional[list[int]] = None,
                   buckets: int = 64) -> dict:
@@ -237,6 +217,39 @@ def busy_timeline(trace: "CapturedTrace",
 # ----------------------------------------------------------------------
 # Full analyses
 # ----------------------------------------------------------------------
+def _roll_up(rows, oms: set[int], wall: int
+             ) -> tuple[dict[str, dict], dict[str, int]]:
+    """Per-sequencer rows and run-wide class totals.
+
+    ``rows`` yields ``(seq_id, classes, busy, suspended)``, with
+    ``classes`` the sequencer's accounted stall-class cycles; ``oms``
+    holds the OMS ids (every other sequencer is an AMS).  A
+    sequencer is occupied for the larger of ``busy`` and its accounted
+    cycles (serialization stages occupy the OMS without charging its
+    busy cycles; in a captured run the two are equal); ``idle`` is
+    whatever of ``wall`` is neither occupied nor ``suspended``.
+    """
+    sequencers: dict[str, dict] = {}
+    totals: dict[str, int] = {}
+    for seq_id, classes, busy, susp in rows:
+        classes = dict(sorted(classes.items()))
+        accounted = sum(classes.values())
+        idle = max(0, wall - max(busy, accounted) - susp)
+        classes["suspended"] = susp
+        classes["idle"] = idle
+        for klass, cycles in classes.items():
+            totals[klass] = totals.get(klass, 0) + cycles
+        sequencers[str(seq_id)] = {
+            "role": "oms" if seq_id in oms else "ams",
+            "busy_cycles": busy,
+            "utilization": round(busy / wall, 6) if wall else 0.0,
+            "coverage": round((accounted + susp + idle) / wall, 6)
+            if wall else 1.0,
+            "classes": classes,
+        }
+    return sequencers, dict(sorted(totals.items()))
+
+
 def analyze_trace(trace: "CapturedTrace", workload: str = "",
                   system: str = "", config: str = "",
                   timing: str = "fixed",
@@ -277,30 +290,14 @@ def analyze_trace(trace: "CapturedTrace", workload: str = "",
         for klass, cycles in classes.items():
             row[klass] = row.get(klass, 0) + cycles
 
-    suspended = _suspended_cycles(trace, times)
-    seq_ids = sorted(trace.oms_ids + trace.ams_ids)
-    oms = set(trace.oms_ids)
-    sequencers: dict[str, dict] = {}
-    totals: dict[str, int] = {}
-    for seq_id in seq_ids:
-        classes = dict(sorted(per_seq.get(seq_id, {}).items()))
-        busy = sum(classes.values())
-        susp = suspended.get(seq_id, 0)
-        idle = wall - busy - susp
-        if idle < 0:
-            idle = 0
-        classes["suspended"] = susp
-        classes["idle"] = idle
-        covered = busy + susp + idle
-        for klass, cycles in classes.items():
-            totals[klass] = totals.get(klass, 0) + cycles
-        sequencers[str(seq_id)] = {
-            "role": "oms" if seq_id in oms else "ams",
-            "busy_cycles": busy,
-            "utilization": round(busy / wall, 6) if wall else 0.0,
-            "coverage": round(covered / wall, 6) if wall else 1.0,
-            "classes": classes,
-        }
+    suspended = derive_marks(trace, times)[1]
+    rows = []
+    for seq_id in sorted(trace.oms_ids + trace.ams_ids):
+        classes = per_seq.get(seq_id, {})
+        # a captured sequencer's busy cycles are exactly its classes
+        rows.append((seq_id, classes, sum(classes.values()),
+                     suspended.get(seq_id, 0)))
+    sequencers, totals = _roll_up(rows, set(trace.oms_ids), wall)
 
     path = critical_path(trace, times)
     segments = []
@@ -343,7 +340,7 @@ def analyze_trace(trace: "CapturedTrace", workload: str = "",
         "horizon_cycles": full,
         "events": n,
         "unattributed_cycles": unattributed,
-        "classes": dict(sorted(totals.items())),
+        "classes": totals,
         "sequencers": sequencers,
         "critical_path": {
             "events": len(segments) + segments_dropped,
@@ -375,32 +372,10 @@ def analyze_observed(result: "RunResult") -> dict:
     wall = result.cycles
     stalls = result.obs.stalls if result.obs is not None else None
     stall_rows = stalls.per_sequencer() if stalls is not None else {}
-    sequencers: dict[str, dict] = {}
-    totals: dict[str, int] = {}
-    oms = set(machine.oms_ids())
-    for seq in machine.sequencers:
-        classes = dict(sorted(stall_rows.get(seq.seq_id, {}).items()))
-        accounted = sum(classes.values())
-        busy = seq.busy_cycles
-        # serialization stages occupy the OMS without charging its
-        # busy_cycles; treat the larger of the two as occupied time
-        occupied = max(busy, accounted)
-        susp = seq.suspended_cycles
-        idle = wall - occupied - susp
-        if idle < 0:
-            idle = 0
-        classes["suspended"] = susp
-        classes["idle"] = idle
-        for klass, cycles in classes.items():
-            totals[klass] = totals.get(klass, 0) + cycles
-        sequencers[str(seq.seq_id)] = {
-            "role": "oms" if seq.seq_id in oms else "ams",
-            "busy_cycles": busy,
-            "utilization": round(busy / wall, 6) if wall else 0.0,
-            "coverage": round((accounted + susp + idle) / wall, 6)
-            if wall else 1.0,
-            "classes": classes,
-        }
+    sequencers, totals = _roll_up(
+        [(seq.seq_id, stall_rows.get(seq.seq_id, {}), seq.busy_cycles,
+          seq.suspended_cycles) for seq in machine.sequencers],
+        set(machine.oms_ids()), wall)
     return {
         "schema": ANALYZE_SCHEMA,
         "source": "observed",
@@ -412,7 +387,7 @@ def analyze_observed(result: "RunResult") -> dict:
         "horizon_cycles": wall,
         "events": machine.engine.events_executed,
         "unattributed_cycles": 0,
-        "classes": dict(sorted(totals.items())),
+        "classes": totals,
         "sequencers": sequencers,
         "critical_path": None,
         "slack": None,

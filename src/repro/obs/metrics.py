@@ -1,12 +1,10 @@
-"""Process-wide metrics registry: counters, gauges, and histograms.
+"""Process-wide metrics registry: counters and gauges.
 
-The repo grew four disconnected stats islands -- ``TraceLog``,
-``ShredLog``, ``StoreStats``, ``ServiceStats`` -- each a private pile of
-counters with its own query methods and no shared export path.  This
-module is the unification point: a stdlib-only, thread-safe
-:class:`MetricsRegistry` of labeled metric *families* that every layer
-(engine, machine/timing, memory hierarchy, store, in-flight table,
-service) registers into, with two export formats:
+A stdlib-only, thread-safe :class:`MetricsRegistry` of labeled metric
+*families*.  The service and its store count into it live; an observed
+run publishes every simulator layer's totals (engine, machine/timing,
+memory hierarchy, ShredLib) into it once, at the end of the run.  Two
+export formats:
 
 * :meth:`MetricsRegistry.snapshot` -- a deterministic nested dict
   (stable ordering regardless of registration/update order), safe to
@@ -15,11 +13,11 @@ service) registers into, with two export formats:
   exposition (``# HELP`` / ``# TYPE`` / escaped label values), the
   format a future multi-host service scrapes over the wire.
 
-Component stats objects (:class:`~repro.service.store.StoreStats` and
-friends) are *views* over registry counters -- see :class:`StatsView`
--- so ``store.stats.hits`` and the registry's
-``repro_store_events_total{store=...,event="hits"}`` are one number,
-not parallel bookkeeping.
+The service's stats objects (:class:`~repro.service.store.StoreStats`,
+:class:`~repro.service.ServiceStats`) are *views* over registry
+counters -- see :class:`StatsView` -- so ``store.stats.hits`` and the
+registry's ``repro_store_events_total{store=...,event="hits"}`` are one
+number, not parallel bookkeeping.
 
 Instrumented runs label their families with a correlation id from
 :func:`new_run_id`, so one registry can hold many runs side by side.
@@ -33,12 +31,9 @@ import threading
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Family", "MetricsRegistry",
+    "Counter", "Gauge", "Family", "MetricsRegistry",
     "StatsView", "get_registry", "set_registry", "new_run_id",
 ]
-
-#: default histogram buckets (seconds-ish scale; override per family)
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
 _run_ids = itertools.count()
 
@@ -71,18 +66,15 @@ class Counter:
     def set(self, value: Union[int, float]) -> None:
         """Overwrite the value.
 
-        Exists for the :class:`StatsView` attribute protocol
-        (``stats.hits += 1`` reads then sets) and for end-of-run pumps
-        that publish a totalled count; live hot paths use :meth:`inc`.
+        Exists for end-of-run pumps that publish a totalled count;
+        live counts use :meth:`inc`, which cannot lose a concurrent
+        update.
         """
         with self._lock:
             self._value = value
 
     @property
     def value(self) -> Union[int, float]:
-        return self._value
-
-    def _sample(self):
         return self._value
 
 
@@ -99,70 +91,7 @@ class Gauge(Counter):
         self.inc(-n)
 
 
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    __slots__ = ("_buckets", "_counts", "_sum", "_count", "_lock")
-
-    def __init__(self, lock: threading.Lock,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self._buckets = tuple(sorted(buckets))
-        self._counts = [0] * len(self._buckets)
-        self._sum = 0.0
-        self._count = 0
-        self._lock = lock
-
-    def observe(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            # per-bucket counts; _sample() cumulates at render time
-            for i, bound in enumerate(self._buckets):
-                if value <= bound:
-                    self._counts[i] += 1
-                    break
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def percentile(self, q: Union[int, float]) -> float:
-        """Upper-bound estimate of the ``q``-th percentile (0..100).
-
-        Returns the smallest bucket bound whose cumulative count covers
-        ``q`` percent of observations -- the usual histogram-quantile
-        upper bound.  Observations beyond the largest bucket resolve to
-        ``inf``; an empty histogram returns ``0.0``.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q!r}")
-        with self._lock:
-            total = self._count
-            if total == 0:
-                return 0.0
-            rank = q * total / 100.0
-            cumulative = 0
-            for bound, n in zip(self._buckets, self._counts):
-                cumulative += n
-                if cumulative >= rank:
-                    return float(bound)
-        return float("inf")
-
-    def _sample(self):
-        buckets = {}
-        cumulative = 0
-        for bound, n in zip(self._buckets, self._counts):
-            cumulative += n
-            buckets[format(bound, "g")] = cumulative
-        buckets["+Inf"] = self._count
-        return {"count": self._count, "sum": self._sum, "buckets": buckets}
-
-
-_KIND_NAMES = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
+_KIND_NAMES = {Counter: "counter", Gauge: "gauge"}
 
 
 def _escape_label_value(value: str) -> str:
@@ -176,14 +105,13 @@ class Family:
     """All time series sharing one metric name, keyed by label values."""
 
     def __init__(self, registry: "MetricsRegistry", name: str, kind: type,
-                 help: str, labelnames: Sequence[str], **kwargs) -> None:
+                 help: str, labelnames: Sequence[str]) -> None:
         self.name = name
         self.help = help
         self.kind = kind
         self.labelnames = tuple(labelnames)
         self._labelset = frozenset(self.labelnames)
         self._registry = registry
-        self._kwargs = kwargs
         self._children: dict[tuple, object] = {}
         self._default: Optional[object] = None
 
@@ -200,8 +128,7 @@ class Family:
             with self._registry._lock:
                 child = self._children.get(key)
                 if child is None:
-                    child = self.kind(self._registry._value_lock,
-                                      **self._kwargs)
+                    child = self.kind(self._registry._value_lock)
                     self._children[key] = child
         return child
 
@@ -223,9 +150,6 @@ class Family:
 
     def set(self, value: Union[int, float]) -> None:
         self._default_child().set(value)
-
-    def observe(self, value: Union[int, float]) -> None:
-        self._default_child().observe(value)
 
     @property
     def value(self):
@@ -257,7 +181,7 @@ class MetricsRegistry:
     # Registration
     # ------------------------------------------------------------------
     def _family(self, name: str, kind: type, help: str,
-                labels: Sequence[str], **kwargs) -> Family:
+                labels: Sequence[str]) -> Family:
         with self._lock:
             family = self._families.get(name)
             if family is not None:
@@ -267,7 +191,7 @@ class MetricsRegistry:
                         f"metric '{name}' already registered as "
                         f"{_KIND_NAMES[family.kind]}{family.labelnames}")
                 return family
-            family = Family(self, name, kind, help, labels, **kwargs)
+            family = Family(self, name, kind, help, labels)
             self._families[name] = family
             return family
 
@@ -278,11 +202,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = ()) -> Family:
         return self._family(name, Gauge, help, labels)
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Family:
-        return self._family(name, Histogram, help, labels, buckets=buckets)
 
     # ------------------------------------------------------------------
     # Export
@@ -302,7 +221,7 @@ class MetricsRegistry:
                 "type": _KIND_NAMES[family.kind],
                 "help": family.help,
                 "samples": [
-                    {"labels": labels, "value": child._sample()}
+                    {"labels": labels, "value": child.value}
                     for labels, child in family.samples()
                 ],
             }
@@ -318,22 +237,7 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {_KIND_NAMES[family.kind]}")
             for labels, child in family.samples():
-                if isinstance(child, Histogram):
-                    sample = child._sample()
-                    for le, count in sample["buckets"].items():
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_render_labels({**labels, 'le': le})} "
-                            f"{count}")
-                    lines.append(
-                        f"{name}_sum{_render_labels(labels)} "
-                        f"{sample['sum']}")
-                    lines.append(
-                        f"{name}_count{_render_labels(labels)} "
-                        f"{sample['count']}")
-                else:
-                    lines.append(
-                        f"{name}{_render_labels(labels)} {child.value}")
+                lines.append(f"{name}{_render_labels(labels)} {child.value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def clear(self) -> None:
@@ -382,41 +286,34 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 class StatsView:
     """Attribute-style stats object backed by registry counters.
 
-    The component stats dataclasses (``StoreStats``, ``ServiceStats``,
-    ...) historically were parallel bookkeeping: plain ints the
-    component mutated with ``stats.hits += 1``.  This base preserves
-    that exact surface -- attribute reads return ints, augmented
-    assignment and ``setattr`` keep working -- while making each field
-    a *view* over one labeled registry counter, so component counts and
-    the exported metrics are a single source of truth.
+    Each public field is a *view* over one labeled registry counter:
+    reading ``stats.hits`` returns the counter's value, and
+    ``stats.add(hits=1)`` increments it, so component counts and the
+    exported metrics are a single source of truth.  Each field of an
+    :meth:`add` is one :meth:`Counter.inc`, atomic under the registry's
+    value lock, so concurrent callers never lose an update.
 
     Subclasses map each public field name to a registry child via the
-    ``children`` dict; extra plain attributes must be set with
-    ``object.__setattr__`` (the default ``__setattr__`` only accepts
-    known metric fields, so typos fail loudly like they would on a
-    dataclass with ``__slots__``).
+    ``children`` dict and list any plain attribute in ``__slots__``, so
+    assigning to an unknown name fails loudly.
     """
 
     __slots__ = ("_children",)
 
     def __init__(self, children: Mapping[str, Counter]) -> None:
-        object.__setattr__(self, "_children", dict(children))
+        self._children = dict(children)
+
+    def _child(self, name: str) -> Counter:
+        try:
+            return self._children[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!s} has no field {name!r}") from None
 
     def __getattr__(self, name: str):
-        try:
-            return self._children[name].value
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!s} has no field {name!r}") from None
+        return self._child(name).value
 
-    def __setattr__(self, name: str, value) -> None:
-        try:
-            self._children[name].set(value)
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!s} has no field {name!r}") from None
-
-    def as_dict(self) -> dict[str, Union[int, float]]:
-        """Plain ``{field: value}`` copy of the current counts."""
-        return {name: child.value
-                for name, child in self._children.items()}
+    def add(self, **deltas: Union[int, float]) -> None:
+        """Increment each named field by its delta."""
+        for name, delta in deltas.items():
+            self._child(name).inc(delta)

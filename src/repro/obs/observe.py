@@ -15,7 +15,7 @@ metrics registry.  When a run is observed (``Session.observe(...)`` or
   so the run can be exported as a Perfetto timeline
   (:mod:`repro.obs.perfetto`);
 * the ShredLib runtime log gets a simulation clock (timestamped
-  contention records) and a registry-backed contention family;
+  contention records);
 * at :meth:`finish`, every layer's counters -- engine, trace, memory
   hierarchy (aggregate and per cache), TLBs, timing, shredlib -- are
   published into the registry as families labeled with the run's
@@ -98,20 +98,12 @@ class ObservedRun:
     def bind_machine(self, machine: "Machine") -> None:
         self.machine = machine
 
-    def contention_family(self):
-        """The registry family ShredLib contention counters unify into."""
-        return self.registry.counter(
-            "repro_shredlib_contention_total",
-            "contended sync-object acquires (ShredLib runtime log)",
-            labels=("run", "object"))
-
     def attach_runtime(self, runtime: "ShredRuntime") -> None:
-        """Point the runtime's :class:`~repro.shredlib.log.ShredLog` at
-        this run: registry-backed contention counters (labeled with the
-        run id) and a simulation clock for timestamped records."""
+        """Give the runtime's :class:`~repro.shredlib.log.ShredLog` this
+        run's simulation clock, so its contention records carry
+        timestamps for the timeline export."""
         if self.machine is not None:
             runtime.log.attach_clock(self.machine.engine)
-        runtime.log.attach_metrics(self.contention_family(), run=self.run_id)
 
     # ------------------------------------------------------------------
     # End-of-run publication
@@ -228,10 +220,10 @@ class ObservedRun:
                                 labels=("run", "event"))
             for event, count in runtime.log.summary().items():
                 shred.labels(run=run, event=event).set(count)
-            # contention counters stream into the registry live once
-            # attach_runtime ran; publish totals here too in case the
-            # runtime was never attached (machine-only observation)
-            contention = self.contention_family()
+            contention = reg.counter(
+                "repro_shredlib_contention_total",
+                "contended sync-object acquires (ShredLib runtime log)",
+                labels=("run", "object"))
             for name, count in runtime.log.contention_by_object().items():
                 contention.labels(run=run, object=name).set(count)
 

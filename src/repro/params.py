@@ -159,7 +159,13 @@ class MachineParams:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, int) and value < 0:
+            # exactly int (bool is an int subclass): a float would make
+            # cycles floats and give equal parameter sets different
+            # spec hashes
+            if type(value) is not int:
+                raise ValueError(
+                    f"{field.name} must be an int, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{field.name} must be non-negative, got {value}")
         if self.timer_quantum == 0:
             raise ValueError("timer_quantum must be positive")

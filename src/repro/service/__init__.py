@@ -8,7 +8,7 @@ worker pool:
 * :class:`ResultStore` -- content-addressed durable layer: entries
   keyed by spec hash, store versioning, LRU size-bounded eviction,
   integrity sweep with quarantine, and hit/miss/corrupt/evict
-  metrics (:class:`StoreStats`);
+  counters (:class:`StoreStats`, a view over the metrics registry);
 * :class:`MemoLayer` / :class:`StoreLayer` -- the lookups in front of
   execution, each answering ``resolve(specs) -> hits, misses``;
 * :class:`InflightTable` -- cross-request deduplication: identical
@@ -23,14 +23,16 @@ worker pool:
   ``run_experiment``, and ``submit(ExperimentSpec) ->``
   :class:`JobHandle`, streaming partial summaries via
   ``as_completed()`` while serving many concurrent clients over one
-  shared executor and one store.
+  shared executor and one store.  Its resolution outcomes are counted
+  in :class:`ServiceStats`, and each job's wall seconds per phase in
+  :meth:`JobHandle.metrics`.
 """
 
 from repro.service.executor import (
     ExecutionBackend, execute, execute_captured, execute_replay_group,
     run_group,
 )
-from repro.service.inflight import InflightStats, InflightTable
+from repro.service.inflight import InflightTable
 from repro.service.planner import (
     DirectPlanner, ExecutionPlanner, ReplayPlanner, planner_for,
     replay_class,
@@ -40,18 +42,17 @@ from repro.service.service import (
     ExperimentResult, ExperimentService, JobHandle, ServiceStats,
 )
 from repro.service.store import (
-    STORE_VERSION, ResultStore, StoreStats, StoreStatsSnapshot,
-    SweepReport, store_from_env,
+    STORE_VERSION, ResultStore, StoreStats, SweepReport, store_from_env,
 )
 
 __all__ = [
     "ExecutionBackend", "execute", "execute_captured",
     "execute_replay_group", "run_group",
-    "InflightStats", "InflightTable",
+    "InflightTable",
     "DirectPlanner", "ExecutionPlanner", "ReplayPlanner", "planner_for",
     "replay_class",
     "MemoLayer", "StoreLayer",
     "ExperimentResult", "ExperimentService", "JobHandle", "ServiceStats",
-    "STORE_VERSION", "ResultStore", "StoreStats", "StoreStatsSnapshot",
-    "SweepReport", "store_from_env",
+    "STORE_VERSION", "ResultStore", "StoreStats", "SweepReport",
+    "store_from_env",
 ]

@@ -17,54 +17,17 @@ after which the memo / store layers serve the result.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from concurrent.futures import Future
-from typing import Iterable, Optional
-
-from repro.obs.metrics import MetricsRegistry, StatsView, get_registry
-
-_table_ids = itertools.count()
-
-
-class InflightStats(StatsView):
-    """How much concurrent-request deduplication the table achieved.
-
-    A view over ``repro_inflight_claims_total{table=...,outcome=...}``
-    in the metrics registry (see :class:`repro.obs.metrics.StatsView`).
-    """
-
-    #: owned -- claims that started a new execution (caller owns the
-    #: run); joined -- claims folded onto an execution already in the air
-    FIELDS = ("owned", "joined")
-
-    __slots__ = ("instance",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        family = (registry if registry is not None
-                  else get_registry()).counter(
-            "repro_inflight_claims_total",
-            "InflightTable claims by outcome", labels=("table", "outcome"))
-        if instance is None:
-            instance = f"inflight-{next(_table_ids)}"
-        object.__setattr__(self, "instance", instance)
-        super().__init__({field: family.labels(table=instance, outcome=field)
-                          for field in self.FIELDS})
-
-    def __str__(self) -> str:
-        return (f"inflight: {self.owned} owned, "
-                f"{self.joined} joined onto in-flight runs")
+from typing import Iterable
 
 
 class InflightTable:
     """Shared futures for runs currently executing, keyed by spec hash."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._futures: dict[str, Future] = {}
-        self.stats = InflightStats(registry=registry, instance=instance)
 
     def claim(self, keys: Iterable[str]
               ) -> tuple[dict[str, Future], dict[str, Future]]:
@@ -83,12 +46,10 @@ class InflightTable:
                 existing = self._futures.get(key)
                 if existing is not None:
                     joined[key] = existing
-                    self.stats.joined += 1
                 else:
                     future: Future = Future()
                     self._futures[key] = future
                     owned[key] = future
-                    self.stats.owned += 1
         return owned, joined
 
     def resolve(self, key: str, summary) -> None:

@@ -36,6 +36,7 @@ import itertools
 import os
 import queue
 import threading
+import time
 from concurrent.futures import Future
 from functools import partial
 from typing import (
@@ -46,12 +47,11 @@ from repro.errors import ExperimentExecutionError
 from repro.obs.metrics import (
     MetricsRegistry, StatsView, get_registry, new_run_id,
 )
-from repro.obs.spans import SpanTracer
 from repro.service.executor import ExecutionBackend
 from repro.service.inflight import InflightTable
 from repro.service.planner import planner_for
 from repro.service.resolver import MemoLayer, StoreLayer
-from repro.service.store import ResultStore, StoreStatsSnapshot
+from repro.service.store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec, RunSpec
@@ -123,7 +123,7 @@ class ServiceStats(StatsView):
             labels=("service", "event"))
         if instance is None:
             instance = f"service-{next(_service_ids)}"
-        object.__setattr__(self, "instance", instance)
+        self.instance = instance
         super().__init__({field: family.labels(service=instance, event=field)
                           for field in self.FIELDS})
 
@@ -152,7 +152,7 @@ class JobHandle:
                  expected: int, job_id: Optional[str] = None) -> None:
         self.experiment = experiment
         self.expected = expected
-        #: correlation id tagging this job's spans and metrics
+        #: correlation id of this job
         self.job_id = job_id or new_run_id("job")
         self._queue: "queue.Queue" = queue.Queue()
         self._consumed = 0
@@ -242,35 +242,6 @@ class JobHandle:
                 "phases": dict(self._phase_seconds),
             }
 
-    def critpath(self) -> dict:
-        """Phase-level bottleneck attribution for this job.
-
-        The service-side analogue of the simulator's critical-path
-        analysis (:mod:`repro.obs.critpath`): ranks the resolution
-        phases the job's wall time went to and names the bottleneck,
-        so "why was this job slow" is answered by the same taxonomy
-        move -- attribute, rank, point -- one layer up.  Phases
-        overlap only trivially here (resolution is sequential per
-        job), so their seconds sum to approximately the job's total.
-        """
-        with self._lock:
-            phases = dict(self._phase_seconds)
-        total = sum(phases.values())
-        ranked = [
-            {"phase": name,
-             "seconds": round(seconds, 6),
-             "fraction": round(seconds / total, 4) if total else 0.0}
-            for name, seconds in sorted(phases.items(),
-                                        key=lambda kv: (-kv[1], kv[0]))
-        ]
-        return {
-            "job_id": self.job_id,
-            "experiment": self.experiment.name,
-            "total_seconds": round(total, 6),
-            "phases": ranked,
-            "bottleneck": ranked[0]["phase"] if ranked else None,
-        }
-
     def result(self, timeout: Optional[float] = None) -> "ExperimentResult":
         """Block until the whole grid resolved; raise if any run failed."""
         if not self._done.wait(timeout):
@@ -308,6 +279,12 @@ class ExperimentService:
     (completed runs are memoized and stored first) nor shadows other
     failures: one :class:`~repro.errors.ExperimentExecutionError` names
     every failed spec, so a retry only re-runs what failed.
+
+    Each fact is counted once: where runs came from in :attr:`stats`
+    (a :class:`ServiceStats` view over ``registry``, which also counts
+    the specs joined onto in-flight runs), store traffic in
+    ``store.stats``, and each job's wall seconds per resolution phase
+    in :meth:`JobHandle.metrics`.
     """
 
     def __init__(self,
@@ -317,8 +294,7 @@ class ExperimentService:
                  replay: bool = False,
                  run_group_fn: Optional[Callable] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None,
-                 tracer: Optional[SpanTracer] = None) -> None:
+                 instance: Optional[str] = None) -> None:
         if instance is None:
             instance = f"service-{next(_service_ids)}"
         if store is not None and not isinstance(store, ResultStore):
@@ -329,16 +305,12 @@ class ExperimentService:
         self.memo = MemoLayer()
         self.store_layer = (StoreLayer(store, replay=replay)
                             if store is not None else None)
-        self.inflight = InflightTable(registry=registry, instance=instance)
+        self.inflight = InflightTable()
         self.planner = planner_for(replay)
         self.backend = ExecutionBackend(max_workers=max_workers,
                                         parallel=parallel,
                                         run_group_fn=run_group_fn)
-        #: span tracer attributing wall time to pipeline phases; share
-        #: one tracer across services to aggregate a whole deployment
-        self.tracer = tracer or SpanTracer()
         self.stats = ServiceStats(registry=registry, instance=instance)
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -381,11 +353,6 @@ class ExperimentService:
             worker.start()
         return job
 
-    def store_stats(self) -> Optional[StoreStatsSnapshot]:
-        """Snapshot of the backing store's hit/miss/evict/corrupt
-        counters (None when the service runs store-less)."""
-        return self.store.stats.snapshot() if self.store else None
-
     def close(self) -> None:
         """Shut down the shared worker pool (jobs already submitted
         finish first)."""
@@ -411,8 +378,8 @@ class ExperimentService:
         unique: dict[str, "RunSpec"] = {}
         for spec in experiment.runs:
             unique.setdefault(spec.spec_hash(), spec)
-        self._count(jobs=1, requested=len(experiment.runs),
-                    deduplicated=len(experiment.runs) - len(unique))
+        self.stats.add(jobs=1, requested=len(experiment.runs),
+                       deduplicated=len(experiment.runs) - len(unique))
         return JobHandle(experiment, expected=len(unique)), unique
 
     def _run_job(self, job: JobHandle,
@@ -431,12 +398,11 @@ class ExperimentService:
 
     @contextlib.contextmanager
     def _phase(self, job: JobHandle, name: str) -> Iterator[None]:
-        """Span one pipeline phase for ``job`` (correlation = job id)
-        and fold its wall time into the job's phase attribution."""
-        with self.tracer.span(name, correlation=job.job_id,
-                              experiment=job.experiment.name) as sp:
-            yield
-        job._note_phase(name, sp.duration)
+        """Fold one pipeline phase's wall time into ``job``'s phase
+        attribution (a phase that raises records nothing)."""
+        start = time.perf_counter()
+        yield
+        job._note_phase(name, time.perf_counter() - start)
 
     def _resolve_job(self, job: JobHandle,
                      unique: dict[str, "RunSpec"]) -> None:
@@ -445,7 +411,7 @@ class ExperimentService:
         # 1. in-process memo
         with self._phase(job, "memo"):
             hits, remaining = self.memo.resolve(specs)
-            self._count(memo_hits=len(hits))
+            self.stats.add(memo_hits=len(hits))
             for key, summary in hits.items():
                 job._deliver(key, summary)
 
@@ -453,7 +419,7 @@ class ExperimentService:
         if self.store_layer is not None and remaining:
             with self._phase(job, "store"):
                 hits, remaining = self.store_layer.resolve(remaining)
-                self._count(store_hits=len(hits))
+                self.stats.add(store_hits=len(hits))
                 for key, summary in hits.items():
                     self.memo.store(unique[key], summary)
                     job._deliver(key, summary)
@@ -464,7 +430,7 @@ class ExperimentService:
         # 3. cross-request in-flight dedup
         owned, joined = self.inflight.claim(
             spec.spec_hash() for spec in remaining)
-        self._count(inflight_joined=len(joined))
+        self.stats.add(inflight_joined=len(joined))
         for key, future in {**owned, **joined}.items():
             future.add_done_callback(
                 partial(self._on_future, job, unique[key]))
@@ -506,7 +472,7 @@ class ExperimentService:
         try:
             summaries = future.result()
         except Exception as exc:
-            self._count(failed=len(group))
+            self.stats.add(failed=len(group))
             for spec in group:
                 self.inflight.fail(spec.spec_hash(), exc)
             return
@@ -518,9 +484,9 @@ class ExperimentService:
                 # resolving the future delivers to this job and every
                 # joiner
                 self.inflight.resolve(spec.spec_hash(), summary)
-        self._count(executed=1,
-                    captured=1 if len(group) > 1 else 0,
-                    replayed=len(group) - 1)
+        self.stats.add(executed=1,
+                       captured=1 if len(group) > 1 else 0,
+                       replayed=len(group) - 1)
 
     def _on_future(self, job: JobHandle, spec: "RunSpec",
                    future: Future) -> None:
@@ -529,9 +495,3 @@ class ExperimentService:
             job._deliver_failure(spec, exc)
         else:
             job._deliver(spec.spec_hash(), future.result())
-
-    def _count(self, **deltas: int) -> None:
-        with self._stats_lock:
-            for name, delta in deltas.items():
-                setattr(self.stats, name,
-                        getattr(self.stats, name) + delta)

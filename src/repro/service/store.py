@@ -21,8 +21,8 @@ On top of the old cache behaviour the store adds:
   swallowed, orphaned ``*.tmp`` files from crashed writers are
   reclaimed on init / :meth:`clear` / :meth:`sweep`, and
   :meth:`sweep` re-validates every entry on demand;
-* **metrics** -- hit / miss / corrupt / evict counters exposed as a
-  :class:`StoreStats` snapshot, so a serving deployment can report its
+* **metrics** -- hit / miss / corrupt / evict counters on the live
+  :class:`StoreStats` view, so a serving deployment can report its
   cache hit rate.
 
 Timing identity is part of the key: an execution-driven summary lives
@@ -68,10 +68,33 @@ QUARANTINE_SUFFIX = ".corrupt"
 _store_ids = itertools.count()
 
 
-class _StoreStatsMixin:
-    """Derived rates and formatting shared by live view and snapshot."""
+class StoreStats(StatsView):
+    """Counters of one :class:`ResultStore`'s traffic.
 
-    __slots__ = ()
+    A view over one labeled family in the metrics registry
+    (``repro_store_events_total{store=<instance>,event=...}``):
+    attribute reads and ``stats.add(hits=1)`` go to the registry
+    counters directly, so the store's own numbers and the exported
+    metrics can never disagree, and concurrent lookups never lose a
+    count.
+    """
+
+    FIELDS = ("hits", "misses", "corrupt", "evictions", "puts",
+              "tmp_reclaimed")
+
+    __slots__ = ("instance",)
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 instance: Optional[str] = None) -> None:
+        family = (registry if registry is not None
+                  else get_registry()).counter(
+            "repro_store_events_total",
+            "ResultStore traffic by outcome", labels=("store", "event"))
+        if instance is None:
+            instance = f"store-{next(_store_ids)}"
+        self.instance = instance
+        super().__init__({field: family.labels(store=instance, event=field)
+                          for field in self.FIELDS})
 
     @property
     def lookups(self) -> int:
@@ -90,50 +113,6 @@ class _StoreStatsMixin:
 
 
 @dataclass(frozen=True)
-class StoreStatsSnapshot(_StoreStatsMixin):
-    """An independent point-in-time copy of a store's counters."""
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    evictions: int = 0
-    puts: int = 0
-    tmp_reclaimed: int = 0
-
-
-class StoreStats(_StoreStatsMixin, StatsView):
-    """Counters of one :class:`ResultStore`'s traffic.
-
-    A view over one labeled family in the metrics registry
-    (``repro_store_events_total{store=<instance>,event=...}``):
-    attribute reads and ``stats.hits += 1`` mutations hit the registry
-    counters directly, so the store's own numbers and the exported
-    metrics can never disagree.
-    """
-
-    FIELDS = ("hits", "misses", "corrupt", "evictions", "puts",
-              "tmp_reclaimed")
-
-    __slots__ = ("instance",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        family = (registry if registry is not None
-                  else get_registry()).counter(
-            "repro_store_events_total",
-            "ResultStore traffic by outcome", labels=("store", "event"))
-        if instance is None:
-            instance = f"store-{next(_store_ids)}"
-        object.__setattr__(self, "instance", instance)
-        super().__init__({field: family.labels(store=instance, event=field)
-                          for field in self.FIELDS})
-
-    def snapshot(self) -> StoreStatsSnapshot:
-        """An independent copy (the live object keeps counting)."""
-        return StoreStatsSnapshot(**self.as_dict())
-
-
-@dataclass(frozen=True)
 class SweepReport:
     """Outcome of one :meth:`ResultStore.sweep` integrity pass."""
 
@@ -148,7 +127,9 @@ class ResultStore:
     ``max_entries`` / ``max_bytes`` (optional) bound the store; when a
     put pushes past a bound, least-recently-used entries are evicted
     until it holds again.  Construction reclaims orphaned temp files
-    older than :data:`TMP_GRACE_SECONDS`.
+    older than :data:`TMP_GRACE_SECONDS`.  Every job thread of a
+    service shares one store; its traffic is counted in :attr:`stats`
+    (a :class:`StoreStats`), which loses no count under concurrent use.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -200,7 +181,7 @@ class ResultStore:
                 raise ValueError("entry does not match its address")
             if payload.get("store_version",
                            payload.get("cache_version")) != STORE_VERSION:
-                self.stats.misses += 1
+                self.stats.add(misses=1)
                 return None
             if payload.get("timing", "execute") != timing:
                 raise ValueError("entry timing disagrees with its key")
@@ -208,12 +189,12 @@ class ResultStore:
             if summary.timing != timing:
                 raise ValueError("summary timing disagrees with its key")
         except FileNotFoundError:
-            self.stats.misses += 1
+            self.stats.add(misses=1)
             return None
         except (OSError, ValueError, KeyError, TypeError):
             self._quarantine(path)
             return None
-        self.stats.hits += 1
+        self.stats.add(hits=1)
         self._touch(path)
         return summary
 
@@ -240,7 +221,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self.stats.puts += 1
+        self.stats.add(puts=1)
         self._evict_to_bounds(protect=path)
         return path
 
@@ -311,7 +292,7 @@ class ResultStore:
             pass
 
     def _quarantine(self, path: Path) -> None:
-        self.stats.corrupt += 1
+        self.stats.add(corrupt=1)
         try:
             os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
         except OSError:
@@ -335,7 +316,7 @@ class ResultStore:
                     reclaimed += 1
             except OSError:
                 pass
-        self.stats.tmp_reclaimed += reclaimed
+        self.stats.add(tmp_reclaimed=reclaimed)
         return reclaimed
 
     def _evict_to_bounds(self, protect: Optional[Path] = None) -> None:
@@ -371,7 +352,7 @@ class ResultStore:
                 continue
             count -= 1
             size -= nbytes
-            self.stats.evictions += 1
+            self.stats.add(evictions=1)
 
 
 def store_from_env(root: Union[str, Path],

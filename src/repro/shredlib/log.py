@@ -10,14 +10,11 @@ The firmware-side log is :class:`repro.sim.trace.TraceLog`; this class
 covers the runtime side: shred lifecycle, queue activity, and sync
 contention.
 
-Contention counters are unified with the observability registry
-(:mod:`repro.obs.metrics`): each sync-object name is one member of a
-labeled counter family rather than the private ``collections.Counter``
-this class historically kept.  By default the family lives in a
-log-private registry (so an un-observed run writes nothing global);
-an observed run calls :meth:`attach_metrics` to redirect the family
-into the process-wide registry under its correlation id, and
-:meth:`attach_clock` to timestamp contention for timeline export.
+Every count is a plain ``collections.Counter``, so a run writes
+nothing outside its own log.  An observed run calls
+:meth:`attach_clock` to timestamp contention for timeline export, and
+:meth:`repro.obs.observe.ObservedRun.finish` publishes the totals into
+the metrics registry under its correlation id.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-from repro.obs.metrics import Family, MetricsRegistry
 
 
 class ShredEvent(enum.Enum):
@@ -50,17 +45,13 @@ class ShredEvent(enum.Enum):
 
 @dataclass
 class ShredLog:
-    """Counters plus optional per-object contention attribution."""
+    """Counters plus per-object contention attribution."""
 
     _events: Counter = field(default_factory=Counter)
     #: maximum work-queue depth observed
     max_queue_depth: int = 0
-    #: registry counter family for contention; lazily a private one,
-    #: or the process-wide family installed by :meth:`attach_metrics`
-    _family: Optional[Family] = field(default=None, repr=False)
-    _family_labels: dict = field(default_factory=dict, repr=False)
-    #: per-object children of ``_family`` (one counter per sync object)
-    _contended: dict = field(default_factory=dict, repr=False)
+    #: contended acquires per sync-object name
+    _contended: Counter = field(default_factory=Counter, repr=False)
     #: simulation clock (anything with ``.now``); None = no timestamps
     _clock: Optional[Any] = field(default=None, repr=False)
     #: timestamped contention records ``(cycle, object_name)``,
@@ -75,32 +66,6 @@ class ShredLog:
         :class:`~repro.sim.engine.Engine`) from here on."""
         self._clock = clock
 
-    def attach_metrics(self, family: Family, **labels: str) -> None:
-        """Unify contention counters into ``family`` (plus fixed
-        ``labels``, e.g. the observed run's correlation id).  Counts
-        noted before attachment migrate into the new family."""
-        self._family = family
-        self._family_labels = dict(labels)
-        for name, child in list(self._contended.items()):
-            moved = family.labels(**labels, object=name)
-            if child.value:
-                moved.inc(child.value)
-            self._contended[name] = moved
-
-    def _contention_child(self, object_name: str):
-        child = self._contended.get(object_name)
-        if child is None:
-            if self._family is None:
-                # un-attached log: a private registry, so default runs
-                # never touch the process-wide one
-                self._family = MetricsRegistry().counter(
-                    "repro_shredlib_contention_total",
-                    "contended sync-object acquires", labels=("object",))
-            child = self._family.labels(**self._family_labels,
-                                        object=object_name)
-            self._contended[object_name] = child
-        return child
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -112,7 +77,7 @@ class ShredLog:
             self.max_queue_depth = depth
 
     def note_contention(self, object_name: str) -> None:
-        self._contention_child(object_name).inc()
+        self._contended[object_name] += 1
         clock = self._clock
         if clock is not None:
             self._records.append((clock.now, object_name))
@@ -125,13 +90,11 @@ class ShredLog:
 
     def contention(self, object_name: Optional[str] = None) -> int:
         if object_name is None:
-            return sum(child.value for child in self._contended.values())
-        child = self._contended.get(object_name)
-        return child.value if child is not None else 0
+            return sum(self._contended.values())
+        return self._contended[object_name]
 
     def contention_by_object(self) -> dict[str, int]:
-        return {name: child.value
-                for name, child in sorted(self._contended.items())}
+        return dict(sorted(self._contended.items()))
 
     def contention_events(self) -> list[tuple[int, str]]:
         """Timestamped ``(cycle, object_name)`` contention records

@@ -484,7 +484,7 @@ class ReplayMachine:
         for i, p in enumerate(trace.parents):
             times[i] += times[p] if p >= 0 else root_now[i]
 
-        cycles, suspended, proxy_latency = self._derive_marks(times)
+        cycles, suspended, proxy_latency = derive_marks(trace, times)
         if cycles is None:
             cycles = max(times) if times else 0
 
@@ -523,39 +523,38 @@ class ReplayMachine:
             spec_hash=spec.spec_hash() if spec is not None else "",
         )
 
-    # ------------------------------------------------------------------
-    def _derive_marks(self, times: list[int]
-                      ) -> tuple[Optional[int], dict[int, int], int]:
-        """Recompute mark-derived statistics against replayed times.
 
-        Returns (app-exit cycles, per-AMS suspended cycles, total
-        proxy latency).  Suspension mirrors
-        :meth:`repro.core.sequencer.Sequencer.suspend`'s depth
-        counting; proxy latency pairs each raise with its completion.
-        """
-        trace = self.trace
-        cycles: Optional[int] = None
-        depth: dict[int, int] = {}
-        since: dict[int, int] = {}
-        suspended: dict[int, int] = {}
-        raised: dict[int, int] = {}
-        proxy_latency = 0
-        for kind, at_seqno, at_now, arg in trace.marks:
-            t = times[at_seqno] if at_seqno >= 0 else at_now
-            if kind == "sus":
-                if depth.get(arg, 0) == 0:
-                    since[arg] = t
-                depth[arg] = depth.get(arg, 0) + 1
-            elif kind == "res":
-                depth[arg] = depth.get(arg, 0) - 1
-                if depth[arg] == 0:
-                    suspended[arg] = (suspended.get(arg, 0)
-                                      + t - since.pop(arg))
-            elif kind == "praise":
-                raised[arg] = t
-            elif kind == "pdone":
-                proxy_latency += t - raised.pop(arg)
-            elif kind == "pexit":
-                if arg == trace.app_pid:
-                    cycles = t
-        return cycles, suspended, proxy_latency
+def derive_marks(trace: CapturedTrace, times: list[int]
+                 ) -> tuple[Optional[int], dict[int, int], int]:
+    """Recompute mark-derived statistics against event completion
+    ``times`` (captured or replayed).
+
+    Returns (app-exit cycles, per-sequencer suspended cycles, total
+    proxy latency).  Suspension mirrors
+    :meth:`repro.core.sequencer.Sequencer.suspend`'s depth counting;
+    proxy latency pairs each raise with its completion.
+    """
+    cycles: Optional[int] = None
+    depth: dict[int, int] = {}
+    since: dict[int, int] = {}
+    suspended: dict[int, int] = {}
+    raised: dict[int, int] = {}
+    proxy_latency = 0
+    for kind, at_seqno, at_now, arg in trace.marks:
+        t = times[at_seqno] if at_seqno >= 0 else at_now
+        if kind == "sus":
+            if depth.get(arg, 0) == 0:
+                since[arg] = t
+            depth[arg] = depth.get(arg, 0) + 1
+        elif kind == "res":
+            depth[arg] = depth.get(arg, 0) - 1
+            if depth[arg] == 0:
+                suspended[arg] = suspended.get(arg, 0) + t - since.pop(arg)
+        elif kind == "praise":
+            raised[arg] = t
+        elif kind == "pdone":
+            proxy_latency += t - raised.pop(arg)
+        elif kind == "pexit":
+            if arg == trace.app_pid:
+                cycles = t
+    return cycles, suspended, proxy_latency

@@ -196,6 +196,20 @@ class TestObservedFallback:
         with pytest.raises(ConfigurationError):
             analyze_result(result)
 
+    def test_observed_analysis_matches_golden(self):
+        """Both timing models' observed analyses of a fixed tiny run
+        are byte-stable (regenerate tests/golden/ deliberately when a
+        behaviour change is intended)."""
+        docs = {}
+        for timing in ("fixed", "scoreboard"):
+            result = (Session("misp", "1x2").timing(timing)
+                      .observe(registry=MetricsRegistry(), run_id="golden")
+                      .run("dense_mvm", scale=0.02))
+            docs[timing] = analyze_result(result)
+        text = json.dumps(docs, sort_keys=True, indent=1) + "\n"
+        golden = GOLDEN / "observed_misp_1x2_dense_mvm.json"
+        assert text == golden.read_text()
+
     def test_analyze_observed_requires_only_result_surface(self):
         reg = MetricsRegistry()
         result = (Session("1p").observe(registry=reg)
@@ -312,29 +326,20 @@ class TestReportCLI:
         assert self_diff["delta_cycles"] == 0
         assert not self_diff["only_a"] and not self_diff["only_b"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--analyze", "--param", "mem_cost=60.5"],
+         "mem_cost expects an integer"),
+        (["--param", "mem_cost=60"], "--analyze"),
+    ], ids=["float", "without-analyze"])
+    def test_bad_param_exits_before_simulating(self, argv, message,
+                                               monkeypatch):
+        import repro.analysis.report as report
 
-# ----------------------------------------------------------------------
-# Service phase attribution
-# ----------------------------------------------------------------------
-class TestJobCritpath:
-    def test_job_phase_attribution(self):
-        from repro.experiments import ExperimentSpec
-        from repro.service import ExperimentService
+        def simulated(*args, **kwargs):
+            raise AssertionError("the report simulated before it "
+                                 "rejected --param")
 
-        service = ExperimentService(parallel=False)
-        try:
-            spec = ExperimentSpec.grid(
-                "crit", ["dense_mvm"], systems=[("misp", "1x2")],
-                scale=0.01)
-            handle = service.submit(spec)
-            handle.result()
-            doc = handle.critpath()
-        finally:
-            service.close()
-        assert doc["experiment"] == "crit"
-        assert doc["phases"], "finished jobs attribute their phases"
-        fractions = [p["fraction"] for p in doc["phases"]]
-        assert all(0 <= f <= 1 for f in fractions)
-        seconds = [p["seconds"] for p in doc["phases"]]
-        assert seconds == sorted(seconds, reverse=True)
-        assert doc["bottleneck"] == doc["phases"][0]["phase"]
+        monkeypatch.setattr(report, "full_report", simulated)
+        with pytest.raises(SystemExit) as excinfo:
+            report.main(["--smoke", "--serial", *argv])
+        assert message in str(excinfo.value)

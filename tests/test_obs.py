@@ -1,7 +1,7 @@
 """Tests for the unified observability layer: the metrics registry
-(snapshot determinism, Prometheus exposition, label escaping), span
-tracing, stats views, zero-overhead-when-disabled, observed runs, the
-JobHandle metrics surface, and the golden-file Perfetto export."""
+(snapshot determinism, Prometheus exposition, label escaping), stats
+views, zero-overhead-when-disabled, observed runs, the JobHandle
+metrics surface, and the golden-file Perfetto export."""
 
 import json
 import threading
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    MetricsRegistry, ObservedRun, SpanTracer, export_run, get_registry,
+    MetricsRegistry, ObservedRun, StatsView, export_run, get_registry,
     new_run_id,
 )
 from repro.obs.emit import ReportEmitter
@@ -43,20 +43,6 @@ class TestRegistry:
         g.inc(3)
         g.dec(5)
         assert g.value == -2
-
-    def test_histogram_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        sample = h.labels()._sample() if hasattr(h, "labels") else None
-        snap = reg.snapshot()["lat"]["samples"][0]["value"]
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(55.5)
-        assert snap["buckets"]["1"] == 1
-        assert snap["buckets"]["10"] == 2
-        assert snap["buckets"]["+Inf"] == 3
-        assert sample is None or sample  # silence unused warnings
 
     def test_labeled_family_children(self):
         reg = MetricsRegistry()
@@ -148,36 +134,36 @@ class TestPrometheusExposition:
         [line] = [ln for ln in text.splitlines() if ln.startswith("odd_total")]
         assert line.endswith("} 1")
 
-    def test_histogram_exposition(self):
+
+# ----------------------------------------------------------------------
+# Stats views
+# ----------------------------------------------------------------------
+class TestStatsView:
+    def _view(self, reg):
+        family = reg.counter("view_events_total", "events",
+                             labels=("event",))
+        return StatsView({field: family.labels(event=field)
+                          for field in ("hits", "misses")})
+
+    def test_add_counts_into_the_registry(self):
         reg = MetricsRegistry()
-        reg.histogram("lat_seconds", "latency", buckets=(0.1,)).observe(0.05)
-        text = reg.render_prometheus()
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "lat_seconds_count 1" in text
+        stats = self._view(reg)
+        stats.add(hits=2, misses=1)
+        stats.add(hits=1)
+        assert (stats.hits, stats.misses) == (3, 1)
+        samples = {s["labels"]["event"]: s["value"] for s in
+                   reg.snapshot()["view_events_total"]["samples"]}
+        assert samples == {"hits": 3, "misses": 1}
 
-
-# ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-class TestSpans:
-    def test_nesting_and_correlation(self):
-        tracer = SpanTracer()
-        with tracer.span("outer", correlation="job-1") as outer:
-            with tracer.span("inner", correlation="job-1") as inner:
-                pass
-        assert inner.parent_id == outer.span_id
-        assert [s.name for s in tracer.finished("job-1")] == ["inner", "outer"]
-        assert tracer.finished("job-2") == []
-
-    def test_by_name_aggregation(self):
-        tracer = SpanTracer()
-        for _ in range(3):
-            with tracer.span("phase", correlation="j"):
-                pass
-        count, total = tracer.by_name()["phase"]
-        assert count == 3
-        assert total >= 0.0
+    def test_fields_are_counted_not_assigned(self):
+        stats = self._view(MetricsRegistry())
+        with pytest.raises(AttributeError):
+            stats.hits = 5
+        with pytest.raises(AttributeError):
+            stats.add(hit=1)
+        with pytest.raises(AttributeError):
+            stats.hit
+        assert stats.hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +316,6 @@ class TestJobMetrics:
         for phase in ("submit", "plan", "execute", "backfill"):
             assert phase in m["phases"], phase
             assert m["phases"][phase] >= 0.0
-        spans = svc.tracer.finished(m["job_id"])
-        assert {s.name for s in spans} >= {"submit", "plan", "execute"}
         # service stats landed in the passed registry under the instance
         [job_sample] = [
             s for s in reg.snapshot()["repro_service_events_total"]["samples"]
@@ -438,34 +422,6 @@ class TestPerfettoCaptureEnrichment:
         _, path = self._export(tmp_path)
         golden = GOLDEN / "trace_capture_misp_1x2_dense_mvm.json"
         assert path.read_text() == golden.read_text()
-
-
-class TestHistogramPercentile:
-    def test_percentile_upper_bound(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 0.7, 5.0, 50.0):
-            h.observe(v)
-        child = h.labels()
-        assert child.percentile(50) == 1.0
-        assert child.percentile(75) == 10.0
-        assert child.percentile(100) == 100.0
-
-    def test_percentile_beyond_buckets_is_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(1.0,))
-        h.observe(5.0)
-        assert h.labels().percentile(99) == float("inf")
-
-    def test_percentile_empty_and_range(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(1.0,))
-        child = h.labels()
-        assert child.percentile(99) == 0.0
-        with pytest.raises(ValueError):
-            child.percentile(101)
-        with pytest.raises(ValueError):
-            child.percentile(-1)
 
 
 # ----------------------------------------------------------------------

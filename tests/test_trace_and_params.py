@@ -78,6 +78,15 @@ class TestParams:
         with pytest.raises(ValueError):
             MachineParams(signal_cost=-1)
 
+    @pytest.mark.parametrize("value", [60.5, 60.0, -5.0, True, "60"])
+    def test_non_int_rejected(self, value):
+        """Every field is an int: a float, even an integral one, would
+        make cycles floats and split equal specs across spec hashes."""
+        with pytest.raises(ValueError, match="mem_cost"):
+            MachineParams(mem_cost=value)
+        with pytest.raises(ValueError, match="mem_cost"):
+            DEFAULT_PARAMS.with_changes(mem_cost=value)
+
     def test_zero_quantum_rejected(self):
         with pytest.raises(ValueError):
             MachineParams(timer_quantum=0)
