@@ -1,4 +1,5 @@
-"""Observability end to end: metrics, spans, and a Perfetto timeline.
+"""Observability end to end: metrics, contention records, and a Perfetto
+timeline.
 
 Runs one MISP simulation with ``Session.observe(...)`` turned on and
 shows everything the observability layer produces:

@@ -5,10 +5,11 @@ The partition notation itself (``"4x2"``, ``"1x4+4"``, ``"smp8"``,
 machines from it.
 
 :func:`build_machine` is the single machine factory the system
-backends (:mod:`repro.systems.backends`) build on: all-plain-CPU
-partitions are routed through
-:func:`repro.smp.machine.build_smp_machine` so that every SMP-shaped
-machine is complete (``thread_create`` registered) at construction.
+backends (:mod:`repro.systems.backends`) build on.  The SMP baseline
+is no separate machine: it is a partition of plain CPUs (zero AMSs),
+where every MISP mechanism (AMS serialization, proxy execution,
+SIGNAL) is structurally unreachable and every core services its own
+faults, syscalls and timer interrupts.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ def build_machine(config: str | Sequence[int],
     """Build a machine from a name or an AMS-count tuple.
 
     ``hierarchy`` selects the cache topology (default: one L2 shared
-    per processor); all-plain-CPU partitions are routed through
-    :func:`~repro.smp.machine.build_smp_machine`, whose default is a
-    private L2 per core.
+    per processor, which gives a plain CPU a private L2).
     """
     counts = parse_config(config) if isinstance(config, str) else tuple(config)
-    if counts and not any(counts):
-        from repro.smp.machine import build_smp_machine
-        return build_smp_machine(len(counts), params=params,
-                                 hierarchy=hierarchy)
     return Machine(counts, params=params, hierarchy=hierarchy)

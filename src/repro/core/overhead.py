@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.params import MachineParams
-
 
 def serialize_cost(signal: int, priv: int) -> int:
     """Equation 1: total serialization across one OMS ring transition."""
@@ -82,12 +80,3 @@ class SignalSensitivity:
         if self.ideal_cycles <= 0:
             raise ValueError("ideal_cycles must be positive")
         return self.added_cycles(signal) / self.ideal_cycles
-
-
-def expected_serialization_cycles(params: MachineParams, oms_events: int,
-                                  ams_events: int, mean_priv: int) -> int:
-    """Total serialization cycles predicted by the Section 5.1 model."""
-    per_oms = serialize_cost(params.signal_cost, mean_priv)
-    per_ams = (proxy_egress_cost(params.signal_cost)
-               + proxy_ingress_cost(params.signal_cost, mean_priv))
-    return oms_events * per_oms + ams_events * per_ams

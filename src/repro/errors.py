@@ -35,10 +35,6 @@ class SimulationError(ReproError):
     """The simulation engine reached an invalid internal state."""
 
 
-class DeadlockError(SimulationError):
-    """No sequencer can make progress and unfinished work remains."""
-
-
 class ExperimentExecutionError(SimulationError):
     """One or more runs of an experiment batch failed.
 

@@ -11,14 +11,15 @@ It is an :class:`~repro.service.ExperimentService` -- the same memo ->
 store -> in-flight -> executor resolution, the same
 :class:`~repro.service.ServiceStats` -- with a per-call worker pool.
 
-With ``replay=True`` (or ``REPRO_REPLAY=1``) the planner additionally
-exploits the trace-driven fast path (:mod:`repro.sim.captrace`): specs
-that differ only in replay-safe timing parameters form a *replay
-class*, and each class runs as one execution-driven capture plus cheap
-trace replays -- a figure's ``mem_cost``/``signal_cost`` sweep
-simulates once instead of once per point.  Replay summaries carry
-``timing="replay"`` and are stored under a distinct key, so they never
-alias execution-driven numbers.
+With ``replay=True`` (or ``REPRO_REPLAY=1``) the execution plan
+(:func:`~repro.service.plan_groups`) additionally exploits the
+trace-driven fast path (:mod:`repro.sim.captrace`): specs that differ
+only in replay-safe timing parameters form a *replay class*, and each
+class runs as one execution-driven capture plus cheap trace replays
+-- a figure's ``mem_cost``/``signal_cost`` sweep simulates once
+instead of once per point.  Replay summaries carry ``timing="replay"``
+and are stored under a distinct key, so they never alias
+execution-driven numbers.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -106,6 +107,19 @@ class RunSpec:
                   else str(self.policy).strip().lower())
         QueuePolicy(policy)  # validate
         s("policy", policy)
+        # the hash reads the JSON text, so equal values of different
+        # types (1 and 1.0, True and 1) would split one simulation:
+        # counts are exactly int (bool is an int subclass), scale a float
+        for name in ("background", "limit"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigurationError(
+                    f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.scale is not None:
+            if isinstance(self.scale, bool) or not isinstance(
+                    self.scale, numbers.Real):
+                raise ConfigurationError(
+                    f"scale must be a number, got {self.scale!r}")
+            s("scale", float(self.scale))
         check_scale(self.scale)
         if self.background < 0:
             raise ConfigurationError("background must be >= 0")

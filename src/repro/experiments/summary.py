@@ -95,12 +95,6 @@ class UtilizationSummary:
     num_oms: int = 0
     num_ams: int = 0
 
-    def ams_availability(self, cycles: int) -> float:
-        """Fraction of AMS-cycles not lost to suspension."""
-        if not self.num_ams or not cycles:
-            return 1.0
-        return 1.0 - self.ams_suspended_cycles / (self.num_ams * cycles)
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -138,16 +132,6 @@ class RunSummary:
     def serializing_events(self) -> dict[str, int]:
         """Counts in the paper's Table 1 layout."""
         return dict(self.events)
-
-    @property
-    def total_oms_events(self) -> int:
-        return sum(self.events.get(k, 0) for k in EVENT_KEYS
-                   if k.startswith("oms_"))
-
-    @property
-    def total_ams_events(self) -> int:
-        return sum(self.events.get(k, 0) for k in EVENT_KEYS
-                   if k.startswith("ams_"))
 
     # -- JSON round-trip (the on-disk cache format) --------------------
     def to_dict(self) -> dict[str, Any]:

@@ -1,13 +1,11 @@
 """Model OS kernel: processes, threads, scheduling, faults, syscalls."""
 
-from repro.kernel.interrupts import Interrupt, InterruptKind, ShootdownRequest
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import OSThread, Process, ThreadState
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.syscalls import SyscallSpec, SyscallTable
 
 __all__ = [
-    "Interrupt", "InterruptKind", "ShootdownRequest", "Kernel",
-    "OSThread", "Process", "ThreadState", "Scheduler", "SyscallSpec",
-    "SyscallTable",
+    "Kernel", "OSThread", "Process", "ThreadState", "Scheduler",
+    "SyscallSpec", "SyscallTable",
 ]

@@ -45,6 +45,9 @@ _BUILTIN = [
     SyscallSpec("wait_input", cost=2500, reschedules=True, blocks=True),
     SyscallSpec("io", cost=None),          # generic I/O used by proxies
     SyscallSpec("thread_exit", cost=2500),
+    # the SMP baseline spawns its worker team through the OS; its
+    # staging body always passes an explicit cost
+    SyscallSpec("thread_create", cost=None),
 ]
 
 
@@ -64,6 +67,3 @@ class SyscallTable:
             return self._specs[name]
         except KeyError:
             raise ConfigurationError(f"unknown syscall '{name}'") from None
-
-    def known(self) -> list[str]:
-        return sorted(self._specs)

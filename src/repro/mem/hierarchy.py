@@ -24,10 +24,10 @@ same coherence protocol, which is what makes sharing-vs-coherence an
 observable difference between backends rather than an assumption.
 
 Addresses are *physical*: the machine translates through the touching
-sequencer's TLB first (``Machine._cost_access``) and then charges the
-hierarchy.  Instruction fetches use synthetic
-physical addresses above the frame store, handed out per program
-image by :meth:`MemoryHierarchy.code_segment`.
+sequencer's TLB first (``Machine._classify_access``) and then charges
+the hierarchy.  Instruction fetches use synthetic physical addresses
+above the frame store, handed out per program image by
+:meth:`MemoryHierarchy.code_segment`.
 
 This is the simulator's hottest code: a page ``Touch`` streams 64
 lines through :meth:`MemoryHierarchy.access_range`, every

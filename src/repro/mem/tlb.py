@@ -1,11 +1,12 @@
 """Per-sequencer translation lookaside buffers.
 
 Each sequencer owns one TLB.  In IA-32 (and in this model) a write to
-CR3 purges the writing sequencer's TLB; cross-sequencer invalidation
-requires the TLB-shootdown IPI protocol, which the model kernel in
-:mod:`repro.kernel.interrupts` implements.  Section 2.3 of the paper
-relies on exactly these semantics: after a CR3 synchronization each
-sequencer's hardware page walker refills its own TLB independently.
+CR3 purges the writing sequencer's TLB, and nothing else does: the
+model has no inter-processor interrupts and no TLB-shootdown path.
+An OMS flushes its own TLB when it switches a thread in (a new CR3),
+and each AMS flushes its own when its shred team thaws (the CR3
+synchronization of Section 2.3); each sequencer's hardware page
+walker then refills its TLB independently.
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ class TLB:
         self._map[vpn] = frame
 
     def invalidate(self, vpn: int) -> bool:
-        """Drop one translation (the INVLPG / shootdown path)."""
+        """Drop one translation.
+
+        The machine never calls this (it only flushes whole TLBs);
+        it is for tests and callers outside the model.
+        """
         return self._map.pop(vpn, None) is not None
 
     def flush(self) -> None:

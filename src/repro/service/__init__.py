@@ -9,35 +9,28 @@ worker pool:
   keyed by spec hash, store versioning, LRU size-bounded eviction,
   integrity sweep with quarantine, and hit/miss/corrupt/evict
   counters (:class:`StoreStats`, a view over the metrics registry);
-* :class:`MemoLayer` / :class:`StoreLayer` -- the lookups in front of
-  execution, each answering ``resolve(specs) -> hits, misses``;
 * :class:`InflightTable` -- cross-request deduplication: identical
   spec hashes in concurrent jobs share one in-flight future;
-* :class:`DirectPlanner` / :class:`ReplayPlanner` -- execution
-  planning (replay-class grouping), kept out of the executor so the
-  execution layer stays policy-free;
-* :class:`ExecutionBackend` -- runs planned groups inline or on a
-  shared process pool (:func:`execute` and friends are its entry
-  points);
+* :func:`plan_groups` / :func:`run_group` -- the execution plan
+  (singletons, or one capture-plus-replay group per replay class)
+  and the one function that runs a planned group;
+* :class:`ExecutionBackend` -- runs a plan inline or on a shared
+  process pool (:func:`execute` and :func:`execute_captured` are the
+  entry points that simulate);
 * :class:`ExperimentService` -- synchronous ``run`` / ``run_many`` /
   ``run_experiment``, and ``submit(ExperimentSpec) ->``
   :class:`JobHandle`, streaming partial summaries via
   ``as_completed()`` while serving many concurrent clients over one
-  shared executor and one store.  Its resolution outcomes are counted
-  in :class:`ServiceStats`, and each job's wall seconds per phase in
-  :meth:`JobHandle.metrics`.
+  in-process memo, one shared executor and one store.  Its
+  resolution outcomes are counted in :class:`ServiceStats`, and each
+  job's wall seconds per phase in :meth:`JobHandle.metrics`.
 """
 
 from repro.service.executor import (
-    ExecutionBackend, execute, execute_captured, execute_replay_group,
-    run_group,
+    ExecutionBackend, execute, execute_captured, plan_groups,
+    replay_class, run_group,
 )
 from repro.service.inflight import InflightTable
-from repro.service.planner import (
-    DirectPlanner, ExecutionPlanner, ReplayPlanner, planner_for,
-    replay_class,
-)
-from repro.service.resolver import MemoLayer, StoreLayer
 from repro.service.service import (
     ExperimentResult, ExperimentService, JobHandle, ServiceStats,
 )
@@ -46,12 +39,9 @@ from repro.service.store import (
 )
 
 __all__ = [
-    "ExecutionBackend", "execute", "execute_captured",
-    "execute_replay_group", "run_group",
+    "ExecutionBackend", "execute", "execute_captured", "plan_groups",
+    "replay_class", "run_group",
     "InflightTable",
-    "DirectPlanner", "ExecutionPlanner", "ReplayPlanner", "planner_for",
-    "replay_class",
-    "MemoLayer", "StoreLayer",
     "ExperimentResult", "ExperimentService", "JobHandle", "ServiceStats",
     "STORE_VERSION", "ResultStore", "StoreStats", "SweepReport",
     "store_from_env",

@@ -2,41 +2,41 @@
 
 :func:`execute` is the single entry point that maps a spec to a
 finished summary; it is a module-level function so
-``ProcessPoolExecutor`` can ship it to workers.  The layer never
-decides *what* to run together -- a
-:class:`~repro.service.planner.ExecutionPlanner` hands it task groups
-(singletons, or capture-plus-replay classes) and the
-:class:`ExecutionBackend` runs them.
+``ProcessPoolExecutor`` can ship it to workers.  :func:`plan_groups`
+partitions a batch of specs into task groups (singletons, or
+capture-plus-replay classes), :func:`run_group` runs one group, and
+the :class:`ExecutionBackend` runs a whole plan, inline or on a
+shared process pool.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import repro.workloads  # noqa: F401  -- populates the workload registry
-from repro.sim.captrace import ReplayMachine
+from repro.sim.captrace import REPLAY_SAFE_FIELDS, ReplayMachine
 from repro.systems import Session, get_system
+from repro.timing import get_timing
 from repro.workloads.base import REGISTRY, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
     from repro.experiments.summary import RunSummary
-    from repro.systems.base import SystemBackend
 
 
-def _prepare(spec: "RunSpec"
-             ) -> tuple["SystemBackend", Session, WorkloadSpec]:
-    """The backend, the configured session and the built workload a
-    spec describes -- everything but the run itself."""
-    backend = get_system(spec.system)
+def _prepare(spec: "RunSpec") -> tuple[Session, WorkloadSpec]:
+    """The configured session and the built workload a spec describes
+    -- everything but the run itself."""
     workload = REGISTRY.build(spec.workload, spec.scale, **dict(spec.args))
-    session = (Session(backend, spec.config)
+    session = (Session(spec.system, spec.config)
                .params(spec.params).policy(spec.policy).limit(spec.limit)
                .background(spec.background).timing(spec.timing_model))
-    return backend, session, workload
+    return session, workload
 
 
 def execute(spec: "RunSpec") -> "RunSummary":
@@ -49,8 +49,11 @@ def execute(spec: "RunSpec") -> "RunSummary":
     way.  (Backends registered at runtime exist only in the
     registering process; run them through a serial Runner.)
     """
-    backend, session, workload = _prepare(spec)
-    return backend.summarize(session.run(workload), spec)
+    # repro.experiments imports repro.service: import at call time
+    from repro.experiments.summary import summarize_run
+
+    session, workload = _prepare(spec)
+    return summarize_run(session.run(workload), spec)
 
 
 def execute_captured(spec: "RunSpec"):
@@ -61,31 +64,71 @@ def execute_captured(spec: "RunSpec"):
     attached as its snapshot (everything picklable, so workers can
     ship it back).
     """
-    backend, session, workload = _prepare(spec)
+    from repro.experiments.summary import summarize_run
+
+    session, workload = _prepare(spec)
     run = session.capture().run(workload)
-    summary = backend.summarize(run, spec)
+    summary = summarize_run(run, spec)
     trace = run.trace
     trace.snapshot = summary
     return summary, trace
 
 
-def execute_replay_group(specs: Sequence["RunSpec"]) -> list["RunSummary"]:
-    """Run one replay class: capture ``specs[0]``, replay the rest.
+def replay_class(spec: "RunSpec") -> Optional[str]:
+    """Grouping key for specs replayable from one shared capture.
 
-    Returns summaries in input order; the first is execution-driven
-    (``timing="execute"``), the rest trace-driven re-pricings of it
-    (``timing="replay"``).
+    Two specs share a class when they differ only in
+    :data:`~repro.sim.captrace.REPLAY_SAFE_FIELDS` timing parameters.
+    Returns None when the spec's backend cannot capture at all, or
+    when its timing model prices ops from occupancy (only the
+    constant-cost ``fixed`` model records replayable decompositions).
     """
-    summary, trace = execute_captured(specs[0])
-    replayer = ReplayMachine(trace)
-    return [summary] + [replayer.run(spec=spec) for spec in specs[1:]]
+    if not get_system(spec.system).supports_capture:
+        return None
+    if not get_timing(spec.timing_model).supports_capture:
+        return None
+    ident = spec.to_dict()
+    ident["params"] = {k: v for k, v in ident["params"].items()
+                      if k not in REPLAY_SAFE_FIELDS}
+    return json.dumps(ident, sort_keys=True)
+
+
+def plan_groups(specs: Sequence["RunSpec"],
+                replay: bool) -> list[list["RunSpec"]]:
+    """Partition unique specs into the task groups :func:`run_group`
+    runs.
+
+    Without replay every spec is its own execution-driven group, in
+    input order.  With replay, the specs that cannot share a capture
+    (see :func:`replay_class`) come first as singletons, then one
+    group per replay class: classes in order of their first member,
+    members in input order.
+    """
+    if not replay:
+        return [[spec] for spec in specs]
+    singletons: list[list["RunSpec"]] = []
+    classes: dict[str, list["RunSpec"]] = {}
+    for spec in specs:
+        key = replay_class(spec)
+        if key is None:
+            singletons.append([spec])
+        else:
+            classes.setdefault(key, []).append(spec)
+    return singletons + list(classes.values())
 
 
 def run_group(group: Sequence["RunSpec"]) -> list["RunSummary"]:
-    """Run one planned task group (singleton or replay class)."""
-    if len(group) > 1:
-        return execute_replay_group(group)
-    return [execute(group[0])]
+    """Run one planned task group; summaries come back in group order.
+
+    A singleton executes.  A replay class captures ``group[0]``
+    execution-driven (``timing="execute"``) and re-prices the rest from
+    that trace (``timing="replay"``).
+    """
+    if len(group) == 1:
+        return [execute(group[0])]
+    summary, trace = execute_captured(group[0])
+    replayer = ReplayMachine(trace)
+    return [summary] + [replayer.run(spec=spec) for spec in group[1:]]
 
 
 class ExecutionBackend:
@@ -122,6 +165,8 @@ class ExecutionBackend:
                 futures = {pool.submit(self._run_group, group): group
                            for group in groups}
             for future in as_completed(futures):
+                if isinstance(future.exception(), BrokenProcessPool):
+                    self._retire(pool)
                 yield futures[future], future
             return
         for group in groups:
@@ -142,6 +187,15 @@ class ExecutionBackend:
             self._pool = ProcessPoolExecutor(max_workers=width)
             self._pool_width = width
         return self._pool
+
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a pool a dead worker broke, so the next plan builds a
+        fresh one instead of failing on it for good."""
+        with self._lock:
+            if self._pool is not pool:
+                return
+            self._pool, self._pool_width = None, 0
+        pool.shutdown(wait=False)
 
     def close(self) -> None:
         """Shut the worker pool down, waiting for its running groups."""

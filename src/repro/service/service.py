@@ -47,10 +47,8 @@ from repro.errors import ExperimentExecutionError
 from repro.obs.metrics import (
     MetricsRegistry, StatsView, get_registry, new_run_id,
 )
-from repro.service.executor import ExecutionBackend
+from repro.service.executor import ExecutionBackend, plan_groups
 from repro.service.inflight import InflightTable
-from repro.service.planner import planner_for
-from repro.service.resolver import MemoLayer, StoreLayer
 from repro.service.store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,14 +85,6 @@ class ExperimentResult:
     def summaries(self) -> list["RunSummary"]:
         """Summaries in experiment order (duplicates included)."""
         return [self[spec] for spec in self.experiment.runs]
-
-    def find(self, **attrs) -> "RunSummary":
-        """The unique summary whose fields match ``attrs``."""
-        matches = [s for s in self._by_hash.values()
-                   if all(getattr(s, k) == v for k, v in attrs.items())]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} summaries match {attrs}")
-        return matches[0]
 
 
 class ServiceStats(StatsView):
@@ -302,11 +292,10 @@ class ExperimentService:
                                 instance=instance)
         self.store: Optional[ResultStore] = store
         self.replay = replay
-        self.memo = MemoLayer()
-        self.store_layer = (StoreLayer(store, replay=replay)
-                            if store is not None else None)
+        #: finished summaries by spec hash, shared by every job
+        self._memo: dict[str, "RunSummary"] = {}
+        self._memo_lock = threading.Lock()
         self.inflight = InflightTable()
-        self.planner = planner_for(replay)
         self.backend = ExecutionBackend(max_workers=max_workers,
                                         parallel=parallel,
                                         run_group_fn=run_group_fn)
@@ -406,22 +395,35 @@ class ExperimentService:
 
     def _resolve_job(self, job: JobHandle,
                      unique: dict[str, "RunSpec"]) -> None:
-        specs = list(unique.values())
-
         # 1. in-process memo
         with self._phase(job, "memo"):
-            hits, remaining = self.memo.resolve(specs)
+            with self._memo_lock:
+                hits = {key: self._memo[key] for key in unique
+                        if key in self._memo}
+            remaining = [spec for key, spec in unique.items()
+                         if key not in hits]
             self.stats.add(memo_hits=len(hits))
             for key, summary in hits.items():
                 job._deliver(key, summary)
 
-        # 2. content-addressed store (backfills the memo)
-        if self.store_layer is not None and remaining:
+        # 2. content-addressed store (backfills the memo); in replay
+        # mode a replay entry serves only where no exact one exists
+        if self.store is not None and remaining:
             with self._phase(job, "store"):
-                hits, remaining = self.store_layer.resolve(remaining)
+                hits, missed = {}, []
+                for spec in remaining:
+                    summary = self.store.get(spec)
+                    if summary is None and self.replay:
+                        summary = self.store.get(spec, timing="replay")
+                    if summary is None:
+                        missed.append(spec)
+                    else:
+                        hits[spec.spec_hash()] = summary
+                remaining = missed
                 self.stats.add(store_hits=len(hits))
+                with self._memo_lock:
+                    self._memo.update(hits)
                 for key, summary in hits.items():
-                    self.memo.store(unique[key], summary)
                     job._deliver(key, summary)
 
         if not remaining:
@@ -440,7 +442,8 @@ class ExperimentService:
             # resolved (and retired) the run between our memo miss and
             # the claim -- serve it rather than re-executing
             for key in list(owned):
-                summary = self.memo.get(key)
+                with self._memo_lock:
+                    summary = self._memo.get(key)
                 if summary is not None:
                     self.inflight.resolve(key, summary)
                     del owned[key]
@@ -460,7 +463,7 @@ class ExperimentService:
     def _execute_owned(self, job: JobHandle,
                        specs: Sequence["RunSpec"]) -> None:
         with self._phase(job, "plan"):
-            groups = self.planner.plan(specs)
+            groups = plan_groups(specs, self.replay)
         with self._phase(job, "execute"):
             # each group resolves -- and streams to every waiting job --
             # as soon as it finishes
@@ -478,9 +481,10 @@ class ExperimentService:
             return
         with self._phase(job, "backfill"):
             for spec, summary in zip(group, summaries):
-                self.memo.store(spec, summary)
-                if self.store_layer is not None:
-                    self.store_layer.store(spec, summary)
+                with self._memo_lock:
+                    self._memo[spec.spec_hash()] = summary
+                if self.store is not None:
+                    self.store.put(spec, summary)
                 # resolving the future delivers to this job and every
                 # joiner
                 self.inflight.resolve(spec.spec_hash(), summary)

@@ -164,12 +164,13 @@ class ResultStore:
             timing: str = "execute") -> Optional["RunSummary"]:
         """The stored summary for ``spec``, or None on miss.
 
-        A present-but-unreadable entry -- truncated JSON, or a payload
-        whose recorded hash disagrees with its address -- is counted in
-        ``stats.corrupt`` and quarantined (renamed ``*.corrupt``) so it
-        cannot shadow the key, then reported as a miss.  An entry from
-        another :data:`STORE_VERSION` is a plain miss (stale, not
-        corrupt); the next put overwrites it.
+        A present-but-unreadable entry -- truncated JSON, JSON that is
+        not an object, or a payload whose recorded hash disagrees with
+        its address -- is counted in ``stats.corrupt`` and quarantined
+        (renamed ``*.corrupt``) so it cannot shadow the key, then
+        reported as a miss.  An entry from another
+        :data:`STORE_VERSION` is a plain miss (stale, not corrupt); the
+        next put overwrites it.
         """
         from repro.experiments.summary import RunSummary
 
@@ -177,6 +178,8 @@ class ResultStore:
         try:
             with path.open("r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError("entry is not a JSON object")
             if payload.get("spec_hash") != spec.spec_hash():
                 raise ValueError("entry does not match its address")
             if payload.get("store_version",
@@ -244,6 +247,8 @@ class ResultStore:
             try:
                 with path.open("r", encoding="utf-8") as fh:
                     payload = json.load(fh)
+                if not isinstance(payload, dict):
+                    raise ValueError("entry is not a JSON object")
                 if payload.get("spec_hash") != stem:
                     raise ValueError("entry does not match its address")
                 if "store_version" not in payload \
@@ -270,16 +275,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
-
-    def total_bytes(self) -> int:
-        """Bytes currently held by entries (quarantine/tmp excluded)."""
-        total = 0
-        for path in self.root.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
 
     # ------------------------------------------------------------------
     # Internals

@@ -5,7 +5,7 @@ from repro.shredlib.log import ShredEvent, ShredLog
 from repro.shredlib.proxyhandler import GenericProxyHandler
 from repro.shredlib.pthreads import PthreadsAPI
 from repro.shredlib.runtime import QueuePolicy, ShredRuntime
-from repro.shredlib.scheduler import drain_once, gang_scheduler
+from repro.shredlib.scheduler import gang_scheduler
 from repro.shredlib.shred import Shred, ShredState
 from repro.shredlib.sync import (
     CriticalSection, ShredBarrier, ShredCondVar, ShredEventObject,
@@ -16,8 +16,8 @@ from repro.shredlib.win32 import Win32API
 
 __all__ = [
     "ShredAPI", "ShredEvent", "ShredLog", "GenericProxyHandler",
-    "PthreadsAPI", "QueuePolicy", "ShredRuntime", "drain_once",
-    "gang_scheduler", "Shred", "ShredState", "CriticalSection",
-    "ShredBarrier", "ShredCondVar", "ShredEventObject", "ShredMutex",
-    "ShredRWLock", "ShredSemaphore", "TlsKey", "Win32API",
+    "PthreadsAPI", "QueuePolicy", "ShredRuntime", "gang_scheduler",
+    "Shred", "ShredState", "CriticalSection", "ShredBarrier",
+    "ShredCondVar", "ShredEventObject", "ShredMutex", "ShredRWLock",
+    "ShredSemaphore", "TlsKey", "Win32API",
 ]

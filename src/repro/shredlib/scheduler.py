@@ -47,21 +47,3 @@ def gang_scheduler(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
         yield rt.switch_in_op
         yield from rt.run_shred(shred, worker_id)
         yield rt.switch_out_op            # switch back
-
-
-def drain_once(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
-    """Run ready shreds until the queue is empty once (no shutdown wait).
-
-    A building block for custom schedulers: unlike
-    :func:`gang_scheduler` it returns as soon as the queue drains,
-    which is useful for bounded helping (e.g. a shred that donates its
-    sequencer while waiting).
-    """
-    while True:
-        yield rt.lock_op
-        shred = rt.pop(worker_id)
-        if shred is None:
-            return
-        yield rt.switch_in_op
-        yield from rt.run_shred(shred, worker_id)
-        yield rt.switch_out_op

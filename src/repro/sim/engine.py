@@ -1,10 +1,10 @@
 """Discrete-event simulation engine.
 
-The machine models in :mod:`repro.core` and :mod:`repro.smp` are built
-on this engine.  It is a classic calendar queue: callbacks are
-scheduled at absolute cycle times and executed in time order, with a
-monotonically increasing sequence number breaking ties so execution is
-fully deterministic.
+The machine model in :mod:`repro.core` is built on this engine (the
+SMP baseline is the same machine with plain CPUs).  It is a classic
+calendar queue: callbacks are scheduled at absolute cycle times and
+executed in time order, with a monotonically increasing sequence
+number breaking ties so execution is fully deterministic.
 
 A scheduled callback is one plain heap entry, the list
 ``[time, seqno, callback, args, engine]``; :meth:`Engine.schedule`

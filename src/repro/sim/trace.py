@@ -43,7 +43,6 @@ class EventKind(enum.Enum):
     AMS_SUSPEND = "ams_suspend"          # AMS paused for OMS Ring-0 entry
     AMS_RESUME = "ams_resume"            # AMS resumed after Ring-0 exit
     CONTEXT_SWITCH = "context_switch"    # OS thread switch on an OMS/CPU
-    TLB_SHOOTDOWN = "tlb_shootdown"      # IPI-driven TLB invalidation
     SHRED_START = "shred_start"          # a shred began running
     SHRED_END = "shred_end"              # a shred finished
     YIELD_EVENT = "yield_event"          # asynchronous control transfer

@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.mem.hierarchy import (
     private_l2_per_sequencer, shared_l2_per_processor,
 )
-from repro.smp.machine import build_smp_machine
 from repro.systems.base import StagedRun, SystemBackend, register_system
 from repro.workloads.multiprog import (
     MULTIPROG_HORIZON, MULTIPROG_SLICE, background_body,
@@ -98,8 +97,8 @@ class SmpBackend(SystemBackend):
     def build_machine(self, config: str,
                       params: "MachineParams") -> "Machine":
         # SMP topology: private L2 per core, coherence between them
-        return build_smp_machine(len(parse_config(config)), params=params,
-                                 hierarchy=private_l2_per_sequencer)
+        return build_machine(parse_config(config), params=params,
+                             hierarchy=private_l2_per_sequencer)
 
     def stage(self, machine: "Machine", workload: "WorkloadSpec", *,
               config: str, policy: "QueuePolicy",
@@ -229,8 +228,8 @@ class MultiprogBackend(SystemBackend):
     def build_machine(self, config: str,
                       params: "MachineParams") -> "Machine":
         if config == "smp":
-            return build_smp_machine(FIGURE7_SEQUENCERS, params=params,
-                                     hierarchy=private_l2_per_sequencer)
+            return build_machine((0,) * FIGURE7_SEQUENCERS, params=params,
+                                 hierarchy=private_l2_per_sequencer)
         return build_machine(parse_config(config), params=params,
                              hierarchy=shared_l2_per_processor)
 

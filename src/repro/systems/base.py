@@ -1,9 +1,8 @@
 """The system-backend protocol and registry.
 
 A *system* is everything about a simulation that is not the workload:
-how the machine is partitioned, how the application's OS threads and
-gang schedulers are laid onto it, and how the finished run is boiled
-down to a :class:`~repro.experiments.summary.RunSummary`.  The paper's
+how the machine is partitioned, and how the application's OS threads
+and gang schedulers are laid onto it and driven.  The paper's
 point is that sequencer topology is an architectural resource; this
 module makes it a *pluggable* one, looked up by name through the same
 generic :class:`~repro.registry.Registry` as timing models and
@@ -12,7 +11,7 @@ workloads:
 * :class:`SystemBackend` -- the protocol: a ``name``, a
   ``default_config``, ``canonical_config`` (the Figure 6 notation
   rules for this system), ``build_machine``, ``stage`` (lay the
-  application onto the machine), ``drive`` (run it), ``summarize``;
+  application onto the machine) and ``drive`` (run it);
 * :data:`SYSTEM_REGISTRY` -- name -> backend, consulted by
   :class:`~repro.experiments.spec.RunSpec` validation, by
   :meth:`~repro.experiments.spec.ExperimentSpec.grid` (a bare system
@@ -29,20 +28,17 @@ worker processes see them too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.registry import Registry
 from repro.workloads.runner import DEFAULT_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import Machine
-    from repro.experiments.spec import RunSpec
-    from repro.experiments.summary import RunSummary
     from repro.kernel.process import OSThread, Process
     from repro.params import MachineParams
     from repro.shredlib.runtime import QueuePolicy, ShredRuntime
     from repro.workloads.base import WorkloadSpec
-    from repro.workloads.runner import RunResult
 
 
 @dataclass
@@ -119,12 +115,6 @@ class SystemBackend:
         """Run a staged machine to completion; returns the cycle count."""
         staged.machine.run_to_completion(limit)
         return staged.process.exit_time or staged.machine.now
-
-    def summarize(self, run: "RunResult",
-                  spec: Optional["RunSpec"] = None) -> "RunSummary":
-        """Flatten a finished run into plain, picklable data."""
-        from repro.experiments.summary import summarize_run
-        return summarize_run(run, spec)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} '{self.name}'>"

@@ -1,11 +1,12 @@
 """The ``fixed`` timing model: constant per-op costs.
 
 This is the pre-timing-subsystem cost model, extracted verbatim from
-``Machine._issue`` / ``Machine._cost_access``: every op costs its
-functional components added together -- the op's own cycle count (or
-the :class:`~repro.params.MachineParams` constant it maps to), page
-walks at ``page_walk_cost`` each, whatever the cache hierarchy
-charged, and the instruction fetch.  A SIGNAL broadcast costs
+the machine's issue path (``Machine._issue``, with
+``Machine._classify_access`` supplying each data access's functional
+components): every op costs those components added together -- the
+op's own cycle count (or the :class:`~repro.params.MachineParams`
+constant it maps to), page walks at ``page_walk_cost`` each, whatever
+the cache hierarchy charged, and the instruction fetch.  A SIGNAL broadcast costs
 ``signal_cost`` flat (the paper's Section 5.2 microcode estimate).
 
 It is the default model and the reference the rest of the subsystem is

@@ -22,7 +22,6 @@ import random
 from typing import Callable, Iterator, Sequence
 
 from repro.exec.ops import Op
-from repro.mem.addrspace import Region
 from repro.shredlib.api import ShredAPI
 from repro.shredlib.shred import Shred
 
@@ -69,12 +68,3 @@ def parallel_region(api: ShredAPI, nworkers: int,
     """One OpenMP-style parallel region: N workers, implicit barrier."""
     bodies = [body_fn(i) for i in range(nworkers)]
     yield from parallel_for(api, bodies, name=name)
-
-
-def touch_then_compute(ctx, region: Region, start: int, count: int,
-                       compute: int, write: bool = False) -> Iterator[Op]:
-    """Stream over ``count`` pages, then do ``compute`` cycles of work."""
-    if count > 0:
-        yield from ctx.touch_range(region, start, count, write=write)
-    if compute > 0:
-        yield from ctx.compute(compute, chunk=WORK_CHUNK)

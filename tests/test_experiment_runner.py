@@ -4,6 +4,7 @@ Runner's dedup / cache / parallel-equality guarantees."""
 
 import multiprocessing
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,25 @@ class TestRunSpec:
         c = RunSpec("gauss", "1P", "  SMP1 ")
         assert a == b == c
         assert a.spec_hash() == b.spec_hash() == c.spec_hash()
+
+    @pytest.mark.parametrize("scale, equal", [
+        (1, 1.0), (Fraction(1, 4), 0.25)])
+    def test_equal_scales_share_hash(self, scale, equal):
+        # the hash reads the JSON text: an int or a fraction scale
+        # is stored as the float it equals
+        a = RunSpec("gauss", "misp", scale=scale)
+        b = RunSpec("gauss", "misp", scale=equal)
+        assert a == b and a.spec_hash() == b.spec_hash()
+        assert type(a.scale) is float
+
+    @pytest.mark.parametrize("field, value", [
+        ("background", 1.5), ("background", True),
+        ("limit", 1e12), ("limit", True), ("scale", True)])
+    def test_non_int_counts_and_bool_scale_rejected(self, field, value):
+        # each would hash apart from the equal spec it stands for, or
+        # fail only at execution
+        with pytest.raises(ConfigurationError, match=field):
+            RunSpec("RayTracer", "multiprog", **{field: value})
 
     def test_ideal_config_resolves_per_load(self):
         spec = RunSpec("RayTracer", "multiprog", "ideal", background=2)

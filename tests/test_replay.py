@@ -10,9 +10,7 @@ from repro.analysis.figure_mem import FIGURE_MEM_COSTS, run_figure_mem
 from repro.errors import ConfigurationError
 from repro.experiments import Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
-from repro.service import (
-    execute, execute_captured, execute_replay_group, replay_class,
-)
+from repro.service import execute, execute_captured, replay_class, run_group
 from repro.sim import captrace
 from repro.sim.captrace import (
     REPLAY_SAFE_FIELDS, ReplayMachine, replayable_changes,
@@ -92,7 +90,7 @@ class TestExactEquivalence:
 
     def test_replay_group_first_executes_rest_replay(self):
         specs = [spec_for("misp", mem_cost=mc) for mc in (60, 240, 960)]
-        out = execute_replay_group(specs)
+        out = run_group(specs)
         assert [s.timing for s in out] == ["execute", "replay", "replay"]
         assert out[0].to_dict() == execute(specs[0]).to_dict()
 

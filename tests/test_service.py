@@ -18,8 +18,8 @@ from repro.errors import ExperimentExecutionError, SimulationError
 from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
-    STORE_VERSION, DirectPlanner, ExperimentService, InflightTable,
-    ReplayPlanner, ResultStore, run_group,
+    STORE_VERSION, ExperimentService, InflightTable, ResultStore, execute,
+    plan_groups, run_group,
 )
 
 #: a fast workload for end-to-end service tests
@@ -60,6 +60,41 @@ def within(timeout: float, fn, *args):
     return future.result(timeout=timeout)
 
 
+#: a spec cheap enough to execute for real
+TINY = RunSpec("dense_mvm", "misp", "1x2", scale=0.01)
+
+#: marks the spec whose worker :func:`crash_marked` kills
+CRASH_COST = 4321
+
+#: valid JSON that is not an object, so not a store entry
+NON_OBJECT_PAYLOADS = ["[]", "null", '"x"', "3"]
+
+
+def crash_marked(group):
+    """A ``run_group_fn`` (module level, so pool workers can run it)
+    whose worker process dies on a marked spec."""
+    if any(spec.params.signal_cost == CRASH_COST for spec in group):
+        os._exit(1)
+    return run_group(group)
+
+
+def assert_quarantined(tmp_path, text: str) -> None:
+    """An entry holding ``text`` is counted corrupt and quarantined,
+    and its key serves normally once rewritten."""
+    store = ResultStore(tmp_path)
+    spec = spec_n(1)
+    path = store.path_for(spec)
+    path.write_text(text)
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    assert store.stats.misses == 0
+    assert not path.exists()                       # quarantined away
+    assert list(tmp_path.glob("*.corrupt"))
+    # the key is writable again and serves normally afterwards
+    store.put(spec, summary_for(spec))
+    assert store.get(spec) == summary_for(spec)
+
+
 def fail_next_put(store: ResultStore) -> None:
     """Make the store's next write raise ENOSPC, as a full disk would."""
     put = store.put
@@ -91,18 +126,12 @@ class TestResultStore:
         assert "50.0% hit rate" in str(store.stats)
 
     def test_corrupt_entry_counted_and_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = spec_n(1)
-        path = store.path_for(spec)
-        path.write_text("{not json")
-        assert store.get(spec) is None
-        assert store.stats.corrupt == 1
-        assert store.stats.misses == 0
-        assert not path.exists()                       # quarantined away
-        assert list(tmp_path.glob("*.corrupt"))
-        # the key is writable again and serves normally afterwards
-        store.put(spec, summary_for(spec))
-        assert store.get(spec) == summary_for(spec)
+        assert_quarantined(tmp_path, "{not json")
+
+    @pytest.mark.parametrize("payload", NON_OBJECT_PAYLOADS)
+    def test_non_object_entry_counted_and_quarantined(self, tmp_path,
+                                                      payload):
+        assert_quarantined(tmp_path, payload)
 
     def test_misaddressed_entry_is_corruption(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -178,31 +207,45 @@ class TestResultStore:
         assert report.tmp_reclaimed == 1
         assert store.get(good) == summary_for(good)    # survivors intact
 
+    @pytest.mark.parametrize("payload", NON_OBJECT_PAYLOADS)
+    def test_sweep_quarantines_non_object_entry(self, tmp_path, payload):
+        store = ResultStore(tmp_path)
+        good = spec_n(1)
+        store.put(good, summary_for(good))
+        (tmp_path / ("d" * 64 + ".json")).write_text(payload)
+        report = store.sweep()
+        assert (report.checked, report.quarantined) == (2, 1)
+        assert store.stats.corrupt == 1
+        assert store.get(good) == summary_for(good)
+
 
 # ----------------------------------------------------------------------
-# Planner and inflight table
+# Planning and the inflight table
 # ----------------------------------------------------------------------
 class TestPlanning:
     def test_direct_planner_singletons(self):
         specs = [spec_n(i) for i in range(3)]
-        assert DirectPlanner().plan(specs) == [[s] for s in specs]
+        assert plan_groups(specs, replay=False) == [[s] for s in specs]
+        # a singleton group is one plain execution
+        assert run_group([TINY]) == [execute(TINY)]
 
     def test_replay_planner_groups_timing_only_diffs(self):
-        mems = [RunSpec(system="misp", config="1x4",
-                        params=DEFAULT_PARAMS.with_changes(mem_cost=mc),
-                        **FAST)
-                for mc in (15, 60, 240)]
+        m15, m60, m240 = [
+            RunSpec(system="misp", config="1x4",
+                    params=DEFAULT_PARAMS.with_changes(mem_cost=mc), **FAST)
+            for mc in (15, 60, 240)]
         control = RunSpec(
             system="misp", config="1x4",
             params=DEFAULT_PARAMS.with_changes(timer_quantum=123456),
             **FAST)
         uncapturable = RunSpec(workload="RayTracer", system="multiprog",
                                scale=0.05)
-        plan = ReplayPlanner().plan(mems + [control, uncapturable])
-        sizes = sorted(len(group) for group in plan)
-        assert sizes == [1, 1, 3]
-        (big,) = [g for g in plan if len(g) == 3]
-        assert big == mems
+        # the exact plan: on the serial path it is the execution order
+        # (and so the order of streamed progress lines); uncapturable
+        # singletons first, then classes by first member
+        plan = plan_groups([m15, control, m60, uncapturable, m240],
+                           replay=True)
+        assert plan == [[uncapturable], [m15, m60, m240], [control]]
 
 
 class TestInflightTable:
@@ -333,6 +376,38 @@ class TestStoreWriteFailure:
         assert len(runner.inflight) == 0
         retry = within(120, runner.run_many, specs)
         assert retry == Runner(parallel=False).run_many(specs)
+
+
+# ----------------------------------------------------------------------
+# Injected faults end in a quarantine or a named error, and the service
+# keeps serving afterwards
+# ----------------------------------------------------------------------
+class TestFaultRecovery:
+    def test_non_object_store_entry_executes_then_serves(self, tmp_path):
+        ResultStore(tmp_path).path_for(TINY).write_text("[]")
+        first = ExperimentService(store=ResultStore(tmp_path),
+                                  parallel=False)
+        summary = first.run(TINY)
+        assert first.stats.executed == 1
+        assert first.store.stats.corrupt == 1
+        fresh = ExperimentService(store=ResultStore(tmp_path),
+                                  parallel=False)
+        assert fresh.run(TINY) == summary
+        assert (fresh.stats.store_hits, fresh.stats.executed) == (1, 0)
+
+    def test_dead_worker_does_not_break_the_service(self):
+        marked = DEFAULT_PARAMS.with_changes(signal_cost=CRASH_COST)
+        crashing = [RunSpec("dense_mvm", "misp", "1x2", scale=0.01,
+                            params=marked),
+                    RunSpec("dense_mvm", "1p", scale=0.01, params=marked)]
+        healthy = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
+        with ExperimentService(max_workers=2,
+                               run_group_fn=crash_marked) as service:
+            with pytest.raises(ExperimentExecutionError):
+                service.run_many(crashing)
+            out = service.run_many(healthy)
+        assert [s.cycles for s in out] == [execute(s).cycles
+                                           for s in healthy]
 
 
 # ----------------------------------------------------------------------
