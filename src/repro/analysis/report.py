@@ -28,6 +28,7 @@ from repro.analysis.table2 import (
     format_table2, ode_restructuring_speedup, run_table2,
 )
 from repro.core.notation import FIGURE6_CONFIGS, config_name, parse_config
+from repro.errors import ConfigurationError
 from repro.experiments import Runner, default_runner
 from repro.obs.emit import ReportEmitter
 from repro.params import DEFAULT_PARAMS
@@ -329,8 +330,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scale = 0.05
 
     emitter = ReportEmitter(structured=args.structured)
-    store = (store_from_env(args.cache_dir, instance=emitter.run_id)
-             if args.cache_dir else None)
+    try:
+        store = (store_from_env(args.cache_dir, instance=emitter.run_id)
+                 if args.cache_dir else None)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
     with Runner(store=store, max_workers=args.jobs,
                 parallel=not args.serial, replay=args.replay,
                 instance=emitter.run_id) as runner:

@@ -65,7 +65,9 @@ def runner_from_env() -> Runner:
     (``REPRO_STORE_MAX_ENTRIES`` / ``REPRO_STORE_MAX_BYTES`` bound it),
     ``REPRO_MAX_WORKERS`` bounds parallelism, ``REPRO_SERIAL=1`` forces
     serial in-process execution, ``REPRO_REPLAY=1`` enables the
-    capture-once/replay-rest fast path for timing-only sweeps."""
+    capture-once/replay-rest fast path for timing-only sweeps.  A store
+    bound that is not a positive integer is a
+    :class:`~repro.errors.ConfigurationError` naming the variable."""
     max_workers = os.environ.get("REPRO_MAX_WORKERS")
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
     return Runner(

@@ -146,7 +146,8 @@ class ExecutionBackend:
     def __init__(self, max_workers: Optional[int] = None,
                  parallel: bool = True,
                  run_group_fn: Optional[Callable] = None) -> None:
-        self.max_workers = max_workers or os.cpu_count() or 1
+        # os.cpu_count() reads a file; only a parallel backend needs it
+        self.max_workers = max_workers or (parallel and os.cpu_count()) or 1
         self.parallel = parallel and self.max_workers > 1
         self._run_group = run_group_fn or run_group
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -162,8 +163,16 @@ class ExecutionBackend:
         if self.parallel and len(groups) > 1:
             with self._lock:
                 pool = self._widen_pool(len(groups))
-                futures = {pool.submit(self._run_group, group): group
-                           for group in groups}
+                try:
+                    futures = self._submit(pool, groups)
+                except BrokenProcessPool:
+                    # a worker died while the pool sat idle between
+                    # plans: retire the pool and give the plan, once, to
+                    # a fresh one (a failure there surfaces as usual)
+                    pool.shutdown(wait=False)
+                    self._pool = None
+                    pool = self._widen_pool(len(groups))
+                    futures = self._submit(pool, groups)
             for future in as_completed(futures):
                 if isinstance(future.exception(), BrokenProcessPool):
                     self._retire(pool)
@@ -187,6 +196,12 @@ class ExecutionBackend:
             self._pool = ProcessPoolExecutor(max_workers=width)
             self._pool_width = width
         return self._pool
+
+    def _submit(self, pool: ProcessPoolExecutor,
+                groups: Sequence[Sequence["RunSpec"]]
+                ) -> dict[Future, Sequence["RunSpec"]]:
+        return {pool.submit(self._run_group, group): group
+                for group in groups}
 
     def _retire(self, pool: ProcessPoolExecutor) -> None:
         """Drop a pool a dead worker broke, so the next plan builds a

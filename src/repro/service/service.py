@@ -9,10 +9,13 @@ execution backend:
 * :meth:`~ExperimentService.run`, :meth:`~ExperimentService.run_many`
   and :meth:`~ExperimentService.run_experiment` resolve on the calling
   thread and return once the grid is done;
-* :meth:`~ExperimentService.submit` returns a :class:`JobHandle` at
-  once and resolves in the background, so finished runs stream back
-  through :meth:`JobHandle.as_completed` *as they finish*, not when
-  the whole grid does.
+* :meth:`~ExperimentService.submit` looks the grid up in the memo and
+  the store on the calling thread, delivers those hits, and returns a
+  :class:`JobHandle`; only the specs still unresolved go on to a job
+  thread, so finished runs stream back through
+  :meth:`JobHandle.as_completed` *as they finish*, not when the whole
+  grid does, and a grid the memo and store answer in full is done
+  before ``submit`` returns.
 
 Either way, a figure request repeated by N clients costs one
 execution, and two different grids sharing a baseline run share its
@@ -144,7 +147,7 @@ class JobHandle:
         self.expected = expected
         #: correlation id of this job
         self.job_id = job_id or new_run_id("job")
-        self._queue: "queue.Queue" = queue.Queue()
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._consumed = 0
         self._lock = threading.Lock()
         self._delivered = 0
@@ -219,7 +222,11 @@ class JobHandle:
 
         ``phases`` maps each pipeline phase the service ran for this
         job (``submit``/``memo``/``store``/``plan``/``execute``/
-        ``backfill``) to wall seconds spent in it.
+        ``backfill``) to wall seconds spent in it.  ``submit`` times
+        the start of the job thread, so it appears only when a
+        submitted job had specs left after the memo and store: a job
+        they answer in full starts no thread and has no ``submit``
+        phase.
         """
         with self._lock:
             return {
@@ -249,6 +256,8 @@ class ExperimentService:
     One service owns one memo, one (optional) content-addressed store,
     one in-flight table, and one execution backend; every request --
     a synchronous ``run*`` call or a submitted job -- shares all four.
+    Both faces look up the memo and the store on the calling thread;
+    :meth:`submit` hands only the rest to a job thread.
 
     * duplicate specs within and across requests run once (memo, and
       the in-flight table while a run is still executing);
@@ -326,20 +335,30 @@ class ExperimentService:
         :class:`~repro.errors.ExperimentExecutionError` if any failed.
         """
         job, unique = self._open(experiment)
-        self._run_job(job, unique)
+        remaining = self._guarded(self._lookup, job, unique)
+        if remaining:
+            self._guarded(self._resolve_rest, job, unique, remaining)
         return job.result()
 
     def submit(self, experiment: Union["ExperimentSpec",
                                        Iterable["RunSpec"]]) -> JobHandle:
-        """Accept a grid; resolution starts immediately in the
-        background.  Returns the job's :class:`JobHandle`."""
+        """Accept a grid and return its :class:`JobHandle`.
+
+        Memo and store hits are looked up and delivered on the calling
+        thread before this returns.  A job thread starts only for the
+        specs left over, which join a run already in flight or
+        execute; a grid the memo and store answer in full is
+        :meth:`~JobHandle.done` on return.
+        """
         job, unique = self._open(experiment)
-        with self._phase(job, "submit"):
-            worker = threading.Thread(target=self._run_job,
-                                      args=(job, unique),
-                                      name=f"repro-{job.job_id}",
-                                      daemon=True)
-            worker.start()
+        remaining = self._guarded(self._lookup, job, unique)
+        if remaining:
+            with self._phase(job, "submit"):
+                threading.Thread(target=self._guarded,
+                                 args=(self._resolve_rest, job, unique,
+                                       remaining),
+                                 name=f"repro-{job.job_id}",
+                                 daemon=True).start()
         return job
 
     def close(self) -> None:
@@ -371,19 +390,24 @@ class ExperimentService:
                        deduplicated=len(experiment.runs) - len(unique))
         return JobHandle(experiment, expected=len(unique)), unique
 
-    def _run_job(self, job: JobHandle,
-                 unique: dict[str, "RunSpec"]) -> None:
+    def _guarded(self, step: Callable, job: JobHandle,
+                 unique: dict[str, "RunSpec"], *args):
+        """``step(job, unique, *args)``'s result, or None if it raised.
+
+        A step that raises fails every spec of ``job`` not yet
+        settled, with that exception, so the job never hangs (a store
+        write can raise, e.g. ENOSPC).
+        """
         try:
-            self._resolve_job(job, unique)
+            return step(job, unique, *args)
         except Exception as exc:
-            # never leave a job hanging (a store write can raise, e.g.
-            # ENOSPC): fail whatever has not resolved
             with job._lock:
                 settled = set(job._results)
                 settled.update(s.spec_hash() for s, _ in job._failures)
             for key, spec in unique.items():
                 if key not in settled:
                     job._deliver_failure(spec, exc)
+            return None
 
     @contextlib.contextmanager
     def _phase(self, job: JobHandle, name: str) -> Iterator[None]:
@@ -393,8 +417,10 @@ class ExperimentService:
         yield
         job._note_phase(name, time.perf_counter() - start)
 
-    def _resolve_job(self, job: JobHandle,
-                     unique: dict[str, "RunSpec"]) -> None:
+    def _lookup(self, job: JobHandle,
+                unique: dict[str, "RunSpec"]) -> list["RunSpec"]:
+        """Deliver the memo's hits, then the store's, each in grid
+        order; returns the specs neither holds."""
         # 1. in-process memo
         with self._phase(job, "memo"):
             with self._memo_lock:
@@ -425,10 +451,12 @@ class ExperimentService:
                     self._memo.update(hits)
                 for key, summary in hits.items():
                     job._deliver(key, summary)
+        return remaining
 
-        if not remaining:
-            return
-
+    def _resolve_rest(self, job: JobHandle, unique: dict[str, "RunSpec"],
+                      remaining: Sequence["RunSpec"]) -> None:
+        """Join or execute what :meth:`_lookup` left, backfilling the
+        memo and store."""
         # 3. cross-request in-flight dedup
         owned, joined = self.inflight.claim(
             spec.spec_hash() for spec in remaining)

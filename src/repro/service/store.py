@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, StatsView, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -126,10 +127,13 @@ class ResultStore:
 
     ``max_entries`` / ``max_bytes`` (optional) bound the store; when a
     put pushes past a bound, least-recently-used entries are evicted
-    until it holds again.  Construction reclaims orphaned temp files
-    older than :data:`TMP_GRACE_SECONDS`.  Every job thread of a
-    service shares one store; its traffic is counted in :attr:`stats`
-    (a :class:`StoreStats`), which loses no count under concurrent use.
+    until it holds again.  Construction creates ``root`` if needed and
+    reclaims orphaned ``*.tmp`` files older than
+    :data:`TMP_GRACE_SECONDS` in one scan of the directory; it reads
+    no entry.  Every thread of a service -- callers looking up hits
+    and job threads backfilling -- shares one store; its traffic is
+    counted in :attr:`stats` (a :class:`StoreStats`), which loses no
+    count under concurrent use.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -142,20 +146,27 @@ class ResultStore:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive: {max_bytes}")
         self.root = Path(root).expanduser()
+        #: every entry's path starts with this string (see _address)
+        self._prefix = os.path.join(self.root, "")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         #: ``instance`` names this store's metric labels (a correlation
         #: id ties it to the run that owns it); default is process-unique
         self.stats = StoreStats(registry=registry, instance=instance)
-        self.root.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
         self._reclaim_tmp()
 
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def path_for(self, spec: "RunSpec", timing: str = "execute") -> Path:
+    def _address(self, key: str, timing: str) -> str:
+        """The path of the entry for spec hash ``key`` under ``timing``,
+        as a plain string: the one place the file layout is decided."""
         suffix = ".json" if timing == "execute" else f".{timing}.json"
-        return self.root / f"{spec.spec_hash()}{suffix}"
+        return f"{self._prefix}{key}{suffix}"
+
+    def path_for(self, spec: "RunSpec", timing: str = "execute") -> Path:
+        return Path(self._address(spec.spec_hash(), timing))
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -174,13 +185,14 @@ class ResultStore:
         """
         from repro.experiments.summary import RunSummary
 
-        path = self.path_for(spec, timing)
+        key = spec.spec_hash()
+        path = self._address(key, timing)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(path, encoding="utf-8") as fh:
+                payload = json.loads(fh.read())
             if not isinstance(payload, dict):
                 raise ValueError("entry is not a JSON object")
-            if payload.get("spec_hash") != spec.spec_hash():
+            if payload.get("spec_hash") != key:
                 raise ValueError("entry does not match its address")
             if payload.get("store_version",
                            payload.get("cache_version")) != STORE_VERSION:
@@ -279,17 +291,17 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _touch(self, path: Path) -> None:
+    def _touch(self, path: str) -> None:
         """Refresh mtime so LRU eviction sees the entry as recent."""
         try:
             os.utime(path)
         except OSError:
             pass
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Union[str, Path]) -> None:
         self.stats.add(corrupt=1)
         try:
-            os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
+            os.replace(path, f"{path}{QUARANTINE_SUFFIX}")
         except OSError:
             # a concurrent reader quarantined it first; that is fine
             pass
@@ -304,10 +316,13 @@ class ResultStore:
         """
         now = time.time()
         reclaimed = 0
-        for path in self.root.glob("*.tmp"):
+        for name in os.listdir(self.root):
+            if not name.endswith(".tmp"):
+                continue
+            path = self._prefix + name
             try:
-                if now - path.stat().st_mtime >= max_age:
-                    path.unlink()
+                if now - os.stat(path).st_mtime >= max_age:
+                    os.unlink(path)
                     reclaimed += 1
             except OSError:
                 pass
@@ -350,18 +365,34 @@ class ResultStore:
             self.stats.add(evictions=1)
 
 
+def _env_bound(name: str) -> Optional[int]:
+    """The positive integer environment variable ``name`` holds, or
+    None when it is unset or empty; any other value is a
+    :class:`~repro.errors.ConfigurationError` naming it."""
+    value = os.environ.get(name)
+    if not value:
+        return None
+    try:
+        bound = int(value)
+    except ValueError:
+        bound = 0
+    if bound <= 0:
+        raise ConfigurationError(
+            f"{name} must be a positive integer, got {value!r}")
+    return bound
+
+
 def store_from_env(root: Union[str, Path],
                    instance: Optional[str] = None) -> ResultStore:
     """A :class:`ResultStore` at ``root`` honouring the documented
     environment bounds: ``REPRO_STORE_MAX_ENTRIES`` and
     ``REPRO_STORE_MAX_BYTES`` cap the store (least-recently-used
-    eviction); unset means unbounded.  ``instance`` labels the store's
-    metrics (see :class:`StoreStats`)."""
-    max_entries = os.environ.get("REPRO_STORE_MAX_ENTRIES")
-    max_bytes = os.environ.get("REPRO_STORE_MAX_BYTES")
+    eviction); unset means unbounded, and a value that is not a
+    positive integer is a :class:`~repro.errors.ConfigurationError`.
+    ``instance`` labels the store's metrics (see :class:`StoreStats`)."""
     return ResultStore(
         root,
-        max_entries=int(max_entries) if max_entries else None,
-        max_bytes=int(max_bytes) if max_bytes else None,
+        max_entries=_env_bound("REPRO_STORE_MAX_ENTRIES"),
+        max_bytes=_env_bound("REPRO_STORE_MAX_BYTES"),
         instance=instance,
     )

@@ -4,6 +4,9 @@ views, zero-overhead-when-disabled, observed runs, the JobHandle
 metrics surface, and the golden-file Perfetto export."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -488,3 +491,18 @@ def test_report_store_honours_env_bounds(tmp_path, monkeypatch, capsys):
                  "--scale", "0.02", "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_report_rejects_a_bad_store_bound_without_a_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src,
+           "REPRO_STORE_MAX_ENTRIES": "abc"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.report", "--smoke",
+         "--serial", "--cache-dir", str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "REPRO_STORE_MAX_ENTRIES" in proc.stderr
+    assert "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""                   # nothing simulated

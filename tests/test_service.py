@@ -6,7 +6,9 @@ ExperimentService streaming job API."""
 
 import errno
 import json
+import multiprocessing
 import os
+import random
 import sys
 import threading
 import time
@@ -14,12 +16,14 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import ExperimentExecutionError, SimulationError
+from repro.errors import (
+    ConfigurationError, ExperimentExecutionError, SimulationError,
+)
 from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
     STORE_VERSION, ExperimentService, InflightTable, ResultStore, execute,
-    plan_groups, run_group,
+    plan_groups, run_group, store_from_env,
 )
 
 #: a fast workload for end-to-end service tests
@@ -76,6 +80,15 @@ def crash_marked(group):
     if any(spec.params.signal_cost == CRASH_COST for spec in group):
         os._exit(1)
     return run_group(group)
+
+
+def exit_after_run(group):
+    """A ``run_group_fn`` (module level, so pool workers can run it)
+    whose worker process exits shortly after it returns the group's
+    summaries: the pool breaks while it sits idle."""
+    summaries = run_group(group)
+    threading.Timer(0.2, os._exit, (0,)).start()
+    return summaries
 
 
 def assert_quarantined(tmp_path, text: str) -> None:
@@ -217,6 +230,27 @@ class TestResultStore:
         assert (report.checked, report.quarantined) == (2, 1)
         assert store.stats.corrupt == 1
         assert store.get(good) == summary_for(good)
+
+
+class TestStoreFromEnv:
+    @pytest.mark.parametrize("variable", ["REPRO_STORE_MAX_ENTRIES",
+                                          "REPRO_STORE_MAX_BYTES"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_bound_is_a_configuration_error(self, tmp_path,
+                                                monkeypatch, variable,
+                                                value):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ConfigurationError) as excinfo:
+            store_from_env(tmp_path / "store")
+        assert variable in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        assert not (tmp_path / "store").exists()    # rejected up front
+
+    def test_bounds_from_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", "5")
+        monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "")
+        store = store_from_env(tmp_path)
+        assert (store.max_entries, store.max_bytes) == (5, None)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +443,21 @@ class TestFaultRecovery:
         assert [s.cycles for s in out] == [execute(s).cycles
                                            for s in healthy]
 
+    def test_worker_dead_while_idle_does_not_break_the_service(self):
+        first = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
+        healthy = [RunSpec("dense_mvm", "misp", "1x4", scale=0.01),
+                   RunSpec("dense_mvm", "smp", "smp2", scale=0.01)]
+        with ExperimentService(max_workers=2,
+                               run_group_fn=exit_after_run) as service:
+            service.run_many(first)
+            # every worker exits between plans; once the pool has seen
+            # that, the next plan finds it broken when it is submitted
+            wait_until(lambda: not multiprocessing.active_children())
+            wait_until(lambda: service.backend._pool._broken)
+            out = service.run_many(healthy)
+        assert [s.cycles for s in out] == [execute(s).cycles
+                                           for s in healthy]
+
 
 # ----------------------------------------------------------------------
 # Concurrency invariants
@@ -495,6 +544,109 @@ class TestConcurrency:
         assert service.stats.inflight_joined == 1
         assert result_a[spec] == result_b[spec]
         assert result_a[spec].cycles > 0
+
+
+# ----------------------------------------------------------------------
+# Warm requests: memo and store hits are served on the caller's thread
+# ----------------------------------------------------------------------
+def stored(tmp_path, specs) -> None:
+    """Put ``summary_for`` every spec into a store at ``tmp_path``."""
+    store = ResultStore(tmp_path)
+    for spec in specs:
+        store.put(spec, summary_for(spec))
+
+
+class TestWarmPath:
+    def test_store_answered_submit_starts_no_thread(self, tmp_path,
+                                                    monkeypatch):
+        specs = [spec_n(i) for i in range(3)]
+        stored(tmp_path, specs)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        with ExperimentService(store=ResultStore(tmp_path), parallel=False,
+                               run_group_fn=StubGroups()) as service:
+            job = service.submit(specs)
+            assert job.done()                      # before any wait
+            assert started == []
+            assert list(job.as_completed(timeout=1)) == \
+                [summary_for(s) for s in specs]
+            assert job.result(timeout=1).summaries() == \
+                [summary_for(s) for s in specs]
+        assert "submit" not in job.metrics()["phases"]
+        assert (service.stats.store_hits, service.stats.executed) == (3, 0)
+
+    def test_cached_member_streams_before_the_miss_runs(self, tmp_path):
+        cached, missing = spec_n(1), spec_n(2)
+        stored(tmp_path, [cached])
+        release = threading.Event()
+
+        def gated(group):
+            assert release.wait(timeout=30)
+            return [summary_for(s) for s in group]
+
+        with ExperimentService(store=ResultStore(tmp_path), parallel=False,
+                               run_group_fn=gated) as service:
+            job = service.submit([missing, cached])
+            stream = job.as_completed(timeout=30)
+            assert next(stream) == summary_for(cached)
+            time.sleep(0.05)
+            assert not job.done()                  # the miss is held
+            release.set()
+            assert list(stream) == [summary_for(missing)]
+            assert job.result(timeout=30)[missing] == summary_for(missing)
+        assert "submit" in job.metrics()["phases"]
+
+    def test_concurrent_warm_submits_serve_the_stored_summaries(self,
+                                                                tmp_path):
+        """Client threads share one service and store, so lookups race
+        on the memo and on both stats views; every request must be
+        served the stored summary and counted exactly once."""
+        specs = [spec_n(i) for i in range(12)]
+        stored(tmp_path, specs)
+        service = ExperimentService(store=ResultStore(tmp_path),
+                                    parallel=False,
+                                    run_group_fn=StubGroups())
+        nthreads, requests = 8, 200
+        start = threading.Barrier(nthreads, timeout=30)
+        wrong, errors = [], []
+
+        def client(seed):
+            rng = random.Random(seed)
+            try:
+                start.wait()
+                for _ in range(requests):
+                    grid = rng.sample(specs, rng.randint(1, 6))
+                    result = service.submit(grid).result(timeout=30)
+                    wrong.extend(spec for spec in grid
+                                 if result[spec] != summary_for(spec))
+            except Exception as exc:               # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and not wrong
+        stats = service.stats
+        assert stats.jobs == nthreads * requests
+        assert stats.requested == (stats.deduplicated + stats.memo_hits
+                                   + stats.store_hits)
+        assert stats.executed == 0 and stats.inflight_joined == 0
+        assert service.store.stats.hits == stats.store_hits
 
 
 # ----------------------------------------------------------------------
