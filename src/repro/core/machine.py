@@ -403,8 +403,12 @@ class Machine:
             seq.tlb.insert(vpn, pte.frame)
             frame = pte.frame
         paddr = frame * PAGE_SIZE + vaddr % PAGE_SIZE
-        access = self.hierarchy.access_range(seq.seq_id, paddr, span,
-                                             write=write)
+        hierarchy = self.hierarchy
+        if span == 1:   # a word access: one line, no range walk
+            access = hierarchy.access_line(
+                seq.seq_id, paddr // hierarchy.line_size, write)
+        else:
+            access = hierarchy.access_range(seq.seq_id, paddr, span, write)
         if cap is not None:
             cap.pend_access(seq.seq_id, paddr, span, write, access)
         return walks, access, None

@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Union
 
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.service import ExperimentResult, ExperimentService, store_from_env
+from repro.service.store import _env_bound
 
 
 class Runner(ExperimentService):
@@ -65,14 +66,15 @@ def runner_from_env() -> Runner:
     (``REPRO_STORE_MAX_ENTRIES`` / ``REPRO_STORE_MAX_BYTES`` bound it),
     ``REPRO_MAX_WORKERS`` bounds parallelism, ``REPRO_SERIAL=1`` forces
     serial in-process execution, ``REPRO_REPLAY=1`` enables the
-    capture-once/replay-rest fast path for timing-only sweeps.  A store
-    bound that is not a positive integer is a
-    :class:`~repro.errors.ConfigurationError` naming the variable."""
-    max_workers = os.environ.get("REPRO_MAX_WORKERS")
+    capture-once/replay-rest fast path for timing-only sweeps.  A
+    worker count or store bound that is not a positive integer is a
+    :class:`~repro.errors.ConfigurationError` naming the variable and
+    its value."""
+    max_workers = _env_bound("REPRO_MAX_WORKERS")
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
     return Runner(
         store=store_from_env(cache_dir) if cache_dir else None,
-        max_workers=int(max_workers) if max_workers else None,
+        max_workers=max_workers,
         parallel=os.environ.get("REPRO_SERIAL", "") not in ("1", "true"),
         replay=os.environ.get("REPRO_REPLAY", "") in ("1", "true"),
     )

@@ -29,20 +29,25 @@ the hierarchy.  Instruction fetches use synthetic physical addresses
 above the frame store, handed out per program image by
 :meth:`MemoryHierarchy.code_segment`.
 
-This is the simulator's hottest code: a page ``Touch`` streams 64
-lines through :meth:`MemoryHierarchy.access_range`, every
-instruction fetch probes the L1, and a replay at a new cache geometry
-re-drives a whole run's access stream.  Cache sets are flat Python
-lists (LRU at index 0, MRU last) -- membership, promotion, and
-eviction on a 4/8-entry list are single C-level list operations.  The
-coherence directory maps each cached line to one ``int``: a bitmask
-of the caches holding it, one bit per cache.  Fill, eviction
-bookkeeping and write-invalidate run inline in one line walk, with no
-per-line method call or allocation, and the walk charges a span
-analytically from batched per-level hit counts.  It matches a
-line-at-a-time reference model with a dict-of-holders directory in
-every cost, counter and LRU order (asserted in
-``tests/test_hierarchy.py``).
+This is the simulator's hottest code.  Every word access touches one
+line -- above all the atomic RMWs on ShredLib's work-queue lock and
+sync objects, which ping-pong between sequencers -- and so does every
+instruction fetch; a page ``Touch`` streams 64 lines, and a replay at
+a new cache geometry re-drives a whole run's access stream.  Two
+walkers serve them: :meth:`MemoryHierarchy.access_line` is the whole
+protocol for one line (read or write; L1 hit, L2 hit, or memory fill
+with evictions; write-invalidation of every other holder), and
+``_walk`` runs the same steps over a multi-line range, batching its
+counters in locals and charging the span from per-level hit counts.
+Each sequencer has a precomputed *port* into the hierarchy (its L1,
+its L2 and their directory bits), so an access starts with one dict
+lookup.  Cache sets are flat Python lists (LRU at index 0, MRU last)
+-- membership, promotion, and eviction on a 4/8-entry list are single
+C-level list operations.  The coherence directory maps each cached
+line to one ``int``: a bitmask of the caches holding it, one bit per
+cache.  Both walkers match a line-at-a-time reference model with a
+dict-of-holders directory in every cost, counter and LRU order, on
+seeded and on generated streams (``tests/test_hierarchy.py``).
 """
 
 from __future__ import annotations
@@ -144,6 +149,11 @@ class Cache:
                 f"h={self.hits} m={self.misses}>")
 
 
+def _unattached(seq_id: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"sequencer {seq_id} is attached to no hierarchy domain")
+
+
 class MemoryHierarchy:
     """Per-machine cache composition with invalidate-on-write coherence.
 
@@ -158,8 +168,10 @@ class MemoryHierarchy:
     def __init__(self, params: MachineParams) -> None:
         self.params = params
         self.line_size = params.cache_line_size
-        self._l1s: dict[int, Cache] = {}
-        self._l2_of: dict[int, Cache] = {}
+        #: seq_id -> its port into the hierarchy, in attach order:
+        #: ``(L1, L2, L1 bit, own bits, ~own bits)``, where the own
+        #: bits are its L1's and its L2's directory bits
+        self._ports: dict[int, tuple[Cache, Cache, int, int, int]] = {}
         self.l2s: list[Cache] = []
         #: every cache, indexed by the position of its directory bit
         self._caches: list[Cache] = []
@@ -170,6 +182,11 @@ class MemoryHierarchy:
         self._holders: dict[int, int] = {}
         #: accesses that went all the way to the flat memory level
         self.mem_accesses = 0
+        #: what one line costs when it hits the L1, hits the L2, or
+        #: comes from memory (the levels charge cumulatively)
+        self._l1_hit = params.l1_hit_cost
+        self._l2_hit = self._l1_hit + params.l2_hit_cost
+        self._mem_fill = self._l2_hit + params.mem_cost
         # synthetic code-segment allocator (instruction fetch): bases
         # start above the physical frame store so code never aliases
         # data frames
@@ -192,13 +209,14 @@ class MemoryHierarchy:
                              params.l2_assoc)
         self.l2s.append(l2)
         for seq_id in seq_ids:
-            if seq_id in self._l1s:
+            if seq_id in self._ports:
                 raise ConfigurationError(
                     f"sequencer {seq_id} already attached to a hierarchy "
                     "domain")
-            self._l1s[seq_id] = self._new_cache(
-                f"L1#{seq_id}", params.l1_size, params.l1_assoc)
-            self._l2_of[seq_id] = l2
+            l1 = self._new_cache(f"L1#{seq_id}", params.l1_size,
+                                 params.l1_assoc)
+            own = l1.bit | l2.bit
+            self._ports[seq_id] = (l1, l2, l1.bit, own, ~own)
         return l2
 
     def domains(self) -> tuple[tuple[int, ...], ...]:
@@ -208,20 +226,21 @@ class MemoryHierarchy:
         an identical hierarchy under new parameters.
         """
         return tuple(
-            tuple(seq_id for seq_id, cache in self._l2_of.items()
-                  if cache is l2)
+            tuple(seq_id for seq_id, port in self._ports.items()
+                  if port[1] is l2)
             for l2 in self.l2s)
 
-    def l1(self, seq_id: int) -> Cache:
+    def _port(self, seq_id: int) -> tuple[Cache, Cache, int, int, int]:
         try:
-            return self._l1s[seq_id]
+            return self._ports[seq_id]
         except KeyError:
-            raise ConfigurationError(
-                f"sequencer {seq_id} is attached to no hierarchy "
-                "domain") from None
+            raise _unattached(seq_id) from None
+
+    def l1(self, seq_id: int) -> Cache:
+        return self._port(seq_id)[0]
 
     def l2(self, seq_id: int) -> Cache:
-        return self._l2_of[seq_id]
+        return self._port(seq_id)[1]
 
     # ------------------------------------------------------------------
     # The access path
@@ -231,21 +250,73 @@ class MemoryHierarchy:
         return self.access_line(seq_id, paddr // self.line_size, write)
 
     def access_line(self, seq_id: int, line: int, write: bool = False) -> int:
-        """One access by pre-computed line number (the scalar hot path).
+        """One access by pre-computed line number: the whole protocol
+        for one line, and the hot path of every word access.
 
-        A read that hits the L1 -- most instruction fetches -- returns
-        here; every other access walks :meth:`_walk`.
+        Probe the L1, then the domain L2; on a miss, fill the missing
+        levels, evicting their LRU lines; on a write, invalidate the
+        line in every other cache holding it.  The directory mask
+        changes in the same step as the sets, and every counter is
+        current when this returns.
         """
-        l1 = self._l1s.get(seq_id)
-        if l1 is not None and not write:
-            entries = l1._sets[line % l1.num_sets]
-            if line in entries:
-                if entries[-1] != line:
-                    entries.remove(line)
-                    entries.append(line)
-                l1.hits += 1
-                return self.params.l1_hit_cost
-        return self._walk(seq_id, line, line, write)
+        try:
+            l1, l2, l1_bit, own, not_own = self._ports[seq_id]
+        except KeyError:
+            raise _unattached(seq_id) from None
+        entries = l1._sets[line % l1.num_sets]
+        if line in entries:
+            # an L1 hit: the read that ends here is an instruction
+            # fetch's common case, a write a lock RMW's
+            if entries[-1] != line:
+                entries.remove(line)
+                entries.append(line)
+            l1.hits += 1
+            if not write:
+                return self._l1_hit
+            cost = self._l1_hit
+            mask = self._holders[line]
+        else:
+            l1.misses += 1
+            holders = self._holders
+            shared = l2._sets[line % l2.num_sets]
+            if line in shared:
+                if shared[-1] != line:
+                    shared.remove(line)
+                    shared.append(line)
+                l2.hits += 1
+                cost = self._l2_hit
+                mask = holders[line] | l1_bit
+            else:
+                l2.misses += 1
+                self.mem_accesses += 1
+                if len(shared) >= l2.assoc:
+                    victim = shared.pop(0)
+                    l2.evictions += 1
+                    left = holders[victim] & ~l2.bit
+                    if left:
+                        holders[victim] = left
+                    else:
+                        del holders[victim]
+                shared.append(line)
+                cost = self._mem_fill
+                mask = holders.get(line, 0) | own
+            if len(entries) >= l1.assoc:
+                victim = entries.pop(0)
+                l1.evictions += 1
+                left = holders[victim] & ~l1_bit
+                if left:
+                    holders[victim] = left
+                else:
+                    del holders[victim]
+            entries.append(line)
+            holders[line] = mask
+            if not write:
+                return cost
+        others = mask & not_own
+        if others:
+            self._invalidate(line, others)
+            self._holders[line] = mask & own
+        return cost
 
     def access_range(self, seq_id: int, paddr: int, num_bytes: int,
                      write: bool = False) -> int:
@@ -255,40 +326,34 @@ class MemoryHierarchy:
         the loop body referencing every line of the page, so cache
         capacity, reuse, and the miss penalty all scale with the data
         actually moved rather than with page count.  The line range is
-        computed once (one division per call, not per line).  A
-        single-line read takes :meth:`access_line`'s L1-hit fast path;
-        everything else, such as a lock word's RMW, walks directly.
+        computed once (one division per call, not per line); a range
+        of one line takes :meth:`access_line`.
         """
         line_size = self.line_size
         first = paddr // line_size
         last = (paddr + max(1, num_bytes) - 1) // line_size
-        if first == last and not write:
-            return self.access_line(seq_id, first)
+        if first == last:
+            return self.access_line(seq_id, first, write)
         return self._walk(seq_id, first, last, write)
 
     def _walk(self, seq_id: int, first: int, last: int, write: bool) -> int:
-        """Lines ``first..last`` by ``seq_id``, in order: the protocol.
+        """Lines ``first..last`` by ``seq_id``, in order: the protocol
+        of :meth:`access_line` over a range.
 
-        Per line: probe the L1, then the domain L2; on a miss, fill
-        the missing levels, evicting their LRU lines; on a write,
-        invalidate the line in every other cache holding it.  The
-        directory masks change in the same step as the sets.  The
-        cycle charge is assembled from the per-level hit counts.
+        The per-line steps are the same; the counters are batched in
+        locals and added once, and the cycle charge is assembled from
+        the per-level hit counts.
         """
-        l1 = self._l1s.get(seq_id)
-        if l1 is None:
-            raise ConfigurationError(
-                f"sequencer {seq_id} is attached to no hierarchy domain")
-        l2 = self._l2_of[seq_id]
+        l1, l2, l1_bit, own, not_own = self._port(seq_id)
         l1_sets, l1_num_sets, l1_assoc = l1._sets, l1.num_sets, l1.assoc
         l2_sets, l2_num_sets, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-        l1_bit, l2_bit = l1.bit, l2.bit
-        own = l1_bit | l2_bit
-        not_l1, not_l2, not_own = ~l1_bit, ~l2_bit, ~own
+        not_l1, not_l2 = ~l1_bit, ~l2.bit
         holders = self._holders
         n_l1_hits = 0
         n_l2_hits = 0
         n_mem = 0
+        l1_evictions = 0
+        l2_evictions = 0
         for line in range(first, last + 1):
             entries = l1_sets[line % l1_num_sets]
             if line in entries:
@@ -296,6 +361,9 @@ class MemoryHierarchy:
                     entries.remove(line)
                     entries.append(line)
                 n_l1_hits += 1
+                if not write:
+                    continue
+                mask = holders[line]
             else:
                 shared = l2_sets[line % l2_num_sets]
                 if line in shared:
@@ -308,7 +376,7 @@ class MemoryHierarchy:
                     n_mem += 1
                     if len(shared) >= l2_assoc:
                         victim = shared.pop(0)
-                        l2.evictions += 1
+                        l2_evictions += 1
                         left = holders[victim] & not_l2
                         if left:
                             holders[victim] = left
@@ -318,7 +386,7 @@ class MemoryHierarchy:
                     mask = holders.get(line, 0) | own
                 if len(entries) >= l1_assoc:
                     victim = entries.pop(0)
-                    l1.evictions += 1
+                    l1_evictions += 1
                     left = holders[victim] & not_l1
                     if left:
                         holders[victim] = left
@@ -326,34 +394,35 @@ class MemoryHierarchy:
                         del holders[victim]
                 entries.append(line)
                 holders[line] = mask
-            if write:
-                mask = holders[line]
-                others = mask & not_own
-                if others:
-                    # invalidate-on-write: purge every other copy
-                    holders[line] = mask & own
-                    caches = self._caches
-                    while others:
-                        bit = others & -others
-                        others ^= bit
-                        cache = caches[bit.bit_length() - 1]
-                        entries = cache._sets[line % cache.num_sets]
-                        if line in entries:
-                            entries.remove(line)
-                            cache.invalidations += 1
-        n_lines = last - first + 1
-        n_l1_misses = n_lines - n_l1_hits
+                if not write:
+                    continue
+            others = mask & not_own
+            if others:
+                self._invalidate(line, others)
+                holders[line] = mask & own
+        n_l1_misses = last - first + 1 - n_l1_hits
         l1.hits += n_l1_hits
         l1.misses += n_l1_misses
+        l1.evictions += l1_evictions
         l2.hits += n_l2_hits
         l2.misses += n_mem
+        l2.evictions += l2_evictions
         self.mem_accesses += n_mem
-        # cumulative charge: every line pays L1, every L1 miss adds the
-        # L2 probe, every L2 miss adds the memory penalty
-        params = self.params
-        return (n_lines * params.l1_hit_cost
-                + n_l1_misses * params.l2_hit_cost
-                + n_mem * params.mem_cost)
+        return (n_l1_hits * self._l1_hit + n_l2_hits * self._l2_hit
+                + n_mem * self._mem_fill)
+
+    def _invalidate(self, line: int, others: int) -> None:
+        """Invalidate-on-write: purge ``line`` from every cache whose
+        directory bit is set in ``others``."""
+        caches = self._caches
+        while others:
+            bit = others & -others
+            others ^= bit
+            cache = caches[bit.bit_length() - 1]
+            entries = cache._sets[line % cache.num_sets]
+            if line in entries:
+                entries.remove(line)
+                cache.invalidations += 1
 
     # ------------------------------------------------------------------
     # Instruction fetch (synthetic code segments)
@@ -374,7 +443,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def counters(self) -> dict[str, int]:
         """Aggregate per-level totals (the RunSummary view)."""
-        l1s = self._l1s.values()
+        l1s = [port[0] for port in self._ports.values()]
         return {
             "l1_hits": sum(c.hits for c in l1s),
             "l1_misses": sum(c.misses for c in l1s),
@@ -393,7 +462,8 @@ class MemoryHierarchy:
         individual caches, not just levels.
         """
         out: dict[str, dict[str, int]] = {}
-        for cache in list(self._l1s.values()) + self.l2s:
+        l1s = [port[0] for port in self._ports.values()]
+        for cache in l1s + self.l2s:
             out[cache.name] = {
                 "hits": cache.hits,
                 "misses": cache.misses,
@@ -406,11 +476,11 @@ class MemoryHierarchy:
         """Topology string, e.g. ``"L1x8 / L2x1 (8 shared)"``."""
         sharing = {}
         for l2 in self.l2s:
-            n = sum(1 for c in self._l2_of.values() if c is l2)
+            n = sum(1 for port in self._ports.values() if port[1] is l2)
             sharing[n] = sharing.get(n, 0) + 1
         shape = "+".join(f"{count}x{n}-way" if n > 1 else f"{count}private"
                          for n, count in sorted(sharing.items()))
-        return f"L1x{len(self._l1s)} / L2x{len(self.l2s)} ({shape})"
+        return f"L1x{len(self._ports)} / L2x{len(self.l2s)} ({shape})"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MemoryHierarchy {self.describe()}>"

@@ -141,6 +141,12 @@ class ExecutionBackend:
     persists across plans, so many concurrent jobs draw from one set
     of workers.  The pool never has more workers than the widest plan
     it has served, up to ``max_workers``.
+
+    A worker that dies breaks its pool, and every group still on it
+    fails with ``BrokenProcessPool``, whether the worker died under a
+    group or while the pool sat idle.  :func:`run_group` is a pure
+    function of its specs, so each such group runs once more on a
+    fresh pool; a group that fails there too keeps its exception.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -161,22 +167,14 @@ class ExecutionBackend:
         completion order.  A failed group's future holds its
         exception, so one failure neither hides nor stops the rest."""
         if self.parallel and len(groups) > 1:
-            with self._lock:
-                pool = self._widen_pool(len(groups))
-                try:
-                    futures = self._submit(pool, groups)
-                except BrokenProcessPool:
-                    # a worker died while the pool sat idle between
-                    # plans: retire the pool and give the plan, once, to
-                    # a fresh one (a failure there surfaces as usual)
-                    pool.shutdown(wait=False)
-                    self._pool = None
-                    pool = self._widen_pool(len(groups))
-                    futures = self._submit(pool, groups)
-            for future in as_completed(futures):
+            broken = []
+            for group, future in self._run_on_pool(groups):
                 if isinstance(future.exception(), BrokenProcessPool):
-                    self._retire(pool)
-                yield futures[future], future
+                    broken.append(group)
+                else:
+                    yield group, future
+            if broken:
+                yield from self._run_on_pool(broken)
             return
         for group in groups:
             future: Future = Future()
@@ -185,6 +183,26 @@ class ExecutionBackend:
             except Exception as exc:
                 future.set_exception(exc)
             yield group, future
+
+    def _run_on_pool(self, groups: Sequence[Sequence["RunSpec"]]
+                     ) -> Iterator[tuple[Sequence["RunSpec"], Future]]:
+        """One attempt at every group on the shared pool, yielded in
+        completion order; a pool found broken is retired."""
+        futures: dict[Future, Sequence["RunSpec"]] = {}
+        with self._lock:
+            pool = self._widen_pool(len(groups))
+            for group in groups:
+                try:
+                    future = pool.submit(self._run_group, group)
+                except BrokenProcessPool as exc:
+                    # flagged broken before this plan reached it
+                    future = Future()
+                    future.set_exception(exc)
+                futures[future] = group
+        for future in as_completed(futures):
+            if isinstance(future.exception(), BrokenProcessPool):
+                self._retire(pool)
+            yield futures[future], future
 
     def _widen_pool(self, groups: int) -> ProcessPoolExecutor:
         # caller holds the lock; a replaced pool finishes the groups
@@ -196,12 +214,6 @@ class ExecutionBackend:
             self._pool = ProcessPoolExecutor(max_workers=width)
             self._pool_width = width
         return self._pool
-
-    def _submit(self, pool: ProcessPoolExecutor,
-                groups: Sequence[Sequence["RunSpec"]]
-                ) -> dict[Future, Sequence["RunSpec"]]:
-        return {pool.submit(self._run_group, group): group
-                for group in groups}
 
     def _retire(self, pool: ProcessPoolExecutor) -> None:
         """Drop a pool a dead worker broke, so the next plan builds a

@@ -428,8 +428,9 @@ class ReplayMachine:
         hierarchy = MemoryHierarchy(probe)
         for domain in self.trace.domains:
             hierarchy.add_domain(domain)
-        access_line = hierarchy.access
+        access_line = hierarchy.access_line
         access_range = hierarchy.access_range
+        line_size = hierarchy.line_size
         per_event: dict[int, tuple[int, int, int]] = {}
         # dict insertion order == seqno order == the chronological
         # order the accesses originally hit the hierarchy
@@ -437,9 +438,9 @@ class ReplayMachine:
             c = 0
             for seq_id, paddr, span, write in records:
                 if span <= 1:
-                    c += access_line(seq_id, paddr, write)
+                    c += access_line(seq_id, paddr // line_size, write)
                 else:
-                    c += access_range(seq_id, paddr, span, write=write)
+                    c += access_range(seq_id, paddr, span, write)
             per_event[seqno] = (c % radix, (c // radix) % radix,
                                 c // (radix * radix))
         profile = (per_event, hierarchy.counters())

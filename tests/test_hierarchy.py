@@ -6,6 +6,8 @@ fetch paths), and the RunSummary plumbing."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.summary import (
@@ -87,6 +89,20 @@ class TestHierarchy:
         h = make_hierarchy([[0]])
         with pytest.raises(ConfigurationError):
             h.access(7, 0)
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_unattached_sequencer_rejected_by_every_entry(self, write):
+        h = make_hierarchy([[0]])
+        entries = [lambda: h.access(7, 0, write),
+                   lambda: h.access_line(7, 0, write),
+                   lambda: h.access_range(7, 0, 1, write),
+                   lambda: h.access_range(7, 0, PAGE_SIZE, write)]
+        for entry in entries:
+            with pytest.raises(ConfigurationError,
+                               match="sequencer 7 is attached to no "
+                                     "hierarchy domain"):
+                entry()
+        assert h.counters() == make_hierarchy([[0]]).counters()
 
     def test_write_invalidates_other_l1s_shared_l2(self):
         h = make_hierarchy([[0, 1]])
@@ -341,6 +357,65 @@ def test_hierarchy_matches_reference_model(factory, geometry):
         assert hierarchy.l1(seq)._sets == reference.l1s[seq]._sets
     for mine, theirs in zip(hierarchy.l2s, reference.l2s, strict=True):
         assert mine._sets == theirs._sets
+
+
+#: one access of a generated stream: (sequencer index, entry, index
+#: into the line pool -- three hot lines, then conflict lines -- or
+#: page number, write); about half the picks go to the hot lines
+STREAM_OPS = st.lists(
+    st.tuples(st.integers(0, 5),
+              st.sampled_from(["access", "access_line", "page"]),
+              st.one_of(st.integers(0, 2), st.integers(0, 27)),
+              st.booleans()),
+    min_size=40, max_size=200)
+
+
+@pytest.mark.parametrize("factory", [shared_l2_per_processor,
+                                     private_l2_per_sequencer,
+                                     shared_l2_global])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(geometry=st.integers(0, len(GEOMETRIES) - 1), ops=STREAM_OPS)
+def test_generated_streams_match_reference_model(factory, geometry, ops):
+    """Generated streams in the shape of a lock ping-pong: six
+    sequencers contend on three hot lines with single-line reads and
+    writes, among page-sized range accesses over the same lines and
+    conflict lines that share one L2 set.  Every per-access cost,
+    counter and LRU order equals the reference model's, and the
+    directory holds the bit of every cache that holds a line."""
+    from repro.core.mp import build_machine
+    params = DEFAULT_PARAMS.with_changes(**GEOMETRIES[geometry])
+    hierarchy = build_machine([2, 1, 0], params=params,
+                              hierarchy=factory).hierarchy
+    reference = ReferenceHierarchy(hierarchy.domains(), params)
+    seq_ids = sorted(reference.l1s)
+    line_size = params.cache_line_size
+    l2_sets = hierarchy.l2s[0].num_sets
+    pool = [0, 1, 2] + [k * l2_sets for k in range(1, 26)]
+    for index, entry, pick, write in ops:
+        seq = seq_ids[index]
+        line = pool[pick]
+        if entry == "page":
+            paddr = pick % 4 * PAGE_SIZE
+            got = hierarchy.access_range(seq, paddr, PAGE_SIZE, write)
+            want = reference.access_range(seq, paddr, PAGE_SIZE, write)
+        elif entry == "access":
+            paddr = line * line_size + pick % line_size
+            got = hierarchy.access(seq, paddr, write)
+            want = reference.access_range(seq, paddr, 1, write)
+        else:
+            got = hierarchy.access_line(seq, line, write)
+            want = reference.access_line(seq, line, write)
+        assert got == want
+    assert hierarchy.counters() == reference.counters()
+    assert hierarchy.cache_counters() == reference.cache_counters()
+    for seq in seq_ids:
+        assert hierarchy.l1(seq)._sets == reference.l1s[seq]._sets
+    for mine, theirs in zip(hierarchy.l2s, reference.l2s, strict=True):
+        assert mine._sets == theirs._sets
+    for cache in hierarchy._caches:
+        for entries in cache._sets:
+            for line in entries:
+                assert hierarchy._holders[line] & cache.bit
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,9 @@ import pytest
 from repro.errors import (
     ConfigurationError, ExperimentExecutionError, SimulationError,
 )
-from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
+from repro.experiments import (
+    ExperimentSpec, Runner, RunSpec, RunSummary, runner_from_env,
+)
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
     STORE_VERSION, ExperimentService, InflightTable, ResultStore, execute,
@@ -79,6 +81,24 @@ def crash_marked(group):
     whose worker process dies on a marked spec."""
     if any(spec.params.signal_cost == CRASH_COST for spec in group):
         os._exit(1)
+    return run_group(group)
+
+
+#: marks the spec whose worker :func:`crash_once` kills, once
+CRASH_ONCE_COST = 4322
+
+
+def crash_once(group):
+    """A ``run_group_fn`` (module level, so pool workers can run it)
+    whose worker process dies on a marked spec's first attempt only:
+    the attempt leaves a marker file in ``$REPRO_TEST_CRASH_DIR``."""
+    for spec in group:
+        if spec.params.signal_cost == CRASH_ONCE_COST:
+            marker = os.path.join(os.environ["REPRO_TEST_CRASH_DIR"],
+                                  spec.spec_hash())
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
     return run_group(group)
 
 
@@ -251,6 +271,22 @@ class TestStoreFromEnv:
         monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "")
         store = store_from_env(tmp_path)
         assert (store.max_entries, store.max_bytes) == (5, None)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_worker_count_is_a_configuration_error(self, monkeypatch,
+                                                       value):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", value)
+        with pytest.raises(ConfigurationError) as excinfo:
+            runner_from_env()
+        assert "REPRO_MAX_WORKERS" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_worker_count_from_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+        runner = runner_from_env()
+        assert runner.backend.max_workers == 3
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +479,20 @@ class TestFaultRecovery:
         assert [s.cycles for s in out] == [execute(s).cycles
                                            for s in healthy]
 
+    def test_worker_dead_mid_plan_is_retried_once(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
+        marked = DEFAULT_PARAMS.with_changes(signal_cost=CRASH_ONCE_COST)
+        specs = [RunSpec("dense_mvm", "misp", "1x2", scale=0.01,
+                         params=marked),
+                 RunSpec("dense_mvm", "1p", scale=0.01)]
+        with ExperimentService(max_workers=2,
+                               run_group_fn=crash_once) as service:
+            out = service.run_many(specs)
+        assert [s.cycles for s in out] == [execute(s).cycles
+                                           for s in specs]
+        assert os.listdir(tmp_path) == [specs[0].spec_hash()]
+
     def test_worker_dead_while_idle_does_not_break_the_service(self):
         first = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
         healthy = [RunSpec("dense_mvm", "misp", "1x4", scale=0.01),
@@ -450,10 +500,9 @@ class TestFaultRecovery:
         with ExperimentService(max_workers=2,
                                run_group_fn=exit_after_run) as service:
             service.run_many(first)
-            # every worker exits between plans; once the pool has seen
-            # that, the next plan finds it broken when it is submitted
+            # every worker exits between plans; the next plan meets a
+            # broken pool whether or not the pool has flagged it yet
             wait_until(lambda: not multiprocessing.active_children())
-            wait_until(lambda: service.backend._pool._broken)
             out = service.run_many(healthy)
         assert [s.cycles for s in out] == [execute(s).cycles
                                            for s in healthy]
