@@ -2,15 +2,18 @@
 
 ``test_obs_overhead_ratio`` runs the Figure 4 smoke grid plain and
 **observed** (``Session.observe(...)``: signal counting closure, fine
-trace records, end-of-run registry pump) in interleaved rounds,
-best-of-N per side, in one process, and gates the
-enabled-observability overhead below ``OVERHEAD_LIMIT`` -- the
+trace records, stall notes at the serialization sites, and
+registration of the finished run as a metrics collector) in
+interleaved rounds, best-of-N per side, in one process, and gates
+the enabled-observability overhead below ``OVERHEAD_LIMIT`` -- the
 "zero-cost when disabled, cheap when enabled" contract from the
-observability layer.
+observability layer.  The registry reads an observed run's families
+only when it exports, and this gate exports nothing, so it times what
+every observed run pays.
 
 The grid is the Figure 4 system triple on one workload at smoke scale;
-structure (per-event instant records, the per-run registry pump) is
-what costs, not workload size, so the small grid bounds the full one.
+structure (per-event instant records) is what costs, not workload
+size, so the small grid bounds the full one.
 """
 
 import time

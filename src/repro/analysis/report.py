@@ -34,6 +34,7 @@ from repro.obs.emit import ReportEmitter
 from repro.params import DEFAULT_PARAMS
 from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
+from repro.workloads.runner import RunResult
 
 
 def figure6_text() -> str:
@@ -143,12 +144,14 @@ def full_report(workloads: Optional[Sequence[str]] = None,
 
 
 def _observed_timeline(names: Sequence[str], scale: Optional[float],
-                       emitter: ReportEmitter, trace_out: str) -> None:
+                       emitter: ReportEmitter, trace_out: str) -> RunResult:
     """Run one observed MISP simulation and export its timeline.
 
     The run is labeled with the report's correlation id, so the
     Perfetto document, the metrics snapshot, and the structured report
-    lines all join on one id.
+    lines all join on one id.  Returns the run's result: the registry
+    holds the run only weakly, so a caller exporting metrics keeps the
+    result until it has.
     """
     from repro.obs.perfetto import export_run
     from repro.systems import Session
@@ -162,6 +165,7 @@ def _observed_timeline(names: Sequence[str], scale: Optional[float],
         f"{workload} run ({result.cycles:,} cycles) -> {trace_out}]",
         kind="artifact", artifact="trace", path=trace_out,
         events=len(doc["traceEvents"]), cycles=result.cycles)
+    return result
 
 
 #: the Figure 4 smoke grid the bottleneck analysis sweeps: each
@@ -202,11 +206,14 @@ def _bottleneck_analysis(names: Sequence[str], scale: Optional[float],
     Each run captures its event-dependency trace when the backend and
     timing model support it (critical path + exact stall attribution);
     otherwise it falls back to an observed run (live stall accounts,
-    no critical path) with a one-line notice.  The returned document
-    is deterministic -- no run ids, keys sorted -- so two invocations
-    at the same scale diff cleanly.
+    no critical path) with a one-line notice.  Those runs observe into
+    a private registry: the analysis reads only their stall accounts,
+    and they stay out of the report's metrics export.  The returned
+    document is deterministic -- no run ids, keys sorted -- so two
+    invocations at the same scale diff cleanly.
     """
     from repro.obs.critpath import analyze_result
+    from repro.obs.metrics import MetricsRegistry
     from repro.systems import Session
     from repro.timing.base import resolve_timing
 
@@ -229,7 +236,7 @@ def _bottleneck_analysis(names: Sequence[str], scale: Optional[float],
                         "accounts (no critical path)]", kind="notice",
                         timing=timing)
                 noticed = True
-                session = session.observe()
+                session = session.observe(registry=MetricsRegistry())
             result = session.run(workload, scale=scale)
             # totals/by_class stay exact; only the listed segments are
             # bounded, keeping multi-run snapshot files commit-sized
@@ -333,11 +340,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         store = (store_from_env(args.cache_dir, instance=emitter.run_id)
                  if args.cache_dir else None)
+        runner = Runner(store=store, max_workers=args.jobs,
+                        parallel=not args.serial, replay=args.replay,
+                        instance=emitter.run_id)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
-    with Runner(store=store, max_workers=args.jobs,
-                parallel=not args.serial, replay=args.replay,
-                instance=emitter.run_id) as runner:
+    with runner:
         full_report(names, scale, args.rt_scale, runner=runner,
                     streaming=args.stream, emitter=emitter,
                     smoke=args.smoke)
@@ -358,8 +366,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          f"{args.analyze_out}]", kind="artifact",
                          artifact="analysis", path=args.analyze_out,
                          runs=len(analysis["runs"]))
-    if args.trace_out:
-        _observed_timeline(names, scale, emitter, args.trace_out)
+    traced = (_observed_timeline(names, scale, emitter, args.trace_out)
+              if args.trace_out else None)
     if args.metrics or args.metrics_out:
         from repro.obs.metrics import get_registry
         snapshot = get_registry().snapshot()
@@ -375,6 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.metrics:
             emitter.emit(get_registry().render_prometheus(),
                          kind="metrics", families=len(snapshot))
+    del traced      # the observed run may leave the registry from here
     return 0
 
 

@@ -1,23 +1,26 @@
-"""Process-wide metrics registry: counters and gauges.
+"""Process-wide metrics registry: collectors, read at export.
 
-A stdlib-only, thread-safe :class:`MetricsRegistry` of labeled metric
-*families*.  The service and its store count into it live; an observed
-run publishes every simulator layer's totals (engine, machine/timing,
-memory hierarchy, ShredLib) into it once, at the end of the run.  Two
-export formats:
+A stdlib-only, thread-safe :class:`MetricsRegistry` holds weak
+references to *collectors*: objects whose ``collect()`` yields
+``(name, kind, help, samples)`` from their own live state, where
+``samples`` is an iterable of ``(labels, value)`` pairs.  Nothing is
+pushed into the registry; it reads every collector only when an export
+runs.  The service and its store register their :class:`Stats`; an
+observed run registers itself when it finishes and derives every
+simulator layer's totals (engine, machine/timing, memory hierarchy,
+ShredLib) from the finished machine.  Two export formats:
 
 * :meth:`MetricsRegistry.snapshot` -- a deterministic nested dict
-  (stable ordering regardless of registration/update order), safe to
+  (stable ordering regardless of registration order), safe to
   ``json.dumps`` and to golden-file in tests;
 * :meth:`MetricsRegistry.render_prometheus` -- Prometheus text
   exposition (``# HELP`` / ``# TYPE`` / escaped label values), the
   format a future multi-host service scrapes over the wire.
 
-The service's stats objects (:class:`~repro.service.store.StoreStats`,
-:class:`~repro.service.ServiceStats`) are *views* over registry
-counters -- see :class:`StatsView` -- so ``store.stats.hits`` and the
-registry's ``repro_store_events_total{store=...,event="hits"}`` are one
-number, not parallel bookkeeping.
+Samples that several collectors yield under one name and label set
+add up, so unnamed services in one registry aggregate.  A collector
+that is garbage-collected leaves the registry with it: dropping a
+service drops its series.
 
 Instrumented runs label their families with a correlation id from
 :func:`new_run_id`, so one registry can hold many runs side by side.
@@ -26,72 +29,22 @@ Instrumented runs label their families with a correlation id from
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from typing import Iterator, Mapping, Optional, Sequence, Union
+import weakref
+from typing import Iterable, Optional, Union
 
-__all__ = [
-    "Counter", "Gauge", "Family", "MetricsRegistry",
-    "StatsView", "get_registry", "set_registry", "new_run_id",
-]
+__all__ = ["MetricsRegistry", "Stats", "get_registry", "new_run_id"]
 
 _run_ids = itertools.count()
 
 
 def new_run_id(prefix: str = "run") -> str:
-    """A process-unique correlation id, e.g. ``run-3-1f2e``.
+    """A correlation id, ``<prefix>-<ordinal>`` (e.g. ``run-3``).
 
-    The random suffix keeps ids from different processes (a report
-    invocation vs a worker) from colliding when their metrics land in
-    one place.
+    The ordinal counts ids handed out in this process, so the same
+    invocation names its runs the same way every time.
     """
-    return f"{prefix}-{next(_run_ids)}-{os.urandom(2).hex()}"
-
-
-class Counter:
-    """A monotonically increasing value (one labeled family member)."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._value = 0
-        self._lock = lock
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counters only go up (inc({n}))")
-        with self._lock:
-            self._value += n
-
-    def set(self, value: Union[int, float]) -> None:
-        """Overwrite the value.
-
-        Exists for end-of-run pumps that publish a totalled count;
-        live counts use :meth:`inc`, which cannot lose a concurrent
-        update.
-        """
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> Union[int, float]:
-        return self._value
-
-
-class Gauge(Counter):
-    """A value that can go up and down (same cells, different intent)."""
-
-    __slots__ = ()
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: Union[int, float] = 1) -> None:
-        self.inc(-n)
-
-
-_KIND_NAMES = {Counter: "counter", Gauge: "gauge"}
+    return f"{prefix}-{next(_run_ids)}"
 
 
 def _escape_label_value(value: str) -> str:
@@ -101,165 +54,73 @@ def _escape_label_value(value: str) -> str:
                  .replace("\n", r"\n"))
 
 
-class Family:
-    """All time series sharing one metric name, keyed by label values."""
-
-    def __init__(self, registry: "MetricsRegistry", name: str, kind: type,
-                 help: str, labelnames: Sequence[str]) -> None:
-        self.name = name
-        self.help = help
-        self.kind = kind
-        self.labelnames = tuple(labelnames)
-        self._labelset = frozenset(self.labelnames)
-        self._registry = registry
-        self._children: dict[tuple, object] = {}
-        self._default: Optional[object] = None
-
-    def labels(self, **labelvalues: str):
-        """The child metric for one label-value combination (created on
-        first use).  Label values are coerced to ``str``."""
-        if labelvalues.keys() != self._labelset:
-            raise ValueError(
-                f"metric '{self.name}' takes labels {self.labelnames}, "
-                f"got {tuple(labelvalues)}")
-        key = tuple([str(labelvalues[name]) for name in self.labelnames])
-        child = self._children.get(key)
-        if child is None:
-            with self._registry._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = self.kind(self._registry._value_lock)
-                    self._children[key] = child
-        return child
-
-    # -- unlabeled convenience: the family proxies its single child ----
-    def _default_child(self):
-        if self.labelnames:
-            raise ValueError(
-                f"metric '{self.name}' is labeled {self.labelnames}; "
-                "use .labels(...)")
-        if self._default is None:
-            self._default = self.labels()
-        return self._default
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        self._default_child().inc(n)
-
-    def dec(self, n: Union[int, float] = 1) -> None:
-        self._default_child().dec(n)
-
-    def set(self, value: Union[int, float]) -> None:
-        self._default_child().set(value)
-
-    @property
-    def value(self):
-        return self._default_child().value
-
-    def samples(self) -> Iterator[tuple[dict[str, str], object]]:
-        """``(labels, child)`` pairs in deterministic label order."""
-        for key in sorted(self._children):
-            yield dict(zip(self.labelnames, key)), self._children[key]
-
-
 class MetricsRegistry:
-    """A named collection of metric families.
+    """A thread-safe weak set of collectors, read at export.
 
-    Thread-safe; family constructors are idempotent (re-registering the
-    same name returns the existing family) but re-registering under a
-    different kind or label set is a bug and raises.
+    :meth:`register` adds a collector; the registry keeps only a weak
+    reference, so a collector leaves it when nothing else holds it.
+    One metric name yielded under two kinds raises ``ValueError`` at
+    export.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: one shared lock for all metric cells -- updates are a single
-        #: add under the GIL, so per-cell locks would buy contention
-        #: granularity nothing here justifies
-        self._value_lock = threading.Lock()
-        self._families: dict[str, Family] = {}
+        self._collectors: "weakref.WeakSet" = weakref.WeakSet()
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def _family(self, name: str, kind: type, help: str,
-                labels: Sequence[str]) -> Family:
+    def register(self, collector) -> None:
+        """Read ``collector.collect()`` at every export while it lives."""
         with self._lock:
-            family = self._families.get(name)
-            if family is not None:
-                if family.kind is not kind \
-                        or family.labelnames != tuple(labels):
-                    raise ValueError(
-                        f"metric '{name}' already registered as "
-                        f"{_KIND_NAMES[family.kind]}{family.labelnames}")
-                return family
-            family = Family(self, name, kind, help, labels)
-            self._families[name] = family
-            return family
+            self._collectors.add(collector)
 
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> Family:
-        return self._family(name, Counter, help, labels)
+    def _collect(self) -> list[tuple[str, str, str, list]]:
+        """Every family, sorted by name: ``(name, kind, help,
+        [(label pairs, value), ...])`` with samples sorted by label
+        values and equal series summed."""
+        with self._lock:
+            collectors = list(self._collectors)
+        families: dict[str, tuple[str, str, dict]] = {}
+        for collector in collectors:
+            for name, kind, help, samples in collector.collect():
+                family = families.setdefault(name, (kind, help, {}))
+                if family[0] != kind:
+                    raise ValueError(f"metric '{name}' collected as both "
+                                     f"{family[0]} and {kind}")
+                series = family[2]
+                for labels, value in samples:
+                    key = tuple([(k, str(v)) for k, v in labels.items()])
+                    series[key] = series.get(key, 0) + value
+        return [(name, kind, help, sorted(series.items()))
+                for name, (kind, help, series) in sorted(families.items())]
 
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> Family:
-        return self._family(name, Gauge, help, labels)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Deterministic nested-dict export (sorted names and labels).
 
         The same metric state always renders the same dict, whatever
-        order families were registered or updated in -- the property
-        the snapshot-determinism tests pin down.
+        order collectors registered in -- the property the
+        snapshot-determinism tests pin down.
         """
-        out: dict = {}
-        with self._lock:
-            families = sorted(self._families.items())
-        for name, family in families:
-            out[name] = {
-                "type": _KIND_NAMES[family.kind],
-                "help": family.help,
-                "samples": [
-                    {"labels": labels, "value": child.value}
-                    for labels, child in family.samples()
-                ],
-            }
-        return out
+        return {
+            name: {"type": kind, "help": help,
+                   "samples": [{"labels": dict(key), "value": value}
+                               for key, value in samples]}
+            for name, kind, help, samples in self._collect()
+        }
 
     def render_prometheus(self) -> str:
         """Prometheus/OpenMetrics text exposition."""
         lines: list[str] = []
-        with self._lock:
-            families = sorted(self._families.items())
-        for name, family in families:
-            if family.help:
-                lines.append(f"# HELP {name} {family.help}")
-            lines.append(f"# TYPE {name} {_KIND_NAMES[family.kind]}")
-            for labels, child in family.samples():
-                lines.append(f"{name}{_render_labels(labels)} {child.value}")
+        for name, kind, help, samples in self._collect():
+            if help:
+                lines.append(f"# HELP {name} {help}")
+            lines.append(f"# TYPE {name} {kind}")
+            for key, value in samples:
+                lines.append(f"{name}{_render_labels(key)} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def clear(self) -> None:
-        """Drop every family (test isolation)."""
-        with self._lock:
-            self._families.clear()
 
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._families
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._families)
-
-
-def _render_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_escape_label_value(str(v))}"'
-                     for k, v in labels.items())
-    return "{" + inner + "}"
+def _render_labels(labels: Iterable[tuple[str, str]]) -> str:
+    inner = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in labels)
+    return "{" + inner + "}" if inner else ""
 
 
 #: the process-wide default registry every component registers into
@@ -271,49 +132,59 @@ def get_registry() -> MetricsRegistry:
     return _GLOBAL
 
 
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry; returns the previous one.
+class Stats:
+    """Counts of one component instance, collected as one family.
 
-    Intended for test isolation (install a fresh registry, restore the
-    old one in teardown).
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    _GLOBAL = registry
-    return previous
-
-
-class StatsView:
-    """Attribute-style stats object backed by registry counters.
-
-    Each public field is a *view* over one labeled registry counter:
-    reading ``stats.hits`` returns the counter's value, and
-    ``stats.add(hits=1)`` increments it, so component counts and the
-    exported metrics are a single source of truth.  Each field of an
-    :meth:`add` is one :meth:`Counter.inc`, atomic under the registry's
-    value lock, so concurrent callers never lose an update.
-
-    Subclasses map each public field name to a registry child via the
-    ``children`` dict and list any plain attribute in ``__slots__``, so
-    assigning to an unknown name fails loudly.
+    A subclass names its counts in ``FIELDS`` and its family in
+    ``NAME``, ``HELP`` and ``LABEL``, and declares ``__slots__ = ()``
+    so that no other attribute can be assigned; each count is the sample
+    ``NAME{LABEL=<instance>,event=<field>}``.  Reading ``stats.hits``
+    returns the count, and ``stats.add(hits=1)`` increments it under
+    the instance's lock, so concurrent callers never lose an update;
+    a negative delta raises ``ValueError``.  The instance registers
+    itself with ``registry`` (default: the process-wide one), which
+    reads the counts only at export.  An unknown field, read, assigned
+    or added, raises ``AttributeError``.
     """
 
-    __slots__ = ("_children",)
+    FIELDS: tuple[str, ...] = ()
+    NAME = ""
+    HELP = ""
+    LABEL = ""
 
-    def __init__(self, children: Mapping[str, Counter]) -> None:
-        self._children = dict(children)
+    __slots__ = ("instance", "_counts", "_lock", "__weakref__")
 
-    def _child(self, name: str) -> Counter:
-        try:
-            return self._children[name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!s} has no field {name!r}") from None
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 instance: Optional[str] = None) -> None:
+        #: the ``LABEL`` value of this instance's samples; instances
+        #: built without one share ``""`` and their counts add up
+        self.instance = instance or ""
+        self._counts = dict.fromkeys(self.FIELDS, 0)
+        self._lock = threading.Lock()
+        (registry if registry is not None else _GLOBAL).register(self)
 
-    def __getattr__(self, name: str):
-        return self._child(name).value
+    def __getattr__(self, name: str) -> Union[int, float]:
+        if name in type(self).FIELDS:
+            return self._counts[name]
+        raise AttributeError(
+            f"{type(self).__name__} has no field {name!r}")
 
     def add(self, **deltas: Union[int, float]) -> None:
-        """Increment each named field by its delta."""
+        """Increment each named field by its (non-negative) delta."""
         for name, delta in deltas.items():
-            self._child(name).inc(delta)
+            if name not in self._counts:
+                raise AttributeError(
+                    f"{type(self).__name__} has no field {name!r}")
+            if delta < 0:
+                raise ValueError(f"counts only go up ({name}={delta})")
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counts[name] += delta
+
+    def collect(self):
+        """This instance's one family, read from its counts now."""
+        with self._lock:
+            counts = list(self._counts.items())
+        yield self.NAME, "counter", self.HELP, [
+            ({self.LABEL: self.instance, "event": field}, count)
+            for field, count in counts]

@@ -16,13 +16,20 @@ metrics registry.  When a run is observed (``Session.observe(...)`` or
   (:mod:`repro.obs.perfetto`);
 * the ShredLib runtime log gets a simulation clock (timestamped
   contention records);
-* at :meth:`finish`, every layer's counters -- engine, trace, memory
-  hierarchy (aggregate and per cache), TLBs, timing, shredlib -- are
-  published into the registry as families labeled with the run's
-  correlation id.
+* at :meth:`finish`, the run records its end state and registers
+  itself as a collector; whenever the registry exports,
+  :meth:`~ObservedRun.collect` derives every layer's counters --
+  engine, trace, memory hierarchy (aggregate and per cache), TLBs,
+  timing, shredlib -- from the finished machine, as families labeled
+  with the run's correlation id.
+
+The registry holds the run weakly.  The run and its machine refer to
+each other, so a dropped run leaves the registry when the cyclic
+garbage collector next runs; an export that must be deterministic
+holds on to the runs it exports.
 
 When observation is *not* enabled none of this exists: no signal
-wrapper, no fine records, no registry writes -- the default run is
+wrapper, no fine records, no registration -- the default run is
 bit-for-bit and allocation-for-allocation the un-instrumented one.
 """
 
@@ -41,11 +48,12 @@ __all__ = ["ObservedRun"]
 
 
 class ObservedRun:
-    """Instrumentation state and end-of-run metrics pump for one run.
+    """Instrumentation state of one run, and its metrics collector.
 
-    ``registry`` defaults to the process-wide registry; ``run_id`` is
-    the correlation id labeling every family this run publishes (pass
-    a fixed one to correlate with a report emitter, or for
+    ``registry`` defaults to the process-wide registry, which
+    :meth:`finish` registers the run with; ``run_id`` is the
+    correlation id labeling every family this run yields (pass a
+    fixed one to correlate with a report emitter, or for
     deterministic test output).
     """
 
@@ -62,6 +70,10 @@ class ObservedRun:
         #: (Machine._bind_timing attaches it via attach_stalls)
         self.stalls = StallAccount()
         self.finished = False
+        #: end state, recorded by finish()
+        self._cycles: Optional[int] = None
+        self._runtime: Optional["ShredRuntime"] = None
+        self._labels: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Timing-layer totals
@@ -106,139 +118,106 @@ class ObservedRun:
             runtime.log.attach_clock(self.machine.engine)
 
     # ------------------------------------------------------------------
-    # End-of-run publication
+    # End state and collection
     # ------------------------------------------------------------------
     def finish(self, cycles: Optional[int] = None,
                runtime: Optional["ShredRuntime"] = None,
                workload: str = "", system: str = "",
                config: str = "") -> None:
-        """Publish every layer's counters into the registry.
+        """Record the run's end state and register with the registry.
 
-        Publication happens once, after the run, rather than per event:
-        the simulator's own counters (TraceLog, Cache, Sequencer.tlb)
-        stay plain ints on the hot path, and the registry gets their
-        totals under this run's correlation id.
+        Nothing is counted or copied here: :meth:`collect` reads every
+        layer's totals off the finished machine whenever the registry
+        exports, so the simulator's own counters (TraceLog, Cache,
+        Sequencer.tlb) stay plain ints on the hot path.
         """
         if self.finished:
             return
-        self.finished = True
-        machine = self.machine
-        if machine is None:
+        if self.machine is None:
             raise ValueError("ObservedRun was never bound to a machine")
-        reg = self.registry
-        run = self.run_id
+        self.finished = True
+        self._cycles = cycles if cycles is not None else self.machine.now
+        self._runtime = runtime
+        self._labels = {"workload": workload, "system": system,
+                        "config": config}
+        self.registry.register(self)
 
-        info = reg.gauge("repro_run_info",
-                         "one sample per observed run; value is 1",
-                         labels=("run", "workload", "system", "config",
-                                 "timing"))
-        info.labels(run=run, workload=workload, system=system,
-                    config=config,
-                    timing=machine.timing.canonical_name()).set(1)
-        reg.gauge("repro_run_cycles", "simulated cycles at run end",
-                  labels=("run",)).labels(run=run).set(
-            cycles if cycles is not None else machine.now)
-
-        engine = reg.counter("repro_engine_events_total",
-                             "discrete-event engine activity",
-                             labels=("run", "event"))
-        engine.labels(run=run, event="executed").set(
-            machine.engine.events_executed)
-        engine.labels(run=run, event="scheduled").set(
-            machine.engine.events_scheduled)
-
-        trace = reg.counter("repro_trace_events_total",
-                            "firmware-log event counts (TraceLog)",
-                            labels=("run", "kind"))
-        for kind, count in machine.trace.summary().items():
-            trace.labels(run=run, kind=kind).set(count)
-
-        timing = reg.counter("repro_timing_ops_total",
-                             "ops priced by the timing model",
-                             labels=("run", "model"))
+    def collect(self):
+        """This run's families, derived from the finished machine."""
+        machine, run = self.machine, self.run_id
         model = machine.timing.canonical_name()
-        timing.labels(run=run, model=model).set(self.ops)
-        charged = reg.counter("repro_timing_cycles_total",
-                              "cycles charged by the timing model",
-                              labels=("run", "model", "kind"))
-        charged.labels(run=run, model=model, kind="op").set(
-            self.charged_cycles)
-        charged.labels(run=run, model=model, kind="signal").set(
-            self.signal_cycles)
 
-        wall = cycles if cycles is not None else machine.now
-        stall = reg.counter(
-            "repro_stall_cycles_total",
-            "cycles by stall/serialization class (the taxonomy of "
-            "repro.timing.base.STALL_CLASSES)",
-            labels=("run", "seq", "class", "model"))
-        for (seq_id, klass), stall_cycles in self.stalls.items():
-            stall.labels(**{"run": run, "seq": str(seq_id),
-                            "class": klass, "model": model}).set(
-                stall_cycles)
+        def by(label, counts):
+            """One sample per ``(value of label, count)`` in ``counts``."""
+            return [({"run": run, label: key}, count) for key, count in counts]
+
+        engine = machine.engine
+        yield ("repro_run_info", "gauge",
+               "one sample per observed run; value is 1",
+               [({"run": run, **self._labels, "timing": model}, 1)])
+        yield ("repro_run_cycles", "gauge", "simulated cycles at run end",
+               [({"run": run}, self._cycles)])
+        yield ("repro_engine_events_total", "counter",
+               "discrete-event engine activity",
+               by("event", [("executed", engine.events_executed),
+                            ("scheduled", engine.events_scheduled)]))
+        yield ("repro_trace_events_total", "counter",
+               "firmware-log event counts (TraceLog)",
+               by("kind", machine.trace.summary().items()))
+        yield ("repro_timing_ops_total", "counter",
+               "ops priced by the timing model",
+               by("model", [(model, self.ops)]))
+        yield ("repro_timing_cycles_total", "counter",
+               "cycles charged by the timing model",
+               [({"run": run, "model": model, "kind": kind}, cycles)
+                for kind, cycles in (("op", self.charged_cycles),
+                                     ("signal", self.signal_cycles))])
+
+        stall = self.stalls.items()
         per_seq = self.stalls.per_sequencer()
         for seq in machine.sequencers:
             accounted = sum(per_seq.get(seq.seq_id, {}).values())
             susp = seq.suspended_cycles
-            if susp:
-                stall.labels(**{"run": run, "seq": str(seq.seq_id),
-                                "class": "suspended",
-                                "model": model}).set(susp)
-            idle = wall - max(seq.busy_cycles, accounted) - susp
-            if idle > 0:
-                stall.labels(**{"run": run, "seq": str(seq.seq_id),
-                                "class": "idle", "model": model}).set(idle)
+            idle = self._cycles - max(seq.busy_cycles, accounted) - susp
+            stall += [((seq.seq_id, klass), cycles) for klass, cycles
+                      in (("suspended", susp), ("idle", idle)) if cycles > 0]
+        yield ("repro_stall_cycles_total", "counter",
+               "cycles by stall/serialization class (the taxonomy of "
+               "repro.timing.base.STALL_CLASSES)",
+               [({"run": run, "seq": str(seq_id), "class": klass,
+                  "model": model}, cycles)
+                for (seq_id, klass), cycles in stall])
 
-        hier = reg.counter("repro_hierarchy_events_total",
-                           "memory-hierarchy events by level",
-                           labels=("run", "level", "event"))
-        for key, count in machine.hierarchy.counters().items():
-            level, _, event = key.partition("_")
-            hier.labels(run=run, level=level,
-                        event=event or "accesses").set(count)
-        cache = reg.counter("repro_cache_events_total",
-                            "per-cache hit/miss/invalidation/eviction",
-                            labels=("run", "cache", "event"))
-        for name, counts in machine.hierarchy.cache_counters().items():
-            for event, count in counts.items():
-                cache.labels(run=run, cache=name, event=event).set(count)
-
-        tlb = reg.counter("repro_tlb_events_total",
-                          "TLB activity summed over sequencers",
-                          labels=("run", "event"))
-        seqs = machine.sequencers
-        tlb.labels(run=run, event="hits").set(
-            sum(s.tlb.hits for s in seqs))
-        tlb.labels(run=run, event="misses").set(
-            sum(s.tlb.misses for s in seqs))
-        tlb.labels(run=run, event="flushes").set(
-            sum(s.tlb.flushes for s in seqs))
-
-        if runtime is not None:
-            shred = reg.counter("repro_shred_events_total",
-                                "ShredLib runtime lifecycle events",
-                                labels=("run", "event"))
-            for event, count in runtime.log.summary().items():
-                shred.labels(run=run, event=event).set(count)
-            contention = reg.counter(
-                "repro_shredlib_contention_total",
-                "contended sync-object acquires (ShredLib runtime log)",
-                labels=("run", "object"))
-            for name, count in runtime.log.contention_by_object().items():
-                contention.labels(run=run, object=name).set(count)
+        hierarchy = machine.hierarchy
+        levels = [(key.partition("_"), count)
+                  for key, count in hierarchy.counters().items()]
+        yield ("repro_hierarchy_events_total", "counter",
+               "memory-hierarchy events by level",
+               [({"run": run, "level": level, "event": event or "accesses"},
+                 count) for (level, _, event), count in levels])
+        yield ("repro_cache_events_total", "counter",
+               "per-cache hit/miss/invalidation/eviction",
+               [({"run": run, "cache": name, "event": event}, count)
+                for name, counts in hierarchy.cache_counters().items()
+                for event, count in counts.items()])
+        tlbs = [seq.tlb for seq in machine.sequencers]
+        yield ("repro_tlb_events_total", "counter",
+               "TLB activity summed over sequencers",
+               by("event", [(event, sum(getattr(tlb, event) for tlb in tlbs))
+                            for event in ("hits", "misses", "flushes")]))
+        if self._runtime is not None:
+            log = self._runtime.log
+            yield ("repro_shred_events_total", "counter",
+                   "ShredLib runtime lifecycle events",
+                   by("event", log.summary().items()))
+            yield ("repro_shredlib_contention_total", "counter",
+                   "contended sync-object acquires (ShredLib runtime log)",
+                   by("object", log.contention_by_object().items()))
 
     def snapshot(self) -> dict:
-        """This run's families only, from the registry snapshot.
-
-        A sample belongs to the run when any of its label values is the
-        run's correlation id -- which matches both ``run=<id>`` labels
-        and component instances named after the id (a store or service
-        created with ``instance=<id>``).
-        """
-        out = {}
-        for name, family in self.registry.snapshot().items():
-            samples = [s for s in family["samples"]
-                       if self.run_id in s["labels"].values()]
-            if samples:
-                out[name] = {**family, "samples": samples}
-        return out
+        """This run's families alone (none before :meth:`finish`), in
+        :meth:`MetricsRegistry.snapshot` form."""
+        registry = MetricsRegistry()
+        if self.finished:
+            registry.register(self)
+        return registry.snapshot()

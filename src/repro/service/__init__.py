@@ -8,7 +8,8 @@ worker pool:
 * :class:`ResultStore` -- content-addressed durable layer: entries
   keyed by spec hash, store versioning, LRU size-bounded eviction,
   integrity sweep with quarantine, and hit/miss/corrupt/evict
-  counters (:class:`StoreStats`, a view over the metrics registry);
+  counts (:class:`StoreStats`, which the metrics registry reads at
+  export);
 * :class:`InflightTable` -- cross-request deduplication: identical
   spec hashes in concurrent jobs share one in-flight future;
 * :func:`plan_groups` / :func:`run_group` -- the execution plan

@@ -19,6 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import repro.workloads  # noqa: F401  -- populates the workload registry
+from repro.errors import ConfigurationError
 from repro.sim.captrace import REPLAY_SAFE_FIELDS, ReplayMachine
 from repro.systems import Session, get_system
 from repro.timing import get_timing
@@ -145,13 +146,22 @@ class ExecutionBackend:
     A worker that dies breaks its pool, and every group still on it
     fails with ``BrokenProcessPool``, whether the worker died under a
     group or while the pool sat idle.  :func:`run_group` is a pure
-    function of its specs, so each such group runs once more on a
-    fresh pool; a group that fails there too keeps its exception.
+    function of its specs, so each such group runs once more, alone
+    on a fresh pool, where only its own worker can break it; a group
+    that fails there too keeps its exception.
+
+    ``max_workers`` is a positive ``int``, or None for every core;
+    anything else is a :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  parallel: bool = True,
                  run_group_fn: Optional[Callable] = None) -> None:
+        if max_workers is not None and (type(max_workers) is not int
+                                        or max_workers <= 0):
+            raise ConfigurationError(
+                "max_workers must be a positive integer or None, "
+                f"got {max_workers!r}")
         # os.cpu_count() reads a file; only a parallel backend needs it
         self.max_workers = max_workers or (parallel and os.cpu_count()) or 1
         self.parallel = parallel and self.max_workers > 1
@@ -173,8 +183,8 @@ class ExecutionBackend:
                     broken.append(group)
                 else:
                     yield group, future
-            if broken:
-                yield from self._run_on_pool(broken)
+            for group in broken:
+                yield from self._run_on_pool([group])
             return
         for group in groups:
             future: Future = Future()

@@ -35,7 +35,6 @@ memo), so the next request short-circuits as early as possible.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import queue
 import threading
@@ -47,9 +46,7 @@ from typing import (
 )
 
 from repro.errors import ExperimentExecutionError
-from repro.obs.metrics import (
-    MetricsRegistry, StatsView, get_registry, new_run_id,
-)
+from repro.obs.metrics import MetricsRegistry, Stats, new_run_id
 from repro.service.executor import ExecutionBackend, plan_groups
 from repro.service.inflight import InflightTable
 from repro.service.store import ResultStore
@@ -57,8 +54,6 @@ from repro.service.store import ResultStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec, RunSpec
     from repro.experiments.summary import RunSummary
-
-_service_ids = itertools.count()
 
 
 class ExperimentResult:
@@ -90,13 +85,18 @@ class ExperimentResult:
         return [self[spec] for spec in self.experiment.runs]
 
 
-class ServiceStats(StatsView):
+class ServiceStats(Stats):
     """Where the service's runs came from, across all jobs.
 
-    A view over ``repro_service_events_total{service=...,event=...}``
-    in the metrics registry (see :class:`repro.obs.metrics.StatsView`).
+    A :class:`~repro.obs.metrics.Stats` record: ``stats.add(...)``
+    counts without losing a concurrent update, and the registry reads
+    the counts as ``repro_service_events_total{service=...,event=...}``
+    only when it exports.
     """
 
+    NAME = "repro_service_events_total"
+    HELP = "ExperimentService resolution outcomes"
+    LABEL = "service"
     #: requested -- grid members submitted; deduplicated -- duplicate
     #: members within submitted grids; inflight_joined -- specs folded
     #: onto an execution another job already had in flight; executed --
@@ -105,20 +105,7 @@ class ServiceStats(StatsView):
               "inflight_joined", "executed", "captured", "replayed",
               "failed", "jobs")
 
-    __slots__ = ("instance",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        family = (registry if registry is not None
-                  else get_registry()).counter(
-            "repro_service_events_total",
-            "ExperimentService resolution outcomes",
-            labels=("service", "event"))
-        if instance is None:
-            instance = f"service-{next(_service_ids)}"
-        self.instance = instance
-        super().__init__({field: family.labels(service=instance, event=field)
-                          for field in self.FIELDS})
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"{self.jobs} jobs / {self.requested} requested = "
@@ -280,10 +267,13 @@ class ExperimentService:
     every failed spec, so a retry only re-runs what failed.
 
     Each fact is counted once: where runs came from in :attr:`stats`
-    (a :class:`ServiceStats` view over ``registry``, which also counts
-    the specs joined onto in-flight runs), store traffic in
-    ``store.stats``, and each job's wall seconds per resolution phase
-    in :meth:`JobHandle.metrics`.
+    (a :class:`ServiceStats`, which also counts the specs joined onto
+    in-flight runs), store traffic in ``store.stats``, and each job's
+    wall seconds per resolution phase in :meth:`JobHandle.metrics`.
+    Both stats register with ``registry`` (default: the process-wide
+    one), which reads them only when it exports, labeled ``instance``
+    (default ``""``: unnamed services and stores add up); a service
+    that is garbage-collected leaves the registry.
     """
 
     def __init__(self,
@@ -294,8 +284,10 @@ class ExperimentService:
                  run_group_fn: Optional[Callable] = None,
                  registry: Optional[MetricsRegistry] = None,
                  instance: Optional[str] = None) -> None:
-        if instance is None:
-            instance = f"service-{next(_service_ids)}"
+        # first, so a bad worker count fails before a store is created
+        self.backend = ExecutionBackend(max_workers=max_workers,
+                                        parallel=parallel,
+                                        run_group_fn=run_group_fn)
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store, registry=registry,
                                 instance=instance)
@@ -305,9 +297,6 @@ class ExperimentService:
         self._memo: dict[str, "RunSummary"] = {}
         self._memo_lock = threading.Lock()
         self.inflight = InflightTable()
-        self.backend = ExecutionBackend(max_workers=max_workers,
-                                        parallel=parallel,
-                                        run_group_fn=run_group_fn)
         self.stats = ServiceStats(registry=registry, instance=instance)
 
     # ------------------------------------------------------------------

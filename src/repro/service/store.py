@@ -21,9 +21,9 @@ On top of the old cache behaviour the store adds:
   swallowed, orphaned ``*.tmp`` files from crashed writers are
   reclaimed on init / :meth:`clear` / :meth:`sweep`, and
   :meth:`sweep` re-validates every entry on demand;
-* **metrics** -- hit / miss / corrupt / evict counters on the live
-  :class:`StoreStats` view, so a serving deployment can report its
-  cache hit rate.
+* **metrics** -- hit / miss / corrupt / evict counts in
+  :class:`StoreStats`, which the metrics registry reads at export, so
+  a serving deployment can report its cache hit rate.
 
 Timing identity is part of the key: an execution-driven summary lives
 in ``<spec_hash>.json``, a trace-driven replay summary (see
@@ -34,7 +34,6 @@ can never alias the execution-driven numbers for the same spec.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -44,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry, StatsView, get_registry
+from repro.obs.metrics import MetricsRegistry, Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # imported lazily at runtime: repro.experiments imports this module
@@ -66,36 +65,23 @@ TMP_GRACE_SECONDS = 60.0
 QUARANTINE_SUFFIX = ".corrupt"
 
 
-_store_ids = itertools.count()
+class StoreStats(Stats):
+    """Counts of one :class:`ResultStore`'s traffic.
 
-
-class StoreStats(StatsView):
-    """Counters of one :class:`ResultStore`'s traffic.
-
-    A view over one labeled family in the metrics registry
-    (``repro_store_events_total{store=<instance>,event=...}``):
-    attribute reads and ``stats.add(hits=1)`` go to the registry
-    counters directly, so the store's own numbers and the exported
-    metrics can never disagree, and concurrent lookups never lose a
-    count.
+    A :class:`~repro.obs.metrics.Stats` record: concurrent lookups
+    never lose a count, and the registry reads the counts as
+    ``repro_store_events_total{store=<instance>,event=...}`` only when
+    it exports, so the store's own numbers and the exported metrics
+    can never disagree.
     """
 
+    NAME = "repro_store_events_total"
+    HELP = "ResultStore traffic by outcome"
+    LABEL = "store"
     FIELDS = ("hits", "misses", "corrupt", "evictions", "puts",
               "tmp_reclaimed")
 
-    __slots__ = ("instance",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 instance: Optional[str] = None) -> None:
-        family = (registry if registry is not None
-                  else get_registry()).counter(
-            "repro_store_events_total",
-            "ResultStore traffic by outcome", labels=("store", "event"))
-        if instance is None:
-            instance = f"store-{next(_store_ids)}"
-        self.instance = instance
-        super().__init__({field: family.labels(store=instance, event=field)
-                          for field in self.FIELDS})
+    __slots__ = ()
 
     @property
     def lookups(self) -> int:
@@ -133,7 +119,9 @@ class ResultStore:
     no entry.  Every thread of a service -- callers looking up hits
     and job threads backfilling -- shares one store; its traffic is
     counted in :attr:`stats` (a :class:`StoreStats`), which loses no
-    count under concurrent use.
+    count under concurrent use.  The stats register with ``registry``
+    (default: the process-wide one) under the label ``instance``
+    (default ``""``) and leave it when the store is garbage-collected.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -151,7 +139,8 @@ class ResultStore:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         #: ``instance`` names this store's metric labels (a correlation
-        #: id ties it to the run that owns it); default is process-unique
+        #: id ties it to the run that owns it); unnamed stores share
+        #: ``""`` and their counts add up in the registry
         self.stats = StoreStats(registry=registry, instance=instance)
         os.makedirs(self.root, exist_ok=True)
         self._reclaim_tmp()

@@ -131,12 +131,15 @@ class Session:
 
         An observed run counts signal charges, attributes stall
         classes, turns on fine-grained trace records (timeline
-        export), timestamps ShredLib contention, and pumps everything
-        -- op and cycle totals included -- into a metrics registry
-        (default: the process-wide one from
-        :func:`repro.obs.get_registry`) under one correlation id.  The
-        :class:`~repro.obs.observe.ObservedRun` rides back on
-        ``RunResult.obs``.  Un-observed sessions pay nothing.
+        export), timestamps ShredLib contention, and at the end
+        registers with a metrics registry (default: the process-wide
+        one from :func:`repro.obs.get_registry`), which reads every
+        layer's totals -- op and cycle totals included -- off the
+        finished run under one correlation id whenever it exports.
+        The :class:`~repro.obs.observe.ObservedRun` rides back on
+        ``RunResult.obs``; the registry holds it weakly, so keep the
+        result until its metrics are exported.  Un-observed sessions
+        pay nothing.
         """
         new = self._clone()
         new._observe = (registry, run_id) if enabled else None

@@ -1,8 +1,11 @@
-"""Tests for the unified observability layer: the metrics registry
-(snapshot determinism, Prometheus exposition, label escaping), stats
-views, zero-overhead-when-disabled, observed runs, the JobHandle
-metrics surface, and the golden-file Perfetto export."""
+"""Tests for the unified observability layer: the metrics registry of
+collectors (snapshot determinism, Prometheus exposition, label
+escaping, collectors leaving with their owners), the Stats record,
+zero-overhead-when-disabled, observed runs, the JobHandle metrics
+surface, deterministic report exports, and the golden-file Perfetto
+export."""
 
+import gc
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    MetricsRegistry, ObservedRun, StatsView, export_run, get_registry,
+    MetricsRegistry, ObservedRun, Stats, export_run, get_registry,
     new_run_id,
 )
 from repro.obs.emit import ReportEmitter
@@ -21,6 +24,36 @@ from repro.systems import Session
 from repro.timing import get_timing
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class Family:
+    """A test collector: one family whose samples are whatever
+    ``rows`` holds when the registry reads it."""
+
+    def __init__(self, name, kind="counter", help="", rows=()):
+        self.name, self.kind, self.help = name, kind, help
+        self.rows = list(rows)
+
+    def collect(self):
+        yield self.name, self.kind, self.help, self.rows
+
+
+def registry_of(collectors) -> MetricsRegistry:
+    """A fresh registry reading ``collectors`` (it holds them weakly,
+    so the caller keeps the list)."""
+    reg = MetricsRegistry()
+    for collector in collectors:
+        reg.register(collector)
+    return reg
+
+
+class EventStats(Stats):
+    NAME = "view_events_total"
+    HELP = "events"
+    LABEL = "view"
+    FIELDS = ("hits", "misses")
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -28,110 +61,134 @@ GOLDEN = Path(__file__).parent / "golden"
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_counter_inc_and_value(self):
-        reg = MetricsRegistry()
-        c = reg.counter("requests_total", "requests")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+        """A collector is read when the registry exports, not when it
+        registers."""
+        families = [Family("requests_total", help="requests")]
+        reg = registry_of(families)
+        assert reg.snapshot()["requests_total"]["samples"] == []
+        families[0].rows.append(({}, 5))
+        assert reg.snapshot()["requests_total"] == {
+            "type": "counter", "help": "requests",
+            "samples": [{"labels": {}, "value": 5}]}
 
     def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x_total", "x")
+        stats = EventStats(registry=MetricsRegistry())
         with pytest.raises(ValueError):
-            c.inc(-1)
+            stats.add(hits=-1)
+        assert stats.hits == 0
 
     def test_gauge_goes_both_ways(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth", "queue depth")
-        g.inc(3)
-        g.dec(5)
-        assert g.value == -2
+        families = [Family("depth", "gauge", "queue depth", [({}, 3)])]
+        reg = registry_of(families)
+        families[0].rows[0] = ({}, -2)
+        assert reg.snapshot()["depth"] == {
+            "type": "gauge", "help": "queue depth",
+            "samples": [{"labels": {}, "value": -2}]}
 
     def test_labeled_family_children(self):
-        reg = MetricsRegistry()
-        fam = reg.counter("events_total", "events", labels=("run", "kind"))
-        fam.labels(run="r1", kind="a").inc()
-        fam.labels(run="r1", kind="a").inc()
-        fam.labels(run="r1", kind="b").inc()
-        assert fam.labels(run="r1", kind="a").value == 2
-        assert fam.labels(run="r1", kind="b").value == 1
+        families = [Family("events_total", help="events", rows=[
+            ({"run": "r1", "kind": "a"}, 2), ({"run": "r1", "kind": "b"}, 1)])]
+        samples = registry_of(families).snapshot()["events_total"]["samples"]
+        assert samples == [{"labels": {"run": "r1", "kind": "a"}, "value": 2},
+                           {"labels": {"run": "r1", "kind": "b"}, "value": 1}]
 
     def test_same_name_same_family(self):
-        reg = MetricsRegistry()
-        a = reg.counter("x_total", "x", labels=("k",))
-        b = reg.counter("x_total", "x", labels=("k",))
-        assert a is b
+        """Collectors yielding one name share a family; equal series
+        add up."""
+        families = [Family("x_total", rows=[({"k": "a"}, 2)]),
+                    Family("x_total", rows=[({"k": "a"}, 3),
+                                            ({"k": "b"}, 1)])]
+        samples = registry_of(families).snapshot()["x_total"]["samples"]
+        assert samples == [{"labels": {"k": "a"}, "value": 5},
+                           {"labels": {"k": "b"}, "value": 1}]
 
     def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", "x")
-        with pytest.raises(ValueError):
-            reg.gauge("x_total", "x")
-
-    def test_label_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", "x", labels=("a",))
-        with pytest.raises(ValueError):
-            reg.counter("x_total", "x", labels=("b",))
+        families = [Family("x_total", "counter"), Family("x_total", "gauge")]
+        reg = registry_of(families)
+        with pytest.raises(ValueError, match="x_total"):
+            reg.snapshot()
+        with pytest.raises(ValueError, match="x_total"):
+            reg.render_prometheus()
 
     def test_thread_safety(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", "hits")
+        """Concurrent adds to one Stats record lose no count."""
+        stats = EventStats(registry=MetricsRegistry())
+        nthreads, adds = 8, 2000
+        start = threading.Barrier(nthreads, timeout=30)
 
         def worker():
-            for _ in range(1000):
-                c.inc()
+            start.wait()
+            for _ in range(adds):
+                stats.add(hits=1, misses=2)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 8000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (stats.hits, stats.misses) == (nthreads * adds,
+                                              2 * nthreads * adds)
 
     def test_new_run_ids_unique(self):
-        ids = {new_run_id() for _ in range(32)}
-        assert len(ids) == 32
+        ids = [new_run_id() for _ in range(32)]
+        assert len(set(ids)) == 32
+        prefix, _, ordinal = new_run_id("job").rpartition("-")
+        assert prefix == "job" and ordinal.isdigit()
+
+    def test_dropped_collector_leaves_the_registry(self):
+        families = [Family("kept_total", rows=[({}, 1)])]
+        reg = registry_of(families)
+        reg.register(Family("gone_total", rows=[({}, 1)]))
+        gc.collect()
+        assert list(reg.snapshot()) == ["kept_total"]
 
 
 class TestSnapshotDeterminism:
-    def _fill(self, reg, order):
-        fam = reg.counter("events_total", "events", labels=("run", "kind"))
-        for run, kind, n in order:
-            fam.labels(run=run, kind=kind).inc(n)
-        reg.gauge("cycles", "cycles", labels=("run",)).labels(
-            run="r1").set(42)
+    ROWS = [({"run": "r1", "kind": "x"}, 1), ({"run": "r2", "kind": "y"}, 2),
+            ({"run": "r1", "kind": "y"}, 3)]
+
+    def _families(self, rows):
+        return [Family("events_total", help="events", rows=rows),
+                Family("cycles", "gauge", "cycles", [({"run": "r1"}, 42)])]
 
     def test_insertion_order_invariant(self):
-        """Two registries filled in different orders snapshot identically."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        rows = [("r1", "x", 1), ("r2", "y", 2), ("r1", "y", 3)]
-        self._fill(a, rows)
-        self._fill(b, list(reversed(rows)))
+        """Two registries reading collectors registered, and samples
+        yielded, in different orders snapshot identically."""
+        families_a = self._families(self.ROWS)
+        families_b = self._families(list(reversed(self.ROWS)))[::-1]
+        a, b = registry_of(families_a), registry_of(families_b)
         assert a.snapshot() == b.snapshot()
         assert a.render_prometheus() == b.render_prometheus()
+        samples = a.snapshot()["events_total"]["samples"]
+        assert [s["labels"] for s in samples] == [
+            {"run": "r1", "kind": "x"}, {"run": "r1", "kind": "y"},
+            {"run": "r2", "kind": "y"}]
 
     def test_snapshot_is_json_round_trippable(self):
-        reg = MetricsRegistry()
-        self._fill(reg, [("r1", "x", 1)])
-        snap = reg.snapshot()
+        families = self._families(self.ROWS[:1])
+        snap = registry_of(families).snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
 
 class TestPrometheusExposition:
     def test_help_and_type_lines(self):
-        reg = MetricsRegistry()
-        reg.counter("hits_total", "cache hits").inc(3)
-        text = reg.render_prometheus()
+        families = [Family("hits_total", help="cache hits", rows=[({}, 3)])]
+        text = registry_of(families).render_prometheus()
         assert "# HELP hits_total cache hits" in text
         assert "# TYPE hits_total counter" in text
         assert "hits_total 3" in text
 
     def test_label_value_escaping(self):
-        reg = MetricsRegistry()
-        fam = reg.counter("odd_total", "odd labels", labels=("name",))
-        fam.labels(name='we"ird\\na\nme').inc()
-        text = reg.render_prometheus()
+        families = [Family("odd_total", help="odd labels",
+                           rows=[({"name": 'we"ird\\na\nme'}, 1)])]
+        text = registry_of(families).render_prometheus()
         assert 'name="we\\"ird\\\\na\\nme"' in text
         # the rendered line must stay a single physical line
         [line] = [ln for ln in text.splitlines() if ln.startswith("odd_total")]
@@ -139,18 +196,12 @@ class TestPrometheusExposition:
 
 
 # ----------------------------------------------------------------------
-# Stats views
+# Stats records
 # ----------------------------------------------------------------------
-class TestStatsView:
-    def _view(self, reg):
-        family = reg.counter("view_events_total", "events",
-                             labels=("event",))
-        return StatsView({field: family.labels(event=field)
-                          for field in ("hits", "misses")})
-
+class TestStats:
     def test_add_counts_into_the_registry(self):
         reg = MetricsRegistry()
-        stats = self._view(reg)
+        stats = EventStats(registry=reg, instance="v")
         stats.add(hits=2, misses=1)
         stats.add(hits=1)
         assert (stats.hits, stats.misses) == (3, 1)
@@ -158,8 +209,17 @@ class TestStatsView:
                    reg.snapshot()["view_events_total"]["samples"]}
         assert samples == {"hits": 3, "misses": 1}
 
+    def test_unnamed_instances_add_up(self):
+        reg = MetricsRegistry()
+        a, b = EventStats(registry=reg), EventStats(registry=reg)
+        a.add(hits=1)
+        b.add(hits=2)
+        samples = reg.snapshot()["view_events_total"]["samples"]
+        assert {"labels": {"view": "", "event": "hits"},
+                "value": 3} in samples
+
     def test_fields_are_counted_not_assigned(self):
-        stats = self._view(MetricsRegistry())
+        stats = EventStats(registry=MetricsRegistry())
         with pytest.raises(AttributeError):
             stats.hits = 5
         with pytest.raises(AttributeError):
@@ -167,6 +227,18 @@ class TestStatsView:
         with pytest.raises(AttributeError):
             stats.hit
         assert stats.hits == 0
+
+    def test_dropped_services_leave_the_process_registry(self, tmp_path):
+        """Services and stores built without a registry count into the
+        process-wide one only while they live."""
+        from repro.service import ExperimentService
+
+        gc.collect()
+        before = get_registry().snapshot()
+        for _ in range(1000):
+            ExperimentService(store=tmp_path, parallel=False)
+        gc.collect()
+        assert get_registry().snapshot() == before
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +248,9 @@ class TestZeroOverheadWhenDisabled:
     def test_default_run_touches_nothing(self):
         """An un-observed Session run leaves the global registry alone
         and records neither fine trace records nor charge wrappers."""
+        # an observed run an earlier test dropped leaves the registry
+        # when the cyclic collector runs: let it go before comparing
+        gc.collect()
         before = get_registry().snapshot()
         result = Session("misp", "1x2").run("dense_mvm", scale=0.01)
         assert get_registry().snapshot() == before
@@ -188,6 +263,7 @@ class TestZeroOverheadWhenDisabled:
 
     def test_shredlog_contention_stays_private(self):
         from repro.shredlib.log import ShredLog
+        gc.collect()
         before = get_registry().snapshot()
         log = ShredLog()
         log.note_contention("lock:a")
@@ -242,16 +318,29 @@ class TestObservedRun:
 
     def test_obs_snapshot_filters_to_run(self):
         reg, result = self._observed()
-        reg.counter("unrelated_total", "other").inc()
+        unrelated = [Family("unrelated_total", rows=[({"run": "obs-test"},
+                                                      1)])]
+        for family in unrelated:
+            reg.register(family)
         snap = result.obs.snapshot()
         assert "unrelated_total" not in snap
         assert "repro_run_cycles" in snap
+        assert snap == {name: family for name, family
+                        in reg.snapshot().items()
+                        if name != "unrelated_total"}
 
     def test_observation_is_deterministic(self):
         rega, a = self._observed()
         regb, b = self._observed()
         assert a.cycles == b.cycles
         assert rega.snapshot() == regb.snapshot()
+
+    def test_dropped_run_leaves_the_registry(self):
+        reg, result = self._observed()
+        assert "repro_run_cycles" in reg.snapshot()
+        del result
+        gc.collect()          # the run and its machine form a cycle
+        assert reg.snapshot() == {}
 
     def test_finish_requires_machine(self):
         with pytest.raises(ValueError):
@@ -450,6 +539,24 @@ def test_report_smoke_with_observability(tmp_path, capsys):
     assert "repro_service_events_total" in snap["metrics"]
 
 
+def test_report_exports_are_deterministic(tmp_path):
+    """Two identical report invocations write byte-identical timeline
+    and metrics files: correlation ids are ordinals, not random."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    written = []
+    for attempt in ("a", "b"):
+        trace = tmp_path / f"trace-{attempt}.json"
+        metrics = tmp_path / f"metrics-{attempt}.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.analysis.report", "--smoke",
+             "--serial", "--workloads", "dense_mvm", "--scale", "0.02",
+             "--trace-out", str(trace), "--metrics-out", str(metrics)],
+            env=env, capture_output=True, check=True, timeout=300)
+        written.append((trace.read_bytes(), metrics.read_bytes()))
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["metrics"]["repro_run_info"]
+
+
 def test_report_stream_prints_the_batch_figure4(tmp_path, capsys):
     from repro.analysis import format_figure4, run_figure4
     from repro.analysis.report import main
@@ -494,8 +601,7 @@ def test_report_store_honours_env_bounds(tmp_path, monkeypatch, capsys):
 
 
 def test_report_rejects_a_bad_store_bound_without_a_traceback(tmp_path):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src,
+    env = {**os.environ, "PYTHONPATH": SRC,
            "REPRO_STORE_MAX_ENTRIES": "abc"}
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis.report", "--smoke",
@@ -504,5 +610,19 @@ def test_report_rejects_a_bad_store_bound_without_a_traceback(tmp_path):
     assert proc.returncode != 0
     assert "REPRO_STORE_MAX_ENTRIES" in proc.stderr
     assert "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""                   # nothing simulated
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_report_rejects_a_bad_worker_count_without_a_traceback(jobs):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.report", "--smoke",
+         "--serial", f"--jobs={jobs}"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "max_workers" in proc.stderr
+    assert f"got {jobs}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""                   # nothing simulated

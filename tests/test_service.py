@@ -288,6 +288,20 @@ class TestStoreFromEnv:
         runner = runner_from_env()
         assert runner.backend.max_workers == 3
 
+    def test_no_worker_count_means_every_core(self):
+        service = ExperimentService(max_workers=None)
+        assert service.backend.max_workers == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5, True])
+    @pytest.mark.parametrize("make", [ExperimentService, Runner])
+    def test_bad_max_workers_is_a_configuration_error(self, tmp_path,
+                                                      make, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            make(store=tmp_path / "store", max_workers=value,
+                 parallel=False)
+        assert f"got {value!r}" in str(excinfo.value)
+        assert not (tmp_path / "store").exists()    # rejected up front
+
 
 # ----------------------------------------------------------------------
 # Planning and the inflight table
@@ -478,6 +492,22 @@ class TestFaultRecovery:
             out = service.run_many(healthy)
         assert [s.cycles for s in out] == [execute(s).cycles
                                            for s in healthy]
+
+    def test_healthy_group_survives_a_crashing_one(self):
+        """Each group a dead worker broke is retried on a pool of its
+        own, so a group whose worker dies every time takes no healthy
+        group down with it."""
+        marked = DEFAULT_PARAMS.with_changes(signal_cost=CRASH_COST)
+        crashing = RunSpec("dense_mvm", "misp", "1x2", scale=0.01,
+                           params=marked)
+        plain = RunSpec("dense_mvm", "1p", scale=0.01)
+        with ExperimentService(max_workers=2,
+                               run_group_fn=crash_marked) as service:
+            with pytest.raises(ExperimentExecutionError) as excinfo:
+                service.run_many([crashing, plain])
+            assert [spec for spec, _ in excinfo.value.failures] == [crashing]
+            assert service.run(plain).cycles == execute(plain).cycles
+            assert service.stats.memo_hits == 1
 
     def test_worker_dead_mid_plan_is_retried_once(self, tmp_path,
                                                    monkeypatch):
