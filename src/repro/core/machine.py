@@ -45,6 +45,9 @@ from repro.kernel.process import OSThread, Process, ThreadState
 from repro.mem.hierarchy import HierarchyFactory, shared_l2_per_processor
 from repro.mem.pagetable import vpn_of
 from repro.params import DEFAULT_PARAMS, PAGE_SIZE, MachineParams
+from repro.sim.captrace import (
+    ISSUE_ATOMIC, ISSUE_SIGNAL, ISSUE_WALK, TraceCapture,
+)
 from repro.sim.engine import Engine
 from repro.sim.trace import EventKind, TraceLog
 from repro.timing.base import PARAM_CLASS, TimingModel
@@ -143,14 +146,15 @@ class Machine:
         return seq
 
     def enable_capture(self) -> Any:
-        """Attach a :class:`~repro.sim.captrace.TraceCapture` recorder.
+        """Attach a :class:`~repro.sim.captrace.TraceCapture`.
 
         Must be called before any events are scheduled (the trace's
         event graph needs seqnos dense from 0).  Returns the capture,
         from which :class:`~repro.sim.captrace.CapturedTrace` is built
-        after the run.
+        after the run.  The engine appends every scheduled event's
+        row to its columns; the machine writes each event's
+        annotations into that row right after scheduling it.
         """
-        from repro.sim.captrace import TraceCapture
         if not self.timing.supports_capture:
             raise ConfigurationError(
                 f"trace capture requires a constant-cost timing model; "
@@ -162,8 +166,10 @@ class Machine:
             raise SimulationError(
                 "enable_capture() must run before any events are scheduled")
         if self._cap is None:
-            self._cap = TraceCapture(self.engine, self.hierarchy)
-            self.engine.set_recorder(self._cap)
+            cap = TraceCapture(self.engine, self.hierarchy,
+                               [seq.seq_id for seq in self.sequencers])
+            self.engine.set_capture(cap)
+            self._cap = cap
         return self._cap
 
     def enable_observation(self, obs: Any) -> Any:
@@ -338,8 +344,6 @@ class Machine:
             base = op.cycles
         elif kind is AtomicOp:
             base = op.cycles or self.params.atomic_op_cost
-            if cap is not None and not op.cycles:
-                cap.pend_coef("atomic_op_cost")
             if op.vaddr is not None:   # a lock word in shared memory
                 walks, access, action = self._classify_access(
                     seq, op.vaddr, True)
@@ -356,8 +360,6 @@ class Machine:
             base, action = 0, ("syscall", op)
         elif kind is SignalShred:
             base, action = self._signal_cycles(seq), ("signal", op)
-            if cap is not None:
-                cap.pend_coef("signal_cost")
         else:
             raise SimulationError(f"unknown machine op {op!r}")
         fetch = 0
@@ -367,13 +369,31 @@ class Machine:
             fetch_addr = stream.fetch_addr(self.hierarchy)
             fetch = self.hierarchy.access(seq.seq_id, fetch_addr)
             if cap is not None:
-                cap.pend_access(seq.seq_id, fetch_addr, 1, False, fetch)
+                cap.acc_addrs.append(fetch_addr)
+                cap.acc_spans.append(2)        # one line, a read
         cost = self._charge(seq, op, base, walks, access, fetch)
         seq.busy = True
         seq.busy_cycles += cost
+        event = self.engine.schedule(cost, self._complete, seq, stream, op,
+                                     action)
         if cap is not None:
-            cap.pend_busy(seq.seq_id)
-        self.engine.schedule(cost, self._complete, seq, stream, op, action)
+            # annotate the event just scheduled: its pattern (the
+            # sequencer it keeps busy and its coefficient terms), and
+            # the accesses it made
+            terms = ISSUE_WALK if walks else 0
+            if kind is AtomicOp:
+                if not op.cycles:
+                    terms += ISSUE_ATOMIC
+            elif kind is SignalShred:
+                terms = ISSUE_SIGNAL
+            cap.patterns[-1] = cap.issue_patterns[seq.seq_id][terms]
+            records = len(cap.acc_addrs)
+            if records != cap.acc_ends[-1]:
+                cap.acc_events.append(event[1])
+                cap.acc_ends.append(records)
+                cap.acc_costs.append(access + fetch)
+                cap.acc_l1_misses.append(cap.l1s[seq.seq_id].misses)
+                cap.acc_mem.append(self.hierarchy.mem_accesses)
 
     def _classify_access(self, seq: Sequencer, vaddr: int, write: bool,
                          span: int = 1) -> tuple[int, int, Optional[tuple]]:
@@ -395,8 +415,6 @@ class Machine:
         frame = seq.tlb.lookup(vpn)
         if frame is None:
             walks = 1
-            if cap is not None:
-                cap.pend_coef("page_walk_cost")
             pte = process.address_space.page_table.lookup(vpn)
             if pte is None:
                 return walks, 0, ("fault", vpn)
@@ -410,7 +428,8 @@ class Machine:
         else:
             access = hierarchy.access_range(seq.seq_id, paddr, span, write)
         if cap is not None:
-            cap.pend_access(seq.seq_id, paddr, span, write, access)
+            cap.acc_addrs.append(paddr)
+            cap.acc_spans.append(span * 2 + write)
         return walks, access, None
 
     def _complete(self, seq: Sequencer, stream: InstructionStream,
@@ -573,27 +592,26 @@ class Machine:
                                    EventKind.AMS_SUSPEND)
                 if cap is not None:
                     cap.mark("sus", ams.seq_id)
-            if cap is not None:
-                for key, mult, div in priv_coefs:
-                    cap.pend_coef(key, mult, div)
-                cap.pend_owner(oms.seq_id)
             stalls = self.timing.stalls
             if stalls is not None and priv:
                 stalls.note(oms.seq_id, svc_class, priv)
             self.engine.schedule(priv, stage_service, active)
+            if cap is not None:
+                cap.patterns[-1] = cap.pattern_id(priv_coefs,
+                                                  owner=oms.seq_id)
 
         def stage_service(active: list[Sequencer]) -> None:
             if effect is not None:
                 effect()
             signal = self._signal_cycles(oms) if active else 0
-            cap = self._cap
-            if cap is not None:
-                if active:
-                    cap.pend_coef("signal_cost")
-                cap.pend_owner(oms.seq_id)
             if signal:
                 self._note_signal(oms, signal)
             self.engine.schedule(signal, stage_resume, active)
+            cap = self._cap
+            if cap is not None:
+                cap.patterns[-1] = cap.pattern_id(
+                    (("signal_cost", 1, 1),) if active else (),
+                    owner=oms.seq_id)
 
         def stage_resume(active: list[Sequencer]) -> None:
             cap = self._cap
@@ -614,14 +632,14 @@ class Machine:
 
         n_signals = pre_signals + (1 if oms.processor.active_amss() else 0)
         sig0 = self._signal_cycles(oms, n_signals)
-        cap = self._cap
-        if cap is not None:
-            if n_signals:
-                cap.pend_coef("signal_cost", n_signals)
-            cap.pend_owner(oms.seq_id)
         if sig0:
             self._note_signal(oms, sig0)
         self.engine.schedule(sig0, stage_suspend)
+        cap = self._cap
+        if cap is not None:
+            cap.patterns[-1] = cap.pattern_id(
+                (("signal_cost", n_signals, 1),) if n_signals else (),
+                owner=oms.seq_id)
 
     def _note_signal(self, seq: Sequencer, cost: int) -> None:
         """Attribute a directly scheduled signal delay (Equations 1-3
@@ -656,14 +674,15 @@ class Machine:
         cap = self._cap
         if cap is not None:
             request.cap_id = cap.proxy_raised()      # type: ignore[attr-defined]
-            cap.pend_coef("signal_cost")
-            cap.pend_owner(ams.seq_id)
         # Equation 2, first signal: notify the OMS
         sig = self._signal_cycles(ams)
         if sig:
             self._note_signal(ams, sig)
         self.engine.schedule(sig, self._proxy_arrive,
                              ams.processor, request)
+        if cap is not None:
+            cap.patterns[-1] = cap.pattern_id((("signal_cost", 1, 1),),
+                                              owner=ams.seq_id)
 
     def _proxy_arrive(self, proc: MISPProcessor, request: ProxyRequest) -> None:
         proc.proxy_queue.append(request)
@@ -801,13 +820,6 @@ class Machine:
             cost += self.params.sequencer_state_save_cost
             n_save += 1
         oms.busy = True
-        if self._cap is not None:
-            # exactly one context_switch_cost is in `cost` on every
-            # path that reaches the schedule below
-            self._cap.pend_coef("context_switch_cost")
-            if n_save:
-                self._cap.pend_coef("sequencer_state_save_cost", n_save)
-            self._cap.pend_owner(oms.seq_id)
         stalls = self.timing.stalls
         if stalls is not None:
             stalls.note(oms.seq_id, "context_switch",
@@ -816,6 +828,14 @@ class Machine:
                 stalls.note(oms.seq_id, "state_save",
                             n_save * self.params.sequencer_state_save_cost)
         self.engine.schedule(cost, self._finish_switch_in, cpu, new)
+        cap = self._cap
+        if cap is not None:
+            # exactly one context_switch_cost is in `cost` on every
+            # path that reaches the schedule above
+            coefs = (("context_switch_cost", 1, 1),)
+            if n_save:
+                coefs += (("sequencer_state_save_cost", n_save, 1),)
+            cap.patterns[-1] = cap.pattern_id(coefs, owner=oms.seq_id)
 
     def _finish_switch_in(self, cpu: int, thread: OSThread) -> None:
         proc = self.processors[cpu]

@@ -5,8 +5,9 @@ tree: every event has exactly one parent (the event executing when it
 was scheduled) and completes at ``parent_time + delay``.  That makes
 the classic critical-path questions cheap:
 
-* **completion times** -- one forward pass in seqno order
-  (:func:`event_times`);
+* **completion times** -- one forward pass in seqno order, computed
+  once per trace and shared by everything below and by the Perfetto
+  export (:func:`event_times`);
 * **critical path** -- the parent chain ending at the application's
   exit event (:func:`critical_path`): the one chain of delays whose
   sum *is* the run's wall cycles, i.e. the only place where making
@@ -20,7 +21,10 @@ the classic critical-path questions cheap:
   charges as ``memory``, the remainder as ``compute``) and is charged
   to the sequencer that owned it, so per-sequencer class totals plus
   ``suspended`` and ``idle`` sum to the run's wall cycles
-  (:func:`analyze_trace`).
+  (:func:`analyze_trace`).  The coefficient classes and the owner of
+  an event come from its interned pattern, so they are worked out
+  once per pattern, not once per event; the per-event work is integer
+  sums over the trace's columns.
 
 Runs that cannot capture (the ``scoreboard`` timing model, the
 ``multiprog`` backend) fall back to the observed-run surface --
@@ -39,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.captrace import derive_marks
+from repro.sim.captrace import app_exit_event, derive_marks
 from repro.timing.base import PARAM_CLASS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,9 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.runner import RunResult
 
 __all__ = [
-    "event_times", "event_slack", "critical_path", "busy_timeline",
-    "analyze_trace", "analyze_observed", "analyze_result",
-    "format_analysis",
+    "event_times", "event_slack", "critical_path",
+    "critical_path_segments", "busy_timeline", "analyze_trace",
+    "analyze_observed", "analyze_result", "format_analysis",
 ]
 
 #: schema tag stamped into every analysis document
@@ -60,15 +64,9 @@ ANALYZE_SCHEMA = "repro.critpath/1"
 # Graph primitives
 # ----------------------------------------------------------------------
 def event_times(trace: "CapturedTrace") -> list[int]:
-    """Completion time of every event (one forward pass)."""
-    parents = trace.parents
-    delays = trace.delays
-    root_now = trace.root_now
-    times = [0] * len(parents)
-    for i in range(len(parents)):
-        p = parents[i]
-        times[i] = (times[p] if p >= 0 else root_now[i]) + delays[i]
-    return times
+    """Completion time of every event: one forward pass, computed once
+    per trace (the trace's shared, read-only ``times``)."""
+    return trace.times
 
 
 def _end_event(trace: "CapturedTrace", times: list[int]) -> Optional[int]:
@@ -78,9 +76,9 @@ def _end_event(trace: "CapturedTrace", times: list[int]) -> Optional[int]:
     (its ``pexit`` mark); otherwise the earliest event with the
     maximum completion time.
     """
-    for kind, at_seqno, _at_now, arg in trace.marks:
-        if kind == "pexit" and arg == trace.app_pid and at_seqno >= 0:
-            return at_seqno
+    end = app_exit_event(trace)
+    if end is not None:
+        return end
     if not times:
         return None
     best, best_t = 0, times[0]
@@ -118,7 +116,7 @@ def event_slack(trace: "CapturedTrace",
         times = event_times(trace)
     n = len(times)
     subtree_max = list(times)
-    parents = trace.parents
+    parents = trace.parents.tolist()
     for i in range(n - 1, -1, -1):
         p = parents[i]
         if p >= 0 and subtree_max[i] > subtree_max[p]:
@@ -127,36 +125,87 @@ def event_slack(trace: "CapturedTrace",
     return [wall - m for m in subtree_max]
 
 
-def _event_classes(trace: "CapturedTrace", i: int,
-                   residual: bool = True) -> dict[str, int]:
-    """Decompose one event's delay into stall-taxonomy classes.
+def _pattern_classes(trace: "CapturedTrace"
+                     ) -> list[tuple[int, dict[str, int], int]]:
+    """Each pattern's part of the stall attribution, by pattern id:
+    ``(cycles of its coefficient terms, {class: cycles} of them, owning
+    sequencer or -1)``.
 
-    Parameter coefficients map through :data:`PARAM_CLASS`, hierarchy
-    charges are ``memory``, and -- for priced work (``residual``) --
-    any remaining delay is ``compute``.  Pass ``residual=False`` for
-    events no sequencer owns: a timer sleep's un-annotated delay is a
-    wait, not anyone's compute cycles.
+    Parameter coefficients map through :data:`PARAM_CLASS`; the owner
+    is the sequencer the delay keeps busy, else the one it is
+    attributed to.  A run has a handful of patterns, so this is the
+    per-trace half of every event's classes.
     """
-    d = trace.delays[i]
-    out: dict[str, int] = {}
-    if d <= 0:
-        return out
     params = trace.params
-    coefs = trace.coefs.get(i)
-    if coefs:
+    out = []
+    for coefs, busy, owner in trace.pattern_table:
+        classes: dict[str, int] = {}
         for key, mult, div in coefs:
             cycles = (getattr(params, key) * mult) // div
             if cycles:
                 klass = PARAM_CLASS.get(key, "compute")
-                out[klass] = out.get(klass, 0) + cycles
-    access = trace.accesses.get(i)
-    if access is not None and access[0]:
-        out["memory"] = out.get("memory", 0) + access[0]
-    if residual:
-        rest = d - sum(out.values())
+                classes[klass] = classes.get(klass, 0) + cycles
+        out.append((sum(classes.values()), classes,
+                    busy if busy >= 0 else owner))
+    return out
+
+
+def _event_classes(delay: int, pattern: tuple[int, dict[str, int], int],
+                   memory: int) -> dict[str, int]:
+    """Decompose one event's delay into stall-taxonomy classes.
+
+    Its pattern's coefficient classes, its hierarchy charges as
+    ``memory``, and -- for an owned event, whose delay is priced work
+    -- any remaining delay as ``compute``.  An unowned event (a timer
+    sleep, a quantum delay) is a wait, not anyone's compute cycles:
+    only its annotated cycles count.
+    """
+    if delay <= 0:
+        return {}
+    total, classes, owner = pattern
+    out = dict(classes)
+    if memory:
+        out["memory"] = out.get("memory", 0) + memory
+    if owner >= 0:
+        rest = delay - total - memory
         if rest > 0:
             out["compute"] = out.get("compute", 0) + rest
     return out
+
+
+def critical_path_segments(trace: "CapturedTrace",
+                           times: Optional[list[int]] = None
+                           ) -> list[dict]:
+    """The critical path's events with a positive delay, as segments
+    ``{"seqno", "start", "end", "cycles", "seq", "class"}`` in
+    chronological order: each named by its dominant stall class
+    (``wait`` when it has none) and owned by ``seq`` (-1: none)."""
+    if times is None:
+        times = event_times(trace)
+    patterns = _pattern_classes(trace)
+    parents, delays, pids = trace.parents, trace.delays, trace.patterns
+    memory = dict(zip(trace.acc_events, trace.acc_costs))
+    #: (pattern id, delay, memory) -> dominant class: events repeat
+    dominant: dict[tuple[int, int, int], str] = {}
+    segments = []
+    for i in critical_path(trace, times):
+        d = delays[i]
+        if d <= 0:
+            continue
+        pid = pids[i]
+        key = (pid, d, memory.get(i, 0))
+        klass = dominant.get(key)
+        if klass is None:
+            classes = _event_classes(d, patterns[pid], key[2])
+            klass = dominant[key] = (
+                max(classes.items(), key=lambda kv: (kv[1], kv[0]))[0]
+                if classes else "wait")
+        p = parents[i]
+        start = times[p] if p >= 0 else trace.root_now[i]
+        segments.append({"seqno": i, "start": start, "end": times[i],
+                         "cycles": d, "seq": patterns[pid][2],
+                         "class": klass})
+    return segments
 
 
 def busy_timeline(trace: "CapturedTrace",
@@ -177,28 +226,24 @@ def busy_timeline(trace: "CapturedTrace",
     seq_ids = sorted(trace.oms_ids + trace.ams_ids)
     per_seq = {s: [0] * nbuckets for s in seq_ids}
     outstanding_delta = [0] * (nbuckets + 1)
-    parents = trace.parents
+    rows = [per_seq.get(busy if busy >= 0 else owner)
+            for _, busy, owner in trace.pattern_table]
     root_now = trace.root_now
-    busy_get = trace.busy_seq.get
-    owner_get = trace.owner_seq.get
-    for i in range(len(parents)):
-        p = parents[i]
+    last = nbuckets - 1
+    for i, (p, end, pid) in enumerate(zip(trace.parents.tolist(), times,
+                                          trace.patterns)):
         start = times[p] if p >= 0 else root_now[i]
-        end = times[i]
-        b0 = min(start // width, nbuckets - 1)
-        b1 = min(end // width, nbuckets)
-        outstanding_delta[b0] += 1
-        if b1 > b0:
-            outstanding_delta[b1] -= 1
-        owner = busy_get(i)
-        if owner is None:
-            owner = owner_get(i)
-        if owner is None or end <= start:
-            continue
-        row = per_seq.get(owner)
-        if row is None:
-            continue
         b = start // width
+        b1 = end // width
+        outstanding_delta[b if b < last else last] += 1
+        if b1 > b:
+            outstanding_delta[b1 if b1 < nbuckets else nbuckets] -= 1
+        row = rows[pid]
+        if row is None or end <= start:
+            continue
+        if b1 == b and b < nbuckets:
+            row[b] += end - start      # within one bucket
+            continue
         while b * width < end and b < nbuckets:
             lo = max(start, b * width)
             hi = min(end, (b + 1) * width)
@@ -261,7 +306,7 @@ def analyze_trace(trace: "CapturedTrace", workload: str = "",
     longest are kept, in chronological order; the count dropped is
     recorded) -- totals and ``by_class`` always cover the full path.
     Consumers that walk consecutive segments (the Perfetto flow
-    arrows) must leave it ``None``.
+    arrows) take :func:`critical_path_segments` instead.
     """
     times = event_times(trace)
     n = len(times)
@@ -269,26 +314,48 @@ def analyze_trace(trace: "CapturedTrace", workload: str = "",
     wall = times[wall_end] if wall_end is not None else 0
     full = max(times) if times else 0
 
-    busy_get = trace.busy_seq.get
-    owner_get = trace.owner_seq.get
+    # attribution, per pattern: its events with a positive delay, the
+    # hierarchy charges among them, and the delay left over as compute
+    patterns = _pattern_classes(trace)
+    coef_cycles = [total for total, _, _ in patterns]
+    counts = [0] * len(patterns)
+    memory = [0] * len(patterns)
+    residual = [0] * len(patterns)
+    delays, pids = trace.delays, trace.patterns
+    for d, pid in zip(delays, pids):
+        if d > 0:
+            counts[pid] += 1
+            rest = d - coef_cycles[pid]
+            if rest > 0:
+                residual[pid] += rest
+    for i, cost in zip(trace.acc_events, trace.acc_costs):
+        d = delays[i]
+        if d > 0 and cost:
+            # the hierarchy charges are memory, not compute
+            pid = pids[i]
+            memory[pid] += cost
+            rest = d - coef_cycles[pid]
+            if rest > 0:
+                residual[pid] -= cost if rest > cost else rest
     per_seq: dict[int, dict[str, int]] = {}
     unattributed = 0
-    for i in range(n):
-        owner = busy_get(i)
-        if owner is None:
-            owner = owner_get(i)
-        # unowned events (timer sleeps, quantum delays) are waits:
-        # only their explicitly annotated cycles count, and having no
-        # owning sequencer those go to the unattributed bucket
-        classes = _event_classes(trace, i, residual=owner is not None)
-        if not classes:
+    for pid, (total, classes, owner) in enumerate(patterns):
+        count = counts[pid]
+        if not count:
             continue
-        if owner is None:
-            unattributed += sum(classes.values())
+        if owner < 0:
+            # unowned events (timer sleeps, quantum delays) are
+            # waits: only their annotated cycles count, and having no
+            # owning sequencer those go to the unattributed bucket
+            unattributed += total * count + memory[pid]
             continue
         row = per_seq.setdefault(owner, {})
         for klass, cycles in classes.items():
-            row[klass] = row.get(klass, 0) + cycles
+            row[klass] = row.get(klass, 0) + cycles * count
+        if memory[pid]:
+            row["memory"] = row.get("memory", 0) + memory[pid]
+        if residual[pid]:
+            row["compute"] = row.get("compute", 0) + residual[pid]
 
     suspended = derive_marks(trace, times)[1]
     rows = []
@@ -299,26 +366,11 @@ def analyze_trace(trace: "CapturedTrace", workload: str = "",
                      suspended.get(seq_id, 0)))
     sequencers, totals = _roll_up(rows, set(trace.oms_ids), wall)
 
-    path = critical_path(trace, times)
-    segments = []
+    segments = critical_path_segments(trace, times)
     path_by_class: dict[str, int] = {}
-    for i in path:
-        d = trace.delays[i]
-        if d <= 0:
-            continue
-        owner = busy_get(i)
-        if owner is None:
-            owner = owner_get(i, -1)
-        classes = _event_classes(trace, i, residual=owner >= 0)
-        if classes:
-            klass = max(classes.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        else:
-            klass = "wait"
-        p = trace.parents[i]
-        start = times[p] if p >= 0 else trace.root_now[i]
-        segments.append({"seqno": i, "start": start, "end": times[i],
-                         "cycles": d, "seq": owner, "class": klass})
-        path_by_class[klass] = path_by_class.get(klass, 0) + d
+    for seg in segments:
+        klass = seg["class"]
+        path_by_class[klass] = path_by_class.get(klass, 0) + seg["cycles"]
     path_cycles = sum(s["cycles"] for s in segments)
     segments_dropped = 0
     if max_segments is not None and len(segments) > max_segments:

@@ -27,12 +27,19 @@ Mapping:
 Timestamps are simulation **cycles emitted as microseconds** -- the
 timeline is exact and deterministic (1 cycle = 1 us on screen), which
 is also what makes golden-file testing possible.
+
+:func:`write_trace` writes the bytes ``json.dump(doc, fh, indent=1,
+sort_keys=True)`` would, formatted by :func:`trace_json`: with
+``indent`` set, :mod:`json` falls back to its pure-Python encoder and
+hands the file one small chunk per token, where this encoder formats
+containers itself, leaves strings to the C escaper :mod:`json` uses,
+and writes the text in one call.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import Machine
@@ -40,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.captrace import CapturedTrace
     from repro.workloads.runner import RunResult
 
-__all__ = ["trace_events", "export_run", "write_trace"]
+__all__ = ["trace_events", "export_run", "write_trace", "trace_json"]
 
 #: pid of the machine (sequencer) tracks and the runtime tracks
 _MACHINE_PID = 0
@@ -67,7 +74,7 @@ def _sequencer_names(machine: "Machine") -> dict[int, str]:
 def _capture_events(trace: "CapturedTrace",
                     names: dict[int, str]) -> list[dict]:
     """Counter tracks + critical-path track from a captured run."""
-    from repro.obs.critpath import (analyze_trace, busy_timeline,
+    from repro.obs.critpath import (busy_timeline, critical_path_segments,
                                     event_times)
     events: list[dict] = []
     times = event_times(trace)
@@ -86,8 +93,7 @@ def _capture_events(trace: "CapturedTrace",
                        "pid": _MACHINE_PID, "tid": 0, "ts": b * width,
                        "args": {"count": level}})
 
-    analysis = analyze_trace(trace)
-    segments = analysis["critical_path"]["segments"]
+    segments = critical_path_segments(trace, times)
     if not segments:
         return events
     events.append({"name": "process_name", "ph": "M",
@@ -116,7 +122,6 @@ def _capture_events(trace: "CapturedTrace",
 
 def trace_events(machine: "Machine",
                  shred_log: Optional["ShredLog"] = None,
-                 run_id: str = "",
                  trace: Optional["CapturedTrace"] = None) -> list[dict]:
     """Build the Chrome ``traceEvents`` list for one finished run.
 
@@ -188,7 +193,6 @@ def export_run(result: "RunResult", path: Optional[str] = None,
         run_id = result.obs.run_id
     doc = {
         "traceEvents": trace_events(result.machine, result.runtime.log,
-                                    run_id=run_id or "",
                                     trace=result.trace),
         "displayTimeUnit": "ms",
         "otherData": {
@@ -206,7 +210,103 @@ def export_run(result: "RunResult", path: Optional[str] = None,
 
 
 def write_trace(doc: dict, path: str) -> None:
-    """Write a trace document as deterministic, stable-order JSON."""
+    """Write a trace document as deterministic, stable-order JSON: the
+    text of :func:`trace_json` and a newline."""
+    text = trace_json(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
+
+
+# ----------------------------------------------------------------------
+# The encoder
+# ----------------------------------------------------------------------
+#: the C routine json escapes and quotes strings with (ASCII output)
+_escape = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar(value: Any) -> str:
+    """A leaf as json writes it (its checks, in its order)."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _text(value: Any, newline: str, labels: dict[str, str]) -> str:
+    """The text of ``value``.
+
+    ``newline`` is a line break plus the indentation of ``value``'s own
+    level; ``labels`` caches each key's quoted text and colon.  A
+    container joins its items' texts, writing the common leaves --
+    exact ``str`` and ``int`` -- inline and everything else
+    recursively, so the document's text is built from one string per
+    container rather than one per token.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        sep = "{" + inner
+        parts = []
+        for key, item in sorted(value.items()):
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = _escape(key) + ": "
+            kind = type(item)
+            if kind is str:
+                parts.append(sep + label + _escape(item))
+            elif kind is int:
+                parts.append(sep + label + _int_text(item))
+            else:
+                parts.append(sep + label + _text(item, inner, labels))
+            sep = "," + inner
+        parts.append(newline + "}")
+        return "".join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        sep = "[" + inner
+        parts = []
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                parts.append(sep + _escape(item))
+            elif kind is int:
+                parts.append(sep + _int_text(item))
+            else:
+                parts.append(sep + _text(item, inner, labels))
+            sep = "," + inner
+        parts.append(newline + "]")
+        return "".join(parts)
+    return _scalar(value)
+
+
+def trace_json(doc: Any) -> str:
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte,
+    for a JSON document whose mapping keys are strings (a key of any
+    other type raises :class:`TypeError`)."""
+    return _text(doc, "\n", {})

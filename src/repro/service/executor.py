@@ -62,8 +62,8 @@ def execute_captured(spec: "RunSpec"):
 
     Returns ``(summary, trace)`` where ``trace`` is a
     :class:`~repro.sim.captrace.CapturedTrace` with the summary
-    attached as its snapshot (everything picklable, so workers can
-    ship it back).
+    attached as its snapshot and ``spec`` as its spec (everything
+    picklable, so workers can ship it back).
     """
     from repro.experiments.summary import summarize_run
 
@@ -72,6 +72,7 @@ def execute_captured(spec: "RunSpec"):
     summary = summarize_run(run, spec)
     trace = run.trace
     trace.snapshot = summary
+    trace.spec = spec
     return summary, trace
 
 

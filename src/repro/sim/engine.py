@@ -17,11 +17,13 @@ callback (slot 2), and the run loop drops the engine (slot 4) from an
 entry it pops to execute, so a later cancel of it is a no-op.
 
 The engine knows nothing about sequencers, kernels, or memory -- those
-layers schedule events against it.  It does expose one observation
-hook: a *recorder* (see :mod:`repro.sim.captrace`) notified of every
-``schedule`` with the seqno of the event being executed at that
-moment, which is how trace capture reconstructs the run's event
-dependency graph without touching the machine's control flow.
+layers schedule events against it.  It has one observation path: with
+a :class:`~repro.sim.captrace.TraceCapture` attached, ``schedule``
+also appends the new event's parent (the seqno of the event executing
+at that moment) and delay to the capture's columns, with an empty
+pattern for the machine to fill in.  That is how trace capture
+reconstructs the run's event-dependency graph without touching the
+machine's control flow, and without a call per event.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class Engine:
         #: cancelled events still sitting in the heap (lazy deletion),
         #: maintained so pending() is O(1) instead of a heap scan
         self._cancelled_queued = 0
-        #: trace recorder (repro.sim.captrace.TraceCapture), if any
-        self._recorder: Optional[Any] = None
+        #: trace capture (repro.sim.captrace.TraceCapture), if any
+        self._capture: Optional[Any] = None
         #: seqno of the event currently executing (-1 outside run())
         self._current_seqno = -1
 
@@ -74,9 +76,18 @@ class Engine:
         """Seqno of the executing event (-1 when not inside a callback)."""
         return self._current_seqno
 
-    def set_recorder(self, recorder: Optional[Any]) -> None:
-        """Attach (or with None, detach) a schedule recorder."""
-        self._recorder = recorder
+    def set_capture(self, capture: Optional[Any]) -> None:
+        """Attach (or with None, detach) a trace capture.
+
+        A capture needs the event graph from its root, so it attaches
+        only before the first event is scheduled: seqnos then index
+        its columns.
+        """
+        if capture is not None and self._next_seqno:
+            raise SimulationError(
+                "trace capture attached mid-run: event seqnos must be "
+                "dense from 0 (enable capture before staging)")
+        self._capture = capture
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -95,9 +106,16 @@ class Engine:
         self._next_seqno = seqno + 1
         entry = [self._now + delay, seqno, callback, args, self]
         heapq.heappush(self._heap, entry)
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.on_schedule(seqno, self._current_seqno, self._now, delay)
+        cap = self._capture
+        if cap is not None:
+            # the capture path: the event's row, its pattern empty
+            # until the machine writes it
+            parent = self._current_seqno
+            if parent < 0:
+                cap.root_now[seqno] = self._now
+            cap.parents.append(parent)
+            cap.delays.append(delay)
+            cap.patterns.append(0)
         return entry
 
     def schedule_at(self, time: int, callback: Callable[..., None],

@@ -224,7 +224,7 @@ class Session:
         trace = None
         if cap is not None:
             from repro.sim.captrace import CapturedTrace
-            machine.engine.set_recorder(None)
+            machine.engine.set_capture(None)
             trace = CapturedTrace.from_machine(machine, cap,
                                                staged.process.pid)
         if obs is not None:

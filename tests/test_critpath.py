@@ -5,6 +5,7 @@ grid, the observed-run fallback (scoreboard), the stall-class metric
 family, analysis diffing, and the report CLI surface."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,14 @@ class TestGraphPrimitives:
         for i, p in enumerate(trace.parents):
             base = times[p] if p >= 0 else trace.root_now[i]
             assert times[i] == base + trace.delays[i]
+
+    def test_event_times_are_computed_once_per_trace(self):
+        trace = _golden_trace()
+        assert event_times(trace) is event_times(trace)
+        # a trace shipped to another process recomputes them there
+        clone = pickle.loads(pickle.dumps(trace))
+        assert "times" not in vars(clone)
+        assert event_times(clone) == event_times(trace)
 
     def test_critical_path_is_rooted_chain_summing_to_wall(self):
         trace = _golden_trace()

@@ -2,8 +2,8 @@
 collectors (snapshot determinism, Prometheus exposition, label
 escaping, collectors leaving with their owners), the Stats record,
 zero-overhead-when-disabled, observed runs, the JobHandle metrics
-surface, deterministic report exports, and the golden-file Perfetto
-export."""
+surface, deterministic report exports, the golden-file Perfetto
+export and its exact JSON encoder."""
 
 import gc
 import json
@@ -14,12 +14,15 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry, ObservedRun, Stats, export_run, get_registry,
-    new_run_id,
+    new_run_id, write_trace,
 )
 from repro.obs.emit import ReportEmitter
+from repro.obs.perfetto import trace_json
 from repro.systems import Session
 from repro.timing import get_timing
 
@@ -474,6 +477,33 @@ class TestPerfettoExport:
         _, path = self._export(tmp_path)
         golden = GOLDEN / "trace_misp_1x2_dense_mvm.json"
         assert path.read_text() == golden.read_text()
+
+
+#: JSON documents: every leaf json writes (escapes, non-ASCII, bools,
+#: non-finite floats), nested in lists, tuples and string-keyed dicts
+_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text())
+_documents = st.recursive(
+    _leaves,
+    lambda children: (st.lists(children)
+                      | st.tuples(children, children)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+class TestTraceJson:
+    @given(_documents)
+    def test_matches_json_dumps(self, doc):
+        assert trace_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+    def test_write_trace_writes_the_text_and_a_newline(self, tmp_path):
+        doc = {"traceEvents": [{"name": "\u00e9\"x", "ts": 1.5,
+                                "args": {"n": float("nan")}}],
+               "otherData": {}}
+        path = tmp_path / "trace.json"
+        write_trace(doc, str(path))
+        assert path.read_text() == (
+            json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 class TestPerfettoCaptureEnrichment:
