@@ -8,8 +8,8 @@ sequencers of a processor*.  The sweep varies that pool width
 Figure-4-style comparison at each point, declared as a
 ``fu_count x {1p, misp, smp}`` grid of ``timing_model="scoreboard"``
 specs and executed through ``Runner.run_experiment`` (deduplication,
-parallelism, and the cache all apply; replay never does — scoreboard
-specs are execution-driven by construction).
+parallelism, and the cache all apply; scoreboard specs cannot even be
+captured, so they are execution-driven by construction).
 
 Asserted shape:
 

@@ -5,10 +5,12 @@ times serially.  First execution-driven: ``run_figure_mem`` on a
 serial Runner simulates all twelve ``mem_cost x {1p, misp, smp}``
 runs.  Then from traces: each system's event trace is captured once
 (untimed), and the replay regeneration re-prices the recorded event
-graph under each swept ``mem_cost``.  The replay side is what a
-``Runner(replay=True)`` grid pays per additional sweep point.  The
-fast-path contract: replay regeneration must be at least
-``TARGET_SPEEDUP`` times faster than the execution-driven sweep.  Both
+graph under each swept ``mem_cost``.  The replay side is what a caller
+of the explicit trace-driven API (``execute_captured``, then one
+``ReplayMachine.run`` per point) pays per additional sweep point; the
+Runner and the report always execute.  The fast-path contract: replay
+regeneration must be at least ``TARGET_SPEEDUP`` times faster than the
+execution-driven sweep.  Both
 sides run serially on the same host, so the ratio compares code, not
 machines or pool widths.
 

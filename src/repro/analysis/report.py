@@ -265,9 +265,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run everything in-process, serially")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk run cache (incremental re-runs)")
-    parser.add_argument("--replay", action="store_true",
-                        help="capture once per sweep and replay the "
-                             "timing-only points (trace-driven fast path)")
     parser.add_argument("--stream", action="store_true",
                         help="serve Figure 4 through the runner's "
                              "submit() job API (partial results stream "
@@ -341,8 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         store = (store_from_env(args.cache_dir, instance=emitter.run_id)
                  if args.cache_dir else None)
         runner = Runner(store=store, max_workers=args.jobs,
-                        parallel=not args.serial, replay=args.replay,
-                        instance=emitter.run_id)
+                        parallel=not args.serial, instance=emitter.run_id)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
     with runner:

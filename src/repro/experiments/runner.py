@@ -10,16 +10,9 @@ execute concurrently in worker processes.
 It is an :class:`~repro.service.ExperimentService` -- the same memo ->
 store -> in-flight -> executor resolution, the same
 :class:`~repro.service.ServiceStats` -- with a per-call worker pool.
-
-With ``replay=True`` (or ``REPRO_REPLAY=1``) the execution plan
-(:func:`~repro.service.plan_groups`) additionally exploits the
-trace-driven fast path (:mod:`repro.sim.captrace`): specs that differ
-only in replay-safe timing parameters form a *replay class*, and each
-class runs as one execution-driven capture plus cheap trace replays
--- a figure's ``mem_cost``/``signal_cost`` sweep simulates once
-instead of once per point.  Replay summaries carry ``timing="replay"``
-and are stored under a distinct key, so they never alias
-execution-driven numbers.
+Every summary it returns was executed: re-pricing a captured trace
+under other timing parameters is the explicit
+:class:`~repro.sim.captrace.ReplayMachine` API, never a Runner mode.
 """
 
 from __future__ import annotations
@@ -65,9 +58,8 @@ def runner_from_env() -> Runner:
     ``REPRO_CACHE_DIR`` enables the on-disk store
     (``REPRO_STORE_MAX_ENTRIES`` / ``REPRO_STORE_MAX_BYTES`` bound it),
     ``REPRO_MAX_WORKERS`` bounds parallelism, ``REPRO_SERIAL=1`` forces
-    serial in-process execution, ``REPRO_REPLAY=1`` enables the
-    capture-once/replay-rest fast path for timing-only sweeps.  A
-    worker count or store bound that is not a positive integer is a
+    serial in-process execution.  A worker count or store bound that
+    is not a positive integer is a
     :class:`~repro.errors.ConfigurationError` naming the variable and
     its value."""
     max_workers = _env_bound("REPRO_MAX_WORKERS")
@@ -76,7 +68,6 @@ def runner_from_env() -> Runner:
         store=store_from_env(cache_dir) if cache_dir else None,
         max_workers=max_workers,
         parallel=os.environ.get("REPRO_SERIAL", "") not in ("1", "true"),
-        replay=os.environ.get("REPRO_REPLAY", "") in ("1", "true"),
     )
 
 

@@ -47,7 +47,7 @@ from typing import (
 
 from repro.errors import ExperimentExecutionError
 from repro.obs.metrics import MetricsRegistry, Stats, new_run_id
-from repro.service.executor import ExecutionBackend, plan_groups
+from repro.service.executor import ExecutionBackend
 from repro.service.inflight import InflightTable
 from repro.service.store import ResultStore
 
@@ -100,21 +100,18 @@ class ServiceStats(Stats):
     #: requested -- grid members submitted; deduplicated -- duplicate
     #: members within submitted grids; inflight_joined -- specs folded
     #: onto an execution another job already had in flight; executed --
-    #: execution-driven simulations (replay-group captures included)
+    #: simulations run
     FIELDS = ("requested", "deduplicated", "memo_hits", "store_hits",
-              "inflight_joined", "executed", "captured", "replayed",
-              "failed", "jobs")
+              "inflight_joined", "executed", "failed", "jobs")
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return (f"{self.jobs} jobs / {self.requested} requested = "
-                f"{self.executed + self.replayed} executed "
+                f"{self.executed} executed "
                 f"+ {self.deduplicated} deduplicated "
                 f"+ {self.memo_hits} memoized + {self.store_hits} stored "
                 f"+ {self.inflight_joined} joined in-flight"
-                + (f" ({self.captured} captured, {self.replayed} replayed)"
-                   if self.captured or self.replayed else "")
                 + (f" ({self.failed} failed)" if self.failed else ""))
 
 
@@ -140,7 +137,7 @@ class JobHandle:
         self._delivered = 0
         self._results: dict[str, "RunSummary"] = {}
         self._failures: list[tuple["RunSpec", BaseException]] = []
-        #: wall seconds per resolution phase (memo/store/plan/...)
+        #: wall seconds per resolution phase (memo/store/execute/...)
         self._phase_seconds: dict[str, float] = {}
         self._done = threading.Event()
         if expected == 0:
@@ -208,8 +205,8 @@ class JobHandle:
         progress, and wall-time attribution per resolution phase.
 
         ``phases`` maps each pipeline phase the service ran for this
-        job (``submit``/``memo``/``store``/``plan``/``execute``/
-        ``backfill``) to wall seconds spent in it.  ``submit`` times
+        job (``submit``/``memo``/``store``/``execute``/``backfill``)
+        to wall seconds spent in it.  ``submit`` times
         the start of the job thread, so it appears only when a
         submitted job had specs left after the memo and store: a job
         they answer in full starts no thread and has no ``submit``
@@ -251,15 +248,11 @@ class ExperimentService:
     * with a ``store`` (a :class:`ResultStore` or a directory), runs
       persist on disk keyed by spec hash, so new processes are served
       from the store;
-    * a plan of several task groups runs in a persistent process pool
-      of up to ``max_workers`` workers; a plan of one group, or any
-      plan with ``parallel=False``, runs inline on the resolving
-      thread (deterministic, and registry-local backends/timing models
-      stay visible);
-    * with ``replay=True``, specs differing only in replay-safe timing
-      parameters share one execution-driven capture and replay the
-      rest through :class:`~repro.sim.captrace.ReplayMachine`
-      (replayed summaries carry ``timing="replay"``).
+    * every spec left to run executes; a batch of several runs in a
+      persistent process pool of up to ``max_workers`` workers, and a
+      single spec, or any batch with ``parallel=False``, runs inline
+      on the resolving thread (deterministic, and registry-local
+      backends/timing models stay visible).
 
     A failing simulation neither discards the rest of its grid
     (completed runs are memoized and stored first) nor shadows other
@@ -280,24 +273,25 @@ class ExperimentService:
                  store: Optional[Union[ResultStore, str, os.PathLike]] = None,
                  max_workers: Optional[int] = None,
                  parallel: bool = True,
-                 replay: bool = False,
-                 run_group_fn: Optional[Callable] = None,
+                 execute_fn: Optional[Callable] = None,
                  registry: Optional[MetricsRegistry] = None,
                  instance: Optional[str] = None) -> None:
         # first, so a bad worker count fails before a store is created
         self.backend = ExecutionBackend(max_workers=max_workers,
                                         parallel=parallel,
-                                        run_group_fn=run_group_fn)
+                                        execute_fn=execute_fn)
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store, registry=registry,
                                 instance=instance)
         self.store: Optional[ResultStore] = store
-        self.replay = replay
         #: finished summaries by spec hash, shared by every job
         self._memo: dict[str, "RunSummary"] = {}
         self._memo_lock = threading.Lock()
         self.inflight = InflightTable()
         self.stats = ServiceStats(registry=registry, instance=instance)
+        #: the job threads :meth:`submit` started that may still run
+        self._threads: list[threading.Thread] = []
+        self._threads_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -343,16 +337,25 @@ class ExperimentService:
         remaining = self._guarded(self._lookup, job, unique)
         if remaining:
             with self._phase(job, "submit"):
-                threading.Thread(target=self._guarded,
-                                 args=(self._resolve_rest, job, unique,
-                                       remaining),
-                                 name=f"repro-{job.job_id}",
-                                 daemon=True).start()
+                thread = threading.Thread(
+                    target=self._guarded,
+                    args=(self._resolve_rest, job, unique, remaining),
+                    name=f"repro-{job.job_id}", daemon=True)
+                with self._threads_lock:
+                    self._threads = [t for t in self._threads
+                                     if t.is_alive()]
+                    self._threads.append(thread)
+                    thread.start()
         return job
 
     def close(self) -> None:
-        """Shut down the shared worker pool (jobs already submitted
-        finish first)."""
+        """Shut down the shared worker pool.  Jobs already submitted
+        finish first: this waits for their threads, so none of them
+        can start a pool after it is shut down."""
+        with self._threads_lock:
+            threads, self._threads = self._threads, []
+        for thread in threads:
+            thread.join()
         self.backend.close()
 
     def __enter__(self) -> "ExperimentService":
@@ -421,15 +424,12 @@ class ExperimentService:
             for key, summary in hits.items():
                 job._deliver(key, summary)
 
-        # 2. content-addressed store (backfills the memo); in replay
-        # mode a replay entry serves only where no exact one exists
+        # 2. content-addressed store (backfills the memo)
         if self.store is not None and remaining:
             with self._phase(job, "store"):
                 hits, missed = {}, []
                 for spec in remaining:
                     summary = self.store.get(spec)
-                    if summary is None and self.replay:
-                        summary = self.store.get(spec, timing="replay")
                     if summary is None:
                         missed.append(spec)
                     else:
@@ -479,35 +479,29 @@ class ExperimentService:
 
     def _execute_owned(self, job: JobHandle,
                        specs: Sequence["RunSpec"]) -> None:
-        with self._phase(job, "plan"):
-            groups = plan_groups(specs, self.replay)
         with self._phase(job, "execute"):
-            # each group resolves -- and streams to every waiting job --
+            # each run resolves -- and streams to every waiting job --
             # as soon as it finishes
-            for group, future in self.backend.run(groups):
-                self._settle_group(job, group, future)
+            for spec, future in self.backend.run(specs):
+                self._settle(job, spec, future)
 
-    def _settle_group(self, job: JobHandle, group: Sequence["RunSpec"],
-                      future: Future) -> None:
+    def _settle(self, job: JobHandle, spec: "RunSpec",
+                future: Future) -> None:
+        key = spec.spec_hash()
         try:
-            summaries = future.result()
+            summary = future.result()
         except Exception as exc:
-            self.stats.add(failed=len(group))
-            for spec in group:
-                self.inflight.fail(spec.spec_hash(), exc)
+            self.stats.add(failed=1)
+            self.inflight.fail(key, exc)
             return
         with self._phase(job, "backfill"):
-            for spec, summary in zip(group, summaries):
-                with self._memo_lock:
-                    self._memo[spec.spec_hash()] = summary
-                if self.store is not None:
-                    self.store.put(spec, summary)
-                # resolving the future delivers to this job and every
-                # joiner
-                self.inflight.resolve(spec.spec_hash(), summary)
-        self.stats.add(executed=1,
-                       captured=1 if len(group) > 1 else 0,
-                       replayed=len(group) - 1)
+            with self._memo_lock:
+                self._memo[key] = summary
+            if self.store is not None:
+                self.store.put(spec, summary)
+            # resolving the future delivers to this job and every joiner
+            self.inflight.resolve(key, summary)
+        self.stats.add(executed=1)
 
     def _on_future(self, job: JobHandle, spec: "RunSpec",
                    future: Future) -> None:

@@ -2,11 +2,10 @@
 
 The :class:`ResultStore` grows the old spec-hash disk cache into a
 proper content-addressed store.  Entries are keyed by
-:meth:`RunSpec.spec_hash` (plus timing identity), one JSON file per
-entry, written atomically (temp file + ``os.replace``) so concurrent
-writers -- parallel Runner workers, several services sharing one
-directory, or two simultaneous invocations -- can only ever race to
-write identical content.
+:meth:`RunSpec.spec_hash`, one JSON file per entry, written atomically
+(temp file + ``os.replace``) so concurrent writers -- parallel Runner
+workers, several services sharing one directory, or two simultaneous
+invocations -- can only ever race to write identical content.
 
 On top of the old cache behaviour the store adds:
 
@@ -25,11 +24,12 @@ On top of the old cache behaviour the store adds:
   :class:`StoreStats`, which the metrics registry reads at export, so
   a serving deployment can report its cache hit rate.
 
-Timing identity is part of the key: an execution-driven summary lives
-in ``<spec_hash>.json``, a trace-driven replay summary (see
-:mod:`repro.sim.captrace`) in ``<spec_hash>.replay.json``, and each
-entry also records its ``timing`` in the payload, so a replay summary
-can never alias the execution-driven numbers for the same spec.
+The store holds execution-driven summaries only: :meth:`ResultStore.put`
+refuses a trace-driven replay summary (see :mod:`repro.sim.captrace`)
+with a :class:`~repro.errors.ConfigurationError`, so every stored
+number is one an execution produced.  Replay entries an earlier
+version kept under their own key are never read, and :meth:`clear`
+removes them.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class SweepReport:
 
 
 class ResultStore:
-    """A directory of ``<spec_hash>[.replay].json`` run summaries.
+    """A directory of ``<spec_hash>.json`` run summaries.
 
     ``max_entries`` / ``max_bytes`` (optional) bound the store; when a
     put pushes past a bound, least-recently-used entries are evicted
@@ -148,34 +148,32 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def _address(self, key: str, timing: str) -> str:
-        """The path of the entry for spec hash ``key`` under ``timing``,
-        as a plain string: the one place the file layout is decided."""
-        suffix = ".json" if timing == "execute" else f".{timing}.json"
-        return f"{self._prefix}{key}{suffix}"
+    def _address(self, key: str) -> str:
+        """The path of the entry for spec hash ``key``, as a plain
+        string: the one place the file layout is decided."""
+        return f"{self._prefix}{key}.json"
 
-    def path_for(self, spec: "RunSpec", timing: str = "execute") -> Path:
-        return Path(self._address(spec.spec_hash(), timing))
+    def path_for(self, spec: "RunSpec") -> Path:
+        return Path(self._address(spec.spec_hash()))
 
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    def get(self, spec: "RunSpec",
-            timing: str = "execute") -> Optional["RunSummary"]:
+    def get(self, spec: "RunSpec") -> Optional["RunSummary"]:
         """The stored summary for ``spec``, or None on miss.
 
         A present-but-unreadable entry -- truncated JSON, JSON that is
-        not an object, or a payload whose recorded hash disagrees with
-        its address -- is counted in ``stats.corrupt`` and quarantined
-        (renamed ``*.corrupt``) so it cannot shadow the key, then
-        reported as a miss.  An entry from another
+        not an object, a payload whose recorded hash disagrees with
+        its address, or a summary that was not executed -- is counted
+        in ``stats.corrupt`` and quarantined (renamed ``*.corrupt``)
+        so it cannot shadow the key, then reported as a miss.  An entry from another
         :data:`STORE_VERSION` is a plain miss (stale, not corrupt); the
         next put overwrites it.
         """
         from repro.experiments.summary import RunSummary
 
         key = spec.spec_hash()
-        path = self._address(key, timing)
+        path = self._address(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.loads(fh.read())
@@ -187,11 +185,9 @@ class ResultStore:
                            payload.get("cache_version")) != STORE_VERSION:
                 self.stats.add(misses=1)
                 return None
-            if payload.get("timing", "execute") != timing:
-                raise ValueError("entry timing disagrees with its key")
             summary = RunSummary.from_dict(payload["summary"])
-            if summary.timing != timing:
-                raise ValueError("summary timing disagrees with its key")
+            if summary.timing != "execute":
+                raise ValueError("entry holds a summary not executed")
         except FileNotFoundError:
             self.stats.add(misses=1)
             return None
@@ -203,7 +199,14 @@ class ResultStore:
         return summary
 
     def put(self, spec: "RunSpec", summary: "RunSummary") -> Path:
-        path = self.path_for(spec, summary.timing)
+        """Store ``summary`` as the entry for ``spec``; a summary that
+        was not executed (``timing`` other than ``"execute"``) is a
+        :class:`~repro.errors.ConfigurationError`."""
+        if summary.timing != "execute":
+            raise ConfigurationError(
+                "the store holds executed summaries only, "
+                f"got timing={summary.timing!r}")
+        path = self.path_for(spec)
         payload = {
             "store_version": STORE_VERSION,
             # legacy field name kept so pre-store readers see a version

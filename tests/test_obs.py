@@ -408,7 +408,7 @@ class TestJobMetrics:
         assert m["expected"] == 1 and m["delivered"] == 1
         assert m["done"] and not m["failed"]
         assert m["job_id"].startswith("job-")
-        for phase in ("submit", "plan", "execute", "backfill"):
+        for phase in ("submit", "execute", "backfill"):
             assert phase in m["phases"], phase
             assert m["phases"][phase] >= 0.0
         # service stats landed in the passed registry under the instance

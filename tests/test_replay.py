@@ -1,7 +1,7 @@
-"""Tests for trace capture/replay (repro.sim.captrace) and its Runner
-integration: the capture format, replay-vs-execute equivalence,
-timing-only sweep approximation, replay-class grouping, and cache
-timing identity."""
+"""Tests for trace capture/replay (repro.sim.captrace): the capture
+format, replay-vs-execute equivalence, the timing-only sweep
+approximation, and the validity boundaries (refused fields, specs and
+backends)."""
 
 import dataclasses
 import gc
@@ -12,13 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.figure_mem import FIGURE_MEM_COSTS, run_figure_mem
+from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
+from repro.analysis.figure_mem import (
+    DEFAULT_WORKLOAD, FIGURE_MEM_COSTS, MemSensitivityRow,
+)
 from repro.core import build_machine
 from repro.errors import ConfigurationError
-from repro.experiments import Runner, RunSpec, RunSummary
+from repro.experiments import RunSpec, RunSummary
 from repro.isa import AsmStream, assemble
 from repro.params import DEFAULT_PARAMS, PAGE_SIZE
-from repro.service import execute, execute_captured, replay_class, run_group
+from repro.service import execute, execute_captured
 from repro.sim import captrace
 from repro.sim.captrace import (
     REPLAY_SAFE_FIELDS, CapturedTrace, ReplayMachine, replayable_changes,
@@ -205,12 +208,6 @@ class TestExactEquivalence:
         machine.run(params=DEFAULT_PARAMS.with_changes(l2_size=4096))
         assert len(built) == 1
 
-    def test_replay_group_first_executes_rest_replay(self):
-        specs = [spec_for("misp", mem_cost=mc) for mc in (60, 240, 960)]
-        out = run_group(specs)
-        assert [s.timing for s in out] == ["execute", "replay", "replay"]
-        assert out[0].to_dict() == execute(specs[0]).to_dict()
-
     @pytest.mark.smoke
     def test_capture_replay_round_trip_smoke(self):
         """The CI smoke gate: one capture+replay round-trip stays
@@ -239,9 +236,22 @@ class TestTimingSweeps:
 
     def test_figure_mem_decline_reproduced_via_replay(self):
         """The figure_mem property -- MISP's advantage declines as
-        memory gets slower -- survives the replay fast path."""
-        rows = run_figure_mem(scale=SCALE,
-                              runner=Runner(parallel=False, replay=True))
+        memory gets slower -- survives the replay fast path: one
+        capture per system, every swept point re-priced from it."""
+        machines = {}
+        for system, config in _systems(DEFAULT_AMS_COUNT):
+            _, trace = execute_captured(
+                RunSpec(DEFAULT_WORKLOAD, system, config, scale=SCALE))
+            machines[system] = ReplayMachine(trace)
+        rows = []
+        for mem_cost in FIGURE_MEM_COSTS:
+            swept = DEFAULT_PARAMS.with_changes(mem_cost=mem_cost)
+            point = {system: machine.run(params=swept)
+                     for system, machine in machines.items()}
+            rows.append(MemSensitivityRow(
+                DEFAULT_WORKLOAD, mem_cost, point["1p"].cycles,
+                point["misp"].cycles, point["smp"].cycles,
+                point["misp"].mem, point["smp"].mem))
         assert [row.mem_cost for row in rows] == list(FIGURE_MEM_COSTS)
         speedups = [row.misp_speedup for row in rows]
         assert all(a >= b for a, b in zip(speedups, speedups[1:]))
@@ -289,12 +299,11 @@ class TestValidity:
         """SMP thread creation yields a ``SyscallOp`` with an explicit
         cost and proxy registration a ``Compute`` of two atomics, so
         neither records a coefficient: a replay would keep the
-        captured cost.  Replay refuses the field; the planner executes
-        such points."""
+        captured cost.  Replay refuses the field, so such points must
+        execute."""
         assert field not in REPLAY_SAFE_FIELDS
         spec = spec_for(system, workload="dense_mvm")
         swept = spec_for(system, workload="dense_mvm", **{field: 200_000})
-        assert replay_class(spec) != replay_class(swept)
         _, trace = execute_captured(spec)
         with pytest.raises(ConfigurationError):
             ReplayMachine(trace).run(spec=swept)
@@ -334,55 +343,3 @@ class TestValidity:
         assert captured.trace.num_events > 1000
         assert plain.trace is None
         assert captured.cycles == plain.cycles
-
-
-# ----------------------------------------------------------------------
-# Runner integration: replay classes and cache timing identity
-# ----------------------------------------------------------------------
-class TestRunnerIntegration:
-    def test_replay_class_groups_timing_only_diffs(self):
-        a = spec_for("misp")
-        b = spec_for("misp", mem_cost=960)
-        c = spec_for("misp", timer_quantum=123456)
-        d = spec_for("smp")
-        assert replay_class(a) == replay_class(b)
-        assert replay_class(a) != replay_class(c)
-        assert replay_class(a) != replay_class(d)
-        assert replay_class(RunSpec(workload="RayTracer",
-                                    system="multiprog",
-                                    scale=SCALE)) is None
-
-    def test_runner_replay_mode_captures_once(self, tmp_path):
-        specs = [spec_for("misp", mem_cost=mc) for mc in (15, 60, 240)]
-        runner = Runner(store=tmp_path, parallel=False, replay=True)
-        out = runner.run_many(specs)
-        assert runner.stats.executed == 1
-        assert runner.stats.captured == 1
-        assert runner.stats.replayed == 2
-        assert [s.timing for s in out] == ["execute", "replay", "replay"]
-
-    def test_replay_cache_entries_never_alias_execution(self, tmp_path):
-        specs = [spec_for("misp", mem_cost=mc) for mc in (15, 60, 240)]
-        Runner(store=tmp_path, parallel=False,
-               replay=True).run_many(specs)
-        # an execution-driven runner sees only the captured spec's
-        # entry; the replay summaries are invisible to it
-        exec_runner = Runner(store=tmp_path, parallel=False)
-        out = exec_runner.run_many(specs)
-        assert all(s.timing == "execute" for s in out)
-        assert exec_runner.stats.store_hits == 1
-        assert exec_runner.stats.executed == 2
-        # once execution-driven entries exist, a replay-mode runner
-        # prefers them (they are exact)
-        third = Runner(store=tmp_path, parallel=False, replay=True)
-        out3 = third.run_many(specs)
-        assert third.stats.store_hits == 3
-        assert third.stats.executed == 0
-        assert all(s.timing == "execute" for s in out3)
-
-    def test_replay_mode_parallel_matches_serial(self, tmp_path):
-        specs = [spec_for("smp", mem_cost=mc) for mc in (60, 960)]
-        serial = Runner(parallel=False, replay=True).run_many(specs)
-        parallel = Runner(max_workers=2, replay=True).run_many(specs)
-        assert [s.to_dict() for s in serial] == [s.to_dict()
-                                                for s in parallel]

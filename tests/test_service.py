@@ -1,9 +1,10 @@
 """Tests for the layered experiment service: the content-addressed
-ResultStore (metrics, eviction, quarantine, temp-file reclamation),
-resolution order, replay planning, the cross-request InflightTable,
-concurrency invariants (shared-store races, in-flight dedup), and the
-ExperimentService streaming job API."""
+ResultStore (metrics, eviction, quarantine, temp-file reclamation,
+executed summaries only), resolution order, the execution backend, the
+cross-request InflightTable, concurrency invariants (shared-store
+races, in-flight dedup), and the ExperimentService streaming job API."""
 
+import dataclasses
 import errno
 import json
 import multiprocessing
@@ -16,6 +17,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import repro.service.executor as executor
 from repro.errors import (
     ConfigurationError, ExperimentExecutionError, SimulationError,
 )
@@ -24,8 +26,8 @@ from repro.experiments import (
 )
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
-    STORE_VERSION, ExperimentService, InflightTable, ResultStore, execute,
-    plan_groups, run_group, store_from_env,
+    STORE_VERSION, ExecutionBackend, ExperimentService, InflightTable,
+    ResultStore, execute, store_from_env,
 )
 
 #: a fast workload for end-to-end service tests
@@ -76,39 +78,38 @@ CRASH_COST = 4321
 NON_OBJECT_PAYLOADS = ["[]", "null", '"x"', "3"]
 
 
-def crash_marked(group):
-    """A ``run_group_fn`` (module level, so pool workers can run it)
+def crash_marked(spec):
+    """An ``execute_fn`` (module level, so pool workers can run it)
     whose worker process dies on a marked spec."""
-    if any(spec.params.signal_cost == CRASH_COST for spec in group):
+    if spec.params.signal_cost == CRASH_COST:
         os._exit(1)
-    return run_group(group)
+    return execute(spec)
 
 
 #: marks the spec whose worker :func:`crash_once` kills, once
 CRASH_ONCE_COST = 4322
 
 
-def crash_once(group):
-    """A ``run_group_fn`` (module level, so pool workers can run it)
+def crash_once(spec):
+    """An ``execute_fn`` (module level, so pool workers can run it)
     whose worker process dies on a marked spec's first attempt only:
     the attempt leaves a marker file in ``$REPRO_TEST_CRASH_DIR``."""
-    for spec in group:
-        if spec.params.signal_cost == CRASH_ONCE_COST:
-            marker = os.path.join(os.environ["REPRO_TEST_CRASH_DIR"],
-                                  spec.spec_hash())
-            if not os.path.exists(marker):
-                open(marker, "w").close()
-                os._exit(1)
-    return run_group(group)
+    if spec.params.signal_cost == CRASH_ONCE_COST:
+        marker = os.path.join(os.environ["REPRO_TEST_CRASH_DIR"],
+                              spec.spec_hash())
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)
+    return execute(spec)
 
 
-def exit_after_run(group):
-    """A ``run_group_fn`` (module level, so pool workers can run it)
-    whose worker process exits shortly after it returns the group's
-    summaries: the pool breaks while it sits idle."""
-    summaries = run_group(group)
+def exit_after_run(spec):
+    """An ``execute_fn`` (module level, so pool workers can run it)
+    whose worker process exits shortly after it returns the spec's
+    summary: the pool breaks while it sits idle."""
+    summary = execute(spec)
     threading.Timer(0.2, os._exit, (0,)).start()
-    return summaries
+    return summary
 
 
 def assert_quarantined(tmp_path, text: str) -> None:
@@ -251,6 +252,37 @@ class TestResultStore:
         assert store.stats.corrupt == 1
         assert store.get(good) == summary_for(good)
 
+    def test_put_refuses_a_replayed_summary(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = spec_n(1)
+        replayed = dataclasses.replace(summary_for(spec), timing="replay")
+        with pytest.raises(ConfigurationError, match="'replay'"):
+            store.put(spec, replayed)
+        assert len(store) == 0 and store.stats.puts == 0
+
+    def test_replay_entry_of_an_older_version_never_served(self, tmp_path):
+        """Replay summaries once had their own key beside the
+        executed entry; the store never reads that key, and a replayed
+        summary under the executed key is corruption."""
+        store = ResultStore(tmp_path)
+        spec = spec_n(1)
+        store.put(spec, summary_for(spec))
+        payload = json.loads(store.path_for(spec).read_text())
+        payload["timing"] = payload["summary"]["timing"] = "replay"
+        store.path_for(spec).unlink()
+        old = tmp_path / f"{spec.spec_hash()}.replay.json"
+        old.write_text(json.dumps(payload))
+        assert store.get(spec) is None
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
+        assert old.exists()
+        # under the executed key the same payload is corruption
+        store.path_for(spec).write_text(json.dumps(payload))
+        assert store.get(spec) is None
+        assert store.stats.corrupt == 1
+        assert not store.path_for(spec).exists()
+        assert store.clear() == 1
+        assert not old.exists()
+
 
 class TestStoreFromEnv:
     @pytest.mark.parametrize("variable", ["REPRO_STORE_MAX_ENTRIES",
@@ -304,32 +336,26 @@ class TestStoreFromEnv:
 
 
 # ----------------------------------------------------------------------
-# Planning and the inflight table
+# The execution backend and the inflight table
 # ----------------------------------------------------------------------
-class TestPlanning:
-    def test_direct_planner_singletons(self):
-        specs = [spec_n(i) for i in range(3)]
-        assert plan_groups(specs, replay=False) == [[s] for s in specs]
-        # a singleton group is one plain execution
-        assert run_group([TINY]) == [execute(TINY)]
+class TestExecutionBackend:
+    def test_each_spec_runs_through_the_module_execute(self, monkeypatch):
+        """The backend runs every spec, in input order on the serial
+        path, through ``executor.execute`` as the module holds it when
+        the batch starts, so a wrapper installed after the service was
+        built (as a profiler's) sees every execution."""
+        backend = ExecutionBackend(parallel=False)
+        calls = []
 
-    def test_replay_planner_groups_timing_only_diffs(self):
-        m15, m60, m240 = [
-            RunSpec(system="misp", config="1x4",
-                    params=DEFAULT_PARAMS.with_changes(mem_cost=mc), **FAST)
-            for mc in (15, 60, 240)]
-        control = RunSpec(
-            system="misp", config="1x4",
-            params=DEFAULT_PARAMS.with_changes(timer_quantum=123456),
-            **FAST)
-        uncapturable = RunSpec(workload="RayTracer", system="multiprog",
-                               scale=0.05)
-        # the exact plan: on the serial path it is the execution order
-        # (and so the order of streamed progress lines); uncapturable
-        # singletons first, then classes by first member
-        plan = plan_groups([m15, control, m60, uncapturable, m240],
-                           replay=True)
-        assert plan == [[uncapturable], [m15, m60, m240], [control]]
+        def counted(spec):
+            calls.append(spec)
+            return execute(spec)
+
+        monkeypatch.setattr(executor, "execute", counted)
+        specs = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
+        out = [(spec, future.result()) for spec, future in backend.run(specs)]
+        assert calls == specs
+        assert out == [(spec, execute(spec)) for spec in specs]
 
 
 class TestInflightTable:
@@ -357,15 +383,15 @@ class TestInflightTable:
 # ----------------------------------------------------------------------
 # Resolution order: memo -> store -> execution, with backfill
 # ----------------------------------------------------------------------
-class StubGroups:
-    """A ``run_group_fn`` that manufactures summaries and records calls."""
+class StubExecute:
+    """An ``execute_fn`` that manufactures summaries and records calls."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, group):
-        self.calls.append(list(group))
-        return [summary_for(s) for s in group]
+    def __call__(self, spec):
+        self.calls.append(spec)
+        return summary_for(spec)
 
 
 def served_by(service):
@@ -377,9 +403,9 @@ def served_by(service):
 class TestResolutionOrder:
     def test_layer_order_and_backfill(self, tmp_path):
         store = ResultStore(tmp_path)
-        stub = StubGroups()
+        stub = StubExecute()
         service = ExperimentService(store=store, parallel=False,
-                                    run_group_fn=stub)
+                                    execute_fn=stub)
         specs = [spec_n(i) for i in range(3)]
 
         first = service.run_many(specs)
@@ -392,7 +418,7 @@ class TestResolutionOrder:
         assert len(stub.calls) == 3
 
         fresh = ExperimentService(store=store, parallel=False,
-                                  run_group_fn=StubGroups())
+                                  execute_fn=StubExecute())
         fresh.run_many(specs)                          # disk short-circuit
         assert served_by(fresh) == (0, 3, 0)
 
@@ -441,7 +467,7 @@ class TestStoreWriteFailure:
         fail_next_put(store)
         specs = [spec_n(1), spec_n(2)]
         with ExperimentService(store=store, parallel=False,
-                               run_group_fn=StubGroups()) as service:
+                               execute_fn=StubExecute()) as service:
             with pytest.raises(ExperimentExecutionError) as excinfo:
                 service.submit(specs).result(timeout=10)
             assert all(isinstance(exc, OSError)
@@ -486,7 +512,7 @@ class TestFaultRecovery:
                     RunSpec("dense_mvm", "1p", scale=0.01, params=marked)]
         healthy = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
         with ExperimentService(max_workers=2,
-                               run_group_fn=crash_marked) as service:
+                               execute_fn=crash_marked) as service:
             with pytest.raises(ExperimentExecutionError):
                 service.run_many(crashing)
             out = service.run_many(healthy)
@@ -494,15 +520,15 @@ class TestFaultRecovery:
                                            for s in healthy]
 
     def test_healthy_group_survives_a_crashing_one(self):
-        """Each group a dead worker broke is retried on a pool of its
-        own, so a group whose worker dies every time takes no healthy
-        group down with it."""
+        """Each spec a dead worker broke is retried on a pool of its
+        own, so a spec whose worker dies every time takes no healthy
+        spec down with it."""
         marked = DEFAULT_PARAMS.with_changes(signal_cost=CRASH_COST)
         crashing = RunSpec("dense_mvm", "misp", "1x2", scale=0.01,
                            params=marked)
         plain = RunSpec("dense_mvm", "1p", scale=0.01)
         with ExperimentService(max_workers=2,
-                               run_group_fn=crash_marked) as service:
+                               execute_fn=crash_marked) as service:
             with pytest.raises(ExperimentExecutionError) as excinfo:
                 service.run_many([crashing, plain])
             assert [spec for spec, _ in excinfo.value.failures] == [crashing]
@@ -517,7 +543,7 @@ class TestFaultRecovery:
                          params=marked),
                  RunSpec("dense_mvm", "1p", scale=0.01)]
         with ExperimentService(max_workers=2,
-                               run_group_fn=crash_once) as service:
+                               execute_fn=crash_once) as service:
             out = service.run_many(specs)
         assert [s.cycles for s in out] == [execute(s).cycles
                                            for s in specs]
@@ -528,7 +554,7 @@ class TestFaultRecovery:
         healthy = [RunSpec("dense_mvm", "misp", "1x4", scale=0.01),
                    RunSpec("dense_mvm", "smp", "smp2", scale=0.01)]
         with ExperimentService(max_workers=2,
-                               run_group_fn=exit_after_run) as service:
+                               execute_fn=exit_after_run) as service:
             service.run_many(first)
             # every worker exits between plans; the next plan meets a
             # broken pool whether or not the pool has flagged it yet
@@ -602,14 +628,14 @@ class TestConcurrency:
         calls = []
         release = threading.Event()
 
-        def gated(group):
-            calls.append(tuple(group))
+        def gated(spec):
+            calls.append(spec)
             assert release.wait(timeout=30)
-            return run_group(group)
+            return execute(spec)
 
         spec = RunSpec(system="misp", config="1x4", **FAST)
         with ExperimentService(parallel=False,
-                               run_group_fn=gated) as service:
+                               execute_fn=gated) as service:
             job_a = service.submit([spec])
             wait_until(lambda: len(calls) == 1)        # A owns the run
             job_b = service.submit([spec])
@@ -649,7 +675,7 @@ class TestWarmPath:
 
         monkeypatch.setattr(threading.Thread, "start", counted)
         with ExperimentService(store=ResultStore(tmp_path), parallel=False,
-                               run_group_fn=StubGroups()) as service:
+                               execute_fn=StubExecute()) as service:
             job = service.submit(specs)
             assert job.done()                      # before any wait
             assert started == []
@@ -665,12 +691,12 @@ class TestWarmPath:
         stored(tmp_path, [cached])
         release = threading.Event()
 
-        def gated(group):
+        def gated(spec):
             assert release.wait(timeout=30)
-            return [summary_for(s) for s in group]
+            return summary_for(spec)
 
         with ExperimentService(store=ResultStore(tmp_path), parallel=False,
-                               run_group_fn=gated) as service:
+                               execute_fn=gated) as service:
             job = service.submit([missing, cached])
             stream = job.as_completed(timeout=30)
             assert next(stream) == summary_for(cached)
@@ -690,7 +716,7 @@ class TestWarmPath:
         stored(tmp_path, specs)
         service = ExperimentService(store=ResultStore(tmp_path),
                                     parallel=False,
-                                    run_group_fn=StubGroups())
+                                    execute_fn=StubExecute())
         nthreads, requests = 8, 200
         start = threading.Barrier(nthreads, timeout=30)
         wrong, errors = [], []
@@ -759,15 +785,15 @@ class TestExperimentService:
     def test_streams_partial_results_before_grid_completes(self):
         gate = threading.Event()
 
-        def gated(group):
-            if group[0].system == "smp":
+        def gated(spec):
+            if spec.system == "smp":
                 assert gate.wait(timeout=30)
-            return run_group(group)
+            return execute(spec)
 
         specs = [RunSpec(system="misp", config="1x4", **FAST),
                  RunSpec(system="smp", config="smp4", **FAST)]
         with ExperimentService(parallel=False,
-                               run_group_fn=gated) as service:
+                               execute_fn=gated) as service:
             job = service.submit(specs)
             stream = job.as_completed(timeout=120)
             first = next(stream)
@@ -778,18 +804,26 @@ class TestExperimentService:
         assert len(rest) == 1 and rest[0].system == "smp"
         assert job.done()
 
-    def test_service_replay_mode_captures_once(self):
-        specs = [RunSpec(system="misp", config="1x4",
-                         params=DEFAULT_PARAMS.with_changes(mem_cost=mc),
-                         **FAST)
-                 for mc in (15, 60, 240)]
-        with ExperimentService(parallel=False, replay=True) as service:
-            result = service.submit(specs).result(timeout=120)
-        assert service.stats.executed == 1
-        assert service.stats.captured == 1
-        assert service.stats.replayed == 2
-        assert [result[s].timing for s in specs] == \
-            ["execute", "replay", "replay"]
+    def test_close_waits_for_submitted_jobs(self, monkeypatch):
+        """A job submitted before ``close`` finishes before it returns,
+        and no worker pool outlives it, even when the job thread
+        reaches the executor only after ``close`` was called."""
+        before = set(multiprocessing.active_children())
+        specs = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
+        service = ExperimentService(max_workers=2)
+        claim = service.inflight.claim
+
+        def late_claim(keys):
+            time.sleep(0.3)
+            return claim(keys)
+
+        monkeypatch.setattr(service.inflight, "claim", late_claim)
+        job = service.submit(specs)
+        within(120, service.close)
+        assert job.done()
+        assert set(multiprocessing.active_children()) <= before
+        assert [s.cycles for s in job.result(timeout=0).summaries()] == \
+            [execute(s).cycles for s in specs]
 
     def test_failed_spec_surfaces_in_result(self):
         good = RunSpec(system="1p", **FAST)

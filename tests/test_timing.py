@@ -11,7 +11,6 @@ from repro.analysis import run_figure_pipeline
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentSpec, Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
-from repro.service import replay_class
 from repro.systems import Session, get_system
 from repro.timing import (
     TIMING_REGISTRY, FixedTiming, ScoreboardTiming, TimingModel,
@@ -170,13 +169,6 @@ class TestCaptureGating:
         result = (Session("misp", "1x2").timing("fixed").capture()
                   .run("dense_mvm", scale=0.02))
         assert result.trace is not None
-
-    def test_replay_class_none_for_scoreboard_specs(self):
-        fixed = RunSpec(system="misp", **FAST)
-        scoreboard = RunSpec(system="misp", timing_model="scoreboard",
-                             **FAST)
-        assert replay_class(fixed) is not None
-        assert replay_class(scoreboard) is None
 
     def test_set_timing_after_events_rejected(self):
         backend = get_system("misp")
