@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from typing import Optional, Sequence
 
@@ -274,25 +273,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="fast end-to-end slice: Figure 4 grid only, "
                              "small default scale (CI's observability run)")
     parser.add_argument("--structured", action="store_true",
-                        default=bool(os.environ.get("REPRO_OBS_STRUCTURED")),
                         help="emit JSON-lines records with run correlation "
-                             "ids instead of human text "
-                             "[REPRO_OBS_STRUCTURED]")
+                             "ids instead of human text")
     parser.add_argument("--metrics", action="store_true",
-                        default=bool(os.environ.get("REPRO_OBS")),
                         help="print the metrics-registry snapshot after "
-                             "the report [REPRO_OBS]")
-    parser.add_argument("--metrics-out", default=os.environ.get(
-                            "REPRO_OBS_METRICS_OUT"),
-                        metavar="FILE",
-                        help="write the metrics snapshot as JSON "
-                             "[REPRO_OBS_METRICS_OUT]")
-    parser.add_argument("--trace-out", default=os.environ.get(
-                            "REPRO_OBS_TRACE_OUT"),
-                        metavar="FILE",
+                             "the report")
+    parser.add_argument("--metrics-out", metavar="FILE",
+                        help="write the metrics snapshot as JSON")
+    parser.add_argument("--trace-out", metavar="FILE",
                         help="run one observed MISP simulation and write "
-                             "its Perfetto/Chrome timeline JSON "
-                             "[REPRO_OBS_TRACE_OUT]")
+                             "its Perfetto/Chrome timeline JSON")
     parser.add_argument("--analyze", action="store_true",
                         help="run the Figure 4 grid with trace capture "
                              "and print critical-path / stall-class "

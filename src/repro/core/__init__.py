@@ -12,7 +12,6 @@ from repro.core.overhead import (
 from repro.core.processor import MISPProcessor
 from repro.core.proxy import ProxyKind, ProxyRequest, ProxyStats
 from repro.core.sequencer import Sequencer, SequencerRole
-from repro.core.yieldcond import Scenario, ScenarioTable
 
 __all__ = [
     "Machine", "FIGURE6_CONFIGS", "FIGURE7_CONFIGS", "build_machine",
@@ -20,5 +19,4 @@ __all__ = [
     "total_sequencers", "SignalSensitivity", "proxy_egress_cost",
     "proxy_ingress_cost", "serialize_cost", "MISPProcessor", "ProxyKind",
     "ProxyRequest", "ProxyStats", "Sequencer", "SequencerRole",
-    "Scenario", "ScenarioTable",
 ]

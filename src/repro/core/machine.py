@@ -134,7 +134,7 @@ class Machine:
         Backend ``build_machine`` signatures stay timing-agnostic: the
         Session attaches the resolved model here right after build.
         """
-        if self.engine.events_executed or self.engine.pending():
+        if self.engine.events_scheduled:
             raise SimulationError(
                 "set_timing() must run before any events are scheduled")
         self.timing = timing
@@ -162,7 +162,7 @@ class Machine:
                 "ops from pipeline occupancy, so a captured cost "
                 "decomposition would not replay -- run execution-driven, "
                 "or switch to .timing('fixed')")
-        if self.engine.events_executed or self.engine.pending():
+        if self.engine.events_scheduled:
             raise SimulationError(
                 "enable_capture() must run before any events are scheduled")
         if self._cap is None:
@@ -182,7 +182,7 @@ class Machine:
         no registry writes exist -- observation is strictly zero-cost
         when disabled.
         """
-        if self.engine.events_executed or self.engine.pending():
+        if self.engine.events_scheduled:
             raise SimulationError(
                 "enable_observation() must run before any events are "
                 "scheduled")
@@ -268,11 +268,10 @@ class Machine:
             self.engine.schedule(self.params.device_interrupt_period,
                                  self._device_tick)
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Run the machine; returns the stop time."""
         self.start_timers()
-        return self.engine.run(until=until, max_events=max_events)
+        return self.engine.run(until=until)
 
     def run_to_completion(self, limit: int = 100_000_000_000) -> int:
         """Run until every process exits; raises on timeout."""
@@ -374,7 +373,7 @@ class Machine:
         cost = self._charge(seq, op, base, walks, access, fetch)
         seq.busy = True
         seq.busy_cycles += cost
-        event = self.engine.schedule(cost, self._complete, seq, stream, op,
+        seqno = self.engine.schedule(cost, self._complete, seq, stream, op,
                                      action)
         if cap is not None:
             # annotate the event just scheduled: its pattern (the
@@ -389,7 +388,7 @@ class Machine:
             cap.patterns[-1] = cap.issue_patterns[seq.seq_id][terms]
             records = len(cap.acc_addrs)
             if records != cap.acc_ends[-1]:
-                cap.acc_events.append(event[1])
+                cap.acc_events.append(seqno)
                 cap.acc_ends.append(records)
                 cap.acc_costs.append(access + fetch)
                 cap.acc_l1_misses.append(cap.l1s[seq.seq_id].misses)

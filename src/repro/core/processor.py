@@ -12,7 +12,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.sequencer import Sequencer, SequencerRole
-from repro.core.yieldcond import ScenarioTable
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,10 +35,6 @@ class MISPProcessor:
         for i, ams in enumerate(amss):
             ams.processor = self
             ams.sid = i + 1
-        #: trigger-response table of the OMS (Section 2.4); AMS-side
-        #: scenario tables live on each sequencer when the mini-ISA
-        #: needs them.
-        self.scenarios = ScenarioTable()
         #: pending proxy requests relayed from AMSs, FIFO (Section 2.5)
         self.proxy_queue: deque["ProxyRequest"] = deque()
 

@@ -8,8 +8,8 @@ human-readable output as the default while adding:
   invocation touches (store/service instances, observed simulation
   runs, Perfetto exports), so one report's artifacts can be joined
   across metrics, traces, and logs; and
-* an optional **structured mode** (``--structured`` /
-  ``REPRO_OBS_STRUCTURED=1``) that emits one JSON object per line --
+* an optional **structured mode** (``report --structured``) that
+  emits one JSON object per line --
   ``{"run", "seq", "kind", "text", ...}`` -- for log pipelines, with
   monotonically increasing ``seq`` so ordering survives collection.
 """

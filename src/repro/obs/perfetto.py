@@ -142,15 +142,15 @@ def trace_events(machine: "Machine",
                        "pid": _MACHINE_PID, "tid": seq_id,
                        "args": {"name": names[seq_id]}})
 
-    for rec in machine.trace.records():
-        name = rec.kind.value
-        if rec.detail:
-            name = f"{name}:{rec.detail}"
-        ev = {"name": name, "cat": rec.kind.value, "pid": _MACHINE_PID,
-              "tid": rec.sequencer, "ts": rec.start}
-        if rec.duration > 0:
+    for start, end, sequencer, kind, detail in machine.trace.records():
+        name = kind.value
+        if detail:
+            name = f"{name}:{detail}"
+        ev = {"name": name, "cat": kind.value, "pid": _MACHINE_PID,
+              "tid": sequencer, "ts": start}
+        if end > start:
             ev["ph"] = "X"
-            ev["dur"] = rec.duration
+            ev["dur"] = end - start
         else:
             ev["ph"] = "i"
             ev["s"] = "t"  # thread-scoped instant

@@ -28,14 +28,16 @@ The store holds execution-driven summaries only: :meth:`ResultStore.put`
 refuses a trace-driven replay summary (see :mod:`repro.sim.captrace`)
 with a :class:`~repro.errors.ConfigurationError`, so every stored
 number is one an execution produced.  Replay entries an earlier
-version kept under their own key are never read, and :meth:`clear`
-removes them.
+version kept under their own key are never read: they are no entries
+to ``len``, the bounds or :meth:`~ResultStore.sweep`, which
+quarantines them, and :meth:`~ResultStore.clear` removes them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass
@@ -63,6 +65,9 @@ TMP_GRACE_SECONDS = 60.0
 #: suffix quarantined entries are renamed to (outside every ``*.json``
 #: glob, so they never shadow the key again)
 QUARANTINE_SUFFIX = ".corrupt"
+
+#: the file name of an entry: its spec hash (a sha256 hex digest)
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 class StoreStats(Stats):
@@ -153,6 +158,14 @@ class ResultStore:
         string: the one place the file layout is decided."""
         return f"{self._prefix}{key}.json"
 
+    def _entries(self) -> list[Path]:
+        """Every entry in the directory: a file named
+        ``<spec_hash>.json``, the name :meth:`_address` gives.  Any
+        other ``*.json`` (a ``<hash>.replay.json`` an older version
+        wrote) is no entry: :meth:`get` never reads it."""
+        return [path for path in self.root.glob("*.json")
+                if _ENTRY_NAME.fullmatch(path.name)]
+
     def path_for(self, spec: "RunSpec") -> Path:
         return Path(self._address(spec.spec_hash()))
 
@@ -239,21 +252,24 @@ class ResultStore:
         """Integrity pass: validate every entry, reclaim temp orphans.
 
         Entries that fail to load, carry no version field at all, or
-        disagree with their address are quarantined; version-mismatched
-        (stale but well-formed) entries are left for puts to overwrite.
+        disagree with their address are quarantined, and so is any
+        other ``*.json`` file; version-mismatched (stale but
+        well-formed) entries are left for puts to overwrite.
         """
         from repro.experiments.summary import RunSummary
 
-        checked = quarantined = 0
-        for path in sorted(self.root.glob("*.json")):
-            checked += 1
-            stem = path.name.split(".", 1)[0]
+        entries = self._entries()
+        others = sorted(set(self.root.glob("*.json")).difference(entries))
+        for path in others:
+            self._quarantine(path)
+        quarantined = len(others)
+        for path in sorted(entries):
             try:
                 with path.open("r", encoding="utf-8") as fh:
                     payload = json.load(fh)
                 if not isinstance(payload, dict):
                     raise ValueError("entry is not a JSON object")
-                if payload.get("spec_hash") != stem:
+                if payload.get("spec_hash") != path.stem:
                     raise ValueError("entry does not match its address")
                 if "store_version" not in payload \
                         and "cache_version" not in payload:
@@ -263,11 +279,12 @@ class ResultStore:
                 self._quarantine(path)
                 quarantined += 1
         reclaimed = self._reclaim_tmp(max_age=0.0)
-        return SweepReport(checked, quarantined, reclaimed)
+        return SweepReport(len(entries), quarantined, reclaimed)
 
     def clear(self) -> int:
-        """Delete every entry (plus temp orphans and quarantined
-        files); returns the number of *entries* removed."""
+        """Delete every ``*.json`` file (plus temp orphans and
+        quarantined files); returns the number of ``*.json`` files
+        removed."""
         removed = 0
         for path in self.root.glob("*.json"):
             path.unlink(missing_ok=True)
@@ -278,7 +295,7 @@ class ResultStore:
         return removed
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        return len(self._entries())
 
     # ------------------------------------------------------------------
     # Internals
@@ -330,7 +347,7 @@ class ResultStore:
         if self.max_entries is None and self.max_bytes is None:
             return
         entries = []
-        for path in self.root.glob("*.json"):
+        for path in self._entries():
             try:
                 stat = path.stat()
             except OSError:

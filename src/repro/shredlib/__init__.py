@@ -2,7 +2,6 @@
 
 from repro.shredlib.api import ShredAPI
 from repro.shredlib.log import ShredEvent, ShredLog
-from repro.shredlib.proxyhandler import GenericProxyHandler
 from repro.shredlib.pthreads import PthreadsAPI
 from repro.shredlib.runtime import QueuePolicy, ShredRuntime
 from repro.shredlib.scheduler import gang_scheduler
@@ -15,7 +14,7 @@ from repro.shredlib.tls import TlsKey
 from repro.shredlib.win32 import Win32API
 
 __all__ = [
-    "ShredAPI", "ShredEvent", "ShredLog", "GenericProxyHandler",
+    "ShredAPI", "ShredEvent", "ShredLog",
     "PthreadsAPI", "QueuePolicy", "ShredRuntime", "gang_scheduler",
     "Shred", "ShredState", "CriticalSection", "ShredBarrier",
     "ShredCondVar", "ShredEventObject", "ShredMutex", "ShredRWLock",

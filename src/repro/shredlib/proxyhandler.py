@@ -6,39 +6,20 @@ minimum, a single proxy handler on the OMS is sufficient to deal with
 all proxy conditions" -- and that is what ShredLib registers.
 
 In this model the proxy *choreography* is architectural (the machine
-executes Equations 2/3 when an AMS faults), so the handler object here
-carries the software-visible half: the YIELD-CONDITIONAL registration
-performed by the application at startup (Figure 3, "Register Proxy
-Handler") and the per-cause statistics the firmware feeds back to the
-developer (Section 4.1).
+executes Equations 2/3 when an AMS faults), so no step of a run looks
+the handler up.  What the software pays for it is the
+YIELD-CONDITIONAL registration the application performs at startup
+(Figure 3, "Register Proxy Handler"): :func:`registration_ops`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.processor import MISPProcessor
-from repro.core.yieldcond import Scenario
 from repro.exec.ops import Compute, Op
 from repro.params import MachineParams
 
 
-class GenericProxyHandler:
-    """The single OMS-side handler covering all proxy conditions."""
-
-    def __init__(self, name: str = "shredlib-proxy-handler") -> None:
-        self.name = name
-        self.registered_on: list[int] = []
-
-    def register(self, processor: MISPProcessor) -> None:
-        """Install this handler in the OMS trigger-response table."""
-        processor.scenarios.register(Scenario.PROXY_REQUEST, self)
-        self.registered_on.append(processor.proc_id)
-
-    @staticmethod
-    def registration_ops(params: MachineParams) -> Iterator[Op]:
-        """The YMONITOR setup cost paid once at application startup."""
-        yield Compute(params.atomic_op_cost * 2)
-
-    def is_registered(self, processor: MISPProcessor) -> bool:
-        return processor.scenarios.lookup(Scenario.PROXY_REQUEST) is self
+def registration_ops(params: MachineParams) -> Iterator[Op]:
+    """The YMONITOR setup cost paid once at application startup."""
+    yield Compute(params.atomic_op_cost * 2)

@@ -6,10 +6,10 @@ from repro.sim.captrace import (
     replayable_changes,
 )
 from repro.sim.engine import Engine
-from repro.sim.trace import EventKind, TraceLog, TraceRecord
+from repro.sim.trace import EventKind, TraceLog
 
 __all__ = [
-    "Engine", "EventKind", "TraceLog", "TraceRecord",
+    "Engine", "EventKind", "TraceLog",
     "REPLAY_SAFE_FIELDS", "CapturedTrace", "ReplayMachine",
     "TraceCapture", "replayable_changes",
 ]

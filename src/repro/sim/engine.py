@@ -6,15 +6,15 @@ calendar queue: callbacks are scheduled at absolute cycle times and
 executed in time order, with a monotonically increasing sequence
 number breaking ties so execution is fully deterministic.
 
-A scheduled callback is one plain heap entry, the list
-``[time, seqno, callback, args, engine]``; :meth:`Engine.schedule`
-returns it as the handle :meth:`Engine.cancel` takes.  Seqnos are
-unique, so every sift comparison inside ``heapq`` is a C-level list
-compare that settles on ``(time, seqno)`` and never reaches the
-callback -- the engine's hottest path builds no object beyond the
-entry itself.  Entries are marked in place: cancelling one drops its
-callback (slot 2), and the run loop drops the engine (slot 4) from an
-entry it pops to execute, so a later cancel of it is a no-op.
+A scheduled callback is one plain heap entry, the tuple
+``(time, seqno, callback, args)``; :meth:`Engine.schedule` returns
+its seqno.  Seqnos are unique, so every sift comparison inside
+``heapq`` is a C-level tuple compare that settles on ``(time,
+seqno)`` and never reaches the callback -- the engine's hottest path
+builds no object beyond the entry itself.  Nothing is ever taken out
+of the queue except by running it, so every scheduled event has either
+run or is still queued: that is all the bookkeeping the run loop
+needs.
 
 The engine knows nothing about sequencers, kernels, or memory -- those
 layers schedule events against it.  It has one observation path: with
@@ -39,15 +39,10 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        #: heap of [time, seqno, callback, args, engine] entries;
-        #: callback is None once cancelled (lazy deletion)
-        self._heap: list[list] = []
+        #: heap of (time, seqno, callback, args) entries
+        self._heap: list[tuple] = []
         self._next_seqno = 0
         self._running = False
-        self._executed = 0
-        #: cancelled events still sitting in the heap (lazy deletion),
-        #: maintained so pending() is O(1) instead of a heap scan
-        self._cancelled_queued = 0
         #: trace capture (repro.sim.captrace.TraceCapture), if any
         self._capture: Optional[Any] = None
         #: seqno of the event currently executing (-1 outside run())
@@ -63,8 +58,10 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (for instrumentation)."""
-        return self._executed
+        """Number of callbacks run so far, the executing one included
+        (for instrumentation): every scheduled event has run or is
+        still queued, so this is ``events_scheduled - pending()``."""
+        return self._next_seqno - len(self._heap)
 
     @property
     def events_scheduled(self) -> int:
@@ -93,19 +90,18 @@ class Engine:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any) -> list:
+                 *args: Any) -> int:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
         events already scheduled for the current cycle.  Returns the
-        event's heap entry, the handle :meth:`cancel` takes.
+        event's seqno.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seqno = self._next_seqno
         self._next_seqno = seqno + 1
-        entry = [self._now + delay, seqno, callback, args, self]
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (self._now + delay, seqno, callback, args))
         cap = self._capture
         if cap is not None:
             # the capture path: the event's row, its pattern empty
@@ -116,48 +112,13 @@ class Engine:
             cap.parents.append(parent)
             cap.delays.append(delay)
             cap.patterns.append(0)
-        return entry
-
-    def schedule_at(self, time: int, callback: Callable[..., None],
-                    *args: Any) -> list:
-        """Schedule ``callback(*args)`` at an absolute cycle time."""
-        return self.schedule(time - self._now, callback, *args)
-
-    @staticmethod
-    def cancel(event: list) -> None:
-        """Cancel a pending event (no-op if it already ran).
-
-        ``event`` is the entry :meth:`schedule` returned.  Cancellation
-        is lazy, but when cancelled events outnumber live ones the heap
-        is compacted so a cancel-heavy workload cannot keep dead events
-        resident (amortized O(1): a rebuild resets the count, so the
-        next rebuild needs as many fresh cancels as there are live
-        events).
-        """
-        engine = event[4]
-        if engine is None or event[2] is None:
-            return          # already ran, or already cancelled
-        event[2] = None
-        engine._cancelled_queued += 1
-        if engine._cancelled_queued * 2 > len(engine._heap):
-            engine._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled events (order preserved
-        by the (time, seqno) ordering invariant).  In place, because
-        run() holds a local alias to the heap list."""
-        self._heap[:] = [entry for entry in self._heap
-                         if entry[2] is not None]
-        heapq.heapify(self._heap)
-        self._cancelled_queued = 0
+        return seqno
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` cycles pass, or
-        ``max_events`` callbacks execute.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until the queue drains or ``until`` cycles pass.
 
         ``until`` may not lie before the current time: the clock never
         runs backwards.  Returns the simulation time when the loop
@@ -170,45 +131,32 @@ class Engine:
                 f"run(until={until}) would move the clock back from "
                 f"{self._now}")
         self._running = True
-        executed_this_run = 0
         heap = self._heap
         pop = heapq.heappop
         try:
             while heap:
-                entry = heap[0]
-                callback = entry[2]
-                if callback is None:
-                    pop(heap)
-                    self._cancelled_queued -= 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
+                if until is not None and heap[0][0] > until:
                     self._now = until
                     break
-                if max_events is not None and executed_this_run >= max_events:
-                    break
-                pop(heap)
-                entry[4] = None       # ran: cancel is now a no-op
+                time, seqno, callback, args = pop(heap)
                 if time < self._now:
                     raise SimulationError(
                         f"time went backwards: event at {time}, now {self._now}")
                 self._now = time
-                self._current_seqno = entry[1]
-                callback(*entry[3])
-                self._executed += 1
-                executed_this_run += 1
+                self._current_seqno = seqno
+                callback(*args)
         finally:
             self._running = False
             self._current_seqno = -1
         return self._now
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued, in O(1)."""
-        return len(self._heap) - self._cancelled_queued
+        """Number of events still queued, in O(1)."""
+        return len(self._heap)
 
     def queued(self, callback: Callable[..., None]) -> int:
-        """Live queued events that will call ``callback`` (a heap scan,
-        for end-of-run accounting rather than the hot path)."""
+        """Queued events that will call ``callback`` (a heap scan, for
+        end-of-run accounting rather than the hot path)."""
         return sum(1 for entry in self._heap if entry[2] == callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

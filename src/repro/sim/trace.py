@@ -9,8 +9,9 @@ custom firmware:
   of each event.
 
 :class:`TraceLog` provides both.  The coarse counters are what the
-Table 1 reproduction reads; the fine-grained records support the
-overhead attribution of Figure 5 and general debugging.
+Table 1 reproduction and the run metrics read; the fine-grained
+records, kept only while observation turns them on, are the timeline
+:mod:`repro.obs.perfetto` exports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class EventKind(enum.Enum):
@@ -54,21 +55,6 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One fine-grained, time-stamped log record."""
-
-    start: int
-    end: int
-    sequencer: int
-    kind: EventKind
-    detail: str = ""
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
-
 @dataclass
 class TraceLog:
     """Coarse counters plus an optional fine-grained record list.
@@ -81,8 +67,7 @@ class TraceLog:
     record_fine: bool = True
     _counts: Counter = field(default_factory=Counter)
     #: fine records as plain ``(start, end, sequencer, kind, detail)``
-    #: tuples; :meth:`records` builds the :class:`TraceRecord` views,
-    #: so an observed run does not pay for them while it simulates
+    #: tuples
     _records: list[tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -124,32 +109,10 @@ class TraceLog:
         return sum(c for (s, k), c in self._counts.items()
                    if k == kind and s in wanted)
 
-    def on_sequencer(self, sequencer: int) -> Counter:
-        """Counter of kinds observed on one sequencer."""
-        out: Counter = Counter()
-        for (s, k), c in self._counts.items():
-            if s == sequencer:
-                out[k] += c
-        return out
-
-    def records(self, kind: Optional[EventKind] = None,
-                sequencer: Optional[int] = None) -> Iterator[TraceRecord]:
-        """Iterate fine-grained records, optionally filtered."""
-        for rec in self._records:
-            if kind is not None and rec[3] is not kind:
-                continue
-            if sequencer is not None and rec[2] != sequencer:
-                continue
-            yield TraceRecord(*rec)
-
-    def time_in(self, kind: EventKind,
-                sequencer: Optional[int] = None) -> int:
-        """Total cycles spent in fine-grained intervals of ``kind``."""
-        return sum(r.duration for r in self.records(kind, sequencer))
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._records.clear()
+    def records(self) -> list[tuple]:
+        """The fine-grained records, in recording order, as
+        ``(start, end, sequencer, kind, detail)`` tuples."""
+        return self._records
 
     def summary(self) -> dict[str, int]:
         """Aggregate counts keyed by kind name (all sequencers)."""

@@ -192,8 +192,7 @@ class Session:
         machine = backend.build_machine(config, self._params)
         # backend build signatures stay timing-agnostic; the resolved
         # model (a fresh instance per run) attaches here
-        timing_model = resolve_timing(self._timing)
-        machine.set_timing(timing_model)
+        machine.set_timing(resolve_timing(self._timing))
         obs = None
         if self._observe is not None:
             from repro.obs.observe import ObservedRun
@@ -206,13 +205,6 @@ class Session:
                 raise ConfigurationError(
                     f"system '{backend.name}' does not support trace "
                     "capture (its drive loop does not drain the engine)")
-            if not timing_model.supports_capture:
-                raise ConfigurationError(
-                    f"timing model '{timing_model.canonical_name()}' does "
-                    "not support trace capture: its op costs depend on "
-                    "pipeline occupancy, so a captured cost decomposition "
-                    "would not replay -- drop .capture(), or use "
-                    ".timing('fixed')")
             cap = machine.enable_capture()
         staged = backend.stage(machine, workload, config=config,
                                policy=self._policy,

@@ -31,7 +31,7 @@ from repro.exec.ops import Op, SignalShred, SyscallOp
 from repro.kernel.process import OSThread, Process
 from repro.params import MachineParams
 from repro.shredlib.api import ShredAPI
-from repro.shredlib.proxyhandler import GenericProxyHandler
+from repro.shredlib.proxyhandler import registration_ops
 from repro.shredlib.runtime import ShredRuntime
 from repro.shredlib.scheduler import gang_scheduler
 from repro.sim.trace import EventKind
@@ -117,9 +117,7 @@ def misp_group_body(machine: Machine, proc_index: int, rt: ShredRuntime,
     given a ``workload`` -- instantiates and pushes the main shred.
     """
     processor = machine.processors[proc_index]
-    handler = GenericProxyHandler()
-    handler.register(processor)
-    yield from GenericProxyHandler.registration_ops(rt.params)
+    yield from registration_ops(rt.params)
     if workload is not None:
         main = rt.new_shred(workload.instantiate(api, nworkers), name="main")
         # the main shred is the primary OS thread's own execution

@@ -4,10 +4,9 @@ equations, configurations."""
 import pytest
 
 from repro.core import (
-    MISPProcessor, Scenario, ScenarioTable, Sequencer, SequencerRole,
-    build_machine, config_name, ideal_config_for_load, parse_config,
-    proxy_egress_cost, proxy_ingress_cost, serialize_cost,
-    total_sequencers,
+    MISPProcessor, Sequencer, SequencerRole, build_machine, config_name,
+    ideal_config_for_load, parse_config, proxy_egress_cost,
+    proxy_ingress_cost, serialize_cost, total_sequencers,
 )
 from repro.core.overhead import SignalSensitivity
 from repro.errors import ConfigurationError, ProtectionError
@@ -101,33 +100,6 @@ class TestProcessor:
         proc = self.make(0)
         assert not proc.has_ams
         assert proc.num_sequencers == 1
-
-
-# ----------------------------------------------------------------------
-# Scenario table (YIELD-CONDITIONAL registration)
-# ----------------------------------------------------------------------
-class TestScenarioTable:
-    def test_register_lookup(self):
-        table = ScenarioTable()
-        handler = object()
-        table.register(Scenario.PROXY_REQUEST, handler)
-        assert table.lookup(Scenario.PROXY_REQUEST) is handler
-        assert Scenario.PROXY_REQUEST in table
-
-    def test_last_registration_wins(self):
-        table = ScenarioTable()
-        table.register(Scenario.USER_SIGNAL, 1)
-        table.register(Scenario.USER_SIGNAL, 2)
-        assert table.lookup(Scenario.USER_SIGNAL) == 2
-        assert len(table) == 1
-
-    def test_unregister(self):
-        table = ScenarioTable()
-        table.register(Scenario.USER_SIGNAL, 1)
-        table.unregister(Scenario.USER_SIGNAL)
-        assert table.lookup(Scenario.USER_SIGNAL) is None
-        with pytest.raises(ConfigurationError):
-            table.unregister(Scenario.USER_SIGNAL)
 
 
 # ----------------------------------------------------------------------

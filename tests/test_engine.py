@@ -82,39 +82,10 @@ def test_drain_does_not_advance_to_until():
     assert engine.now == 10
 
 
-def test_cancel_skips_event():
-    engine = Engine()
-    hits = []
-    event = engine.schedule(10, hits.append, "cancelled")
-    engine.schedule(20, hits.append, "kept")
-    Engine.cancel(event)
-    engine.run()
-    assert hits == ["kept"]
-
-
-def test_max_events_bound():
-    engine = Engine()
-    count = []
-    for i in range(10):
-        engine.schedule(i + 1, count.append, i)
-    engine.run(max_events=3)
-    assert len(count) == 3
-    engine.run()
-    assert len(count) == 10
-
-
-def test_schedule_at_absolute_time():
-    engine = Engine()
-    hits = []
-    engine.schedule_at(42, hits.append, "x")
-    engine.run()
-    assert engine.now == 42 and hits == ["x"]
-
-
 def test_events_executed_counter():
     engine = Engine()
-    for _ in range(5):
-        engine.schedule(1, lambda: None)
+    seqnos = [engine.schedule(1, lambda: None) for _ in range(5)]
+    assert seqnos == [0, 1, 2, 3, 4]      # dense from 0
     engine.run()
     assert engine.events_executed == 5
 
@@ -146,68 +117,18 @@ def test_chained_scheduling_from_callbacks():
 
 def test_pending_counts_live_events_only():
     engine = Engine()
-    e1 = engine.schedule(10, lambda: None)
+    engine.schedule(10, lambda: None)
     engine.schedule(20, lambda: None)
-    Engine.cancel(e1)
+    engine.run(until=15)
     assert engine.pending() == 1
 
 
-def test_pending_tracks_cancel_run_and_drain():
+def test_pending_tracks_run_and_drain():
     engine = Engine()
-    events = [engine.schedule(10 * (i + 1), lambda: None) for i in range(4)]
+    for i in range(4):
+        engine.schedule(10 * (i + 1), lambda: None)
     assert engine.pending() == 4
-    Engine.cancel(events[0])
-    Engine.cancel(events[0])          # double cancel is a no-op
-    assert engine.pending() == 3
-    engine.run(until=25)              # runs events[1], skips events[0]
-    assert engine.pending() == 2
-    Engine.cancel(events[1])          # cancel after run is a no-op
+    engine.run(until=25)              # runs the events at 10 and 20
     assert engine.pending() == 2
     engine.run()
     assert engine.pending() == 0
-
-
-def test_cancel_within_callback_keeps_count_consistent():
-    engine = Engine()
-    hits = []
-    later = engine.schedule(20, hits.append, "later")
-    engine.schedule(10, lambda: Engine.cancel(later))
-    assert engine.pending() == 2
-    engine.run()
-    assert hits == [] and engine.pending() == 0
-
-
-def test_compaction_shrinks_heap_and_preserves_order():
-    engine = Engine()
-    hits = []
-    events = [engine.schedule(10 * (i + 1), hits.append, i)
-              for i in range(100)]
-    # cancel just over half (every even event plus one more)
-    for event in events[0:100:2]:
-        Engine.cancel(event)
-    assert len(engine._heap) == 100       # lazy: still resident
-    Engine.cancel(events[1])              # 51 cancelled > 100/2: compact
-    assert len(engine._heap) == 49
-    assert engine._cancelled_queued == 0
-    assert engine.pending() == 49
-    engine.run()
-    assert hits == list(range(3, 100, 2))  # odd ids except 1, in order
-
-
-def test_compaction_amortized_not_triggered_below_half():
-    engine = Engine()
-    events = [engine.schedule(i + 1, lambda: None) for i in range(10)]
-    for event in events[:5]:
-        Engine.cancel(event)              # exactly half: no compaction
-    assert len(engine._heap) == 10 and engine._cancelled_queued == 5
-    Engine.cancel(events[5])              # over half: compacted
-    assert len(engine._heap) == 4 and engine._cancelled_queued == 0
-
-
-def test_cancel_after_compaction_of_drained_heap():
-    engine = Engine()
-    only = engine.schedule(5, lambda: None)
-    Engine.cancel(only)                   # 1 cancelled > 1/2: compacts
-    assert len(engine._heap) == 0 and engine.pending() == 0
-    engine.run()
-    assert engine.now == 0

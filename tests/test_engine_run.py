@@ -1,10 +1,11 @@
-"""Engine.run's clock contract and the end-of-run queue scan, beyond
-the core scheduling tests in test_engine.py."""
+"""Engine.run's clock contract and the end-of-run counts, beyond the
+core scheduling tests in test_engine.py."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
+from repro.systems import Session
 
 
 def test_run_until_in_the_past_rejected():
@@ -47,15 +48,27 @@ def test_queued_counts_live_entries_for_one_callback():
     engine = Engine()
     hits = []
     other = []
-    first = engine.schedule(1, hits.append, 1)
+    engine.schedule(1, hits.append, 1)
     engine.schedule(2, hits.append, 2)
-    cancelled = engine.schedule(3, hits.append, 3)
+    engine.schedule(3, hits.append, 3)
     engine.schedule(4, other.append, 4)
-    Engine.cancel(cancelled)
+    assert engine.queued(hits.append) == 3
+    engine.run(until=1)
     assert engine.queued(hits.append) == 2
-    engine.run(max_events=1)
-    Engine.cancel(first)               # already ran: no-op
-    assert engine.queued(hits.append) == 1
     assert engine.queued(other.append) == 1
     engine.run()
-    assert engine.queued(hits.append) == 0 and hits == [1, 2]
+    assert engine.queued(hits.append) == 0 and hits == [1, 2, 3]
+
+
+def test_undrained_multiprog_run_counts():
+    """Multiprogramming's drive loop stops with events still queued,
+    so its counts cover the queued remainder: the values pinned here
+    are the ones an engine counting each executed callback gave."""
+    result = (Session("multiprog").background(2)
+              .run("dense_mvm", scale=0.02))
+    engine = result.machine.engine
+    assert engine.pending() == 3
+    assert engine.events_executed == 2172
+    assert engine.events_executed + engine.pending() \
+        == engine.events_scheduled
+    assert result.machine.ops_issued() == 1879

@@ -43,8 +43,14 @@ def test_engine_run_until_partition(delays, split):
         engine.schedule(delay, fired.append, delay)
     engine.run(until=split)
     assert all(d <= split for d in fired)
+    assert engine.events_executed == len(fired)
+    assert engine.events_executed + engine.pending() \
+        == engine.events_scheduled
     engine.run()
     assert sorted(fired) == sorted(delays)
+    assert engine.events_executed == len(fired)
+    assert engine.events_executed + engine.pending() \
+        == engine.events_scheduled
 
 
 # ----------------------------------------------------------------------

@@ -283,6 +283,23 @@ class TestResultStore:
         assert store.clear() == 1
         assert not old.exists()
 
+    def test_replay_file_of_an_older_version_is_no_entry(self, tmp_path):
+        """A ``<hash>.replay.json`` beside an executed entry is not
+        counted, bounded or validated as an entry: sweep quarantines
+        it and keeps the entry."""
+        store = ResultStore(tmp_path, max_entries=1)
+        spec = spec_n(1)
+        old = tmp_path / f"{spec.spec_hash()}.replay.json"
+        old.write_text(json.dumps({"spec_hash": spec.spec_hash(),
+                                   "timing": "replay"}))
+        store.put(spec, summary_for(spec))
+        assert store.stats.evictions == 0 and old.exists()
+        assert len(store) == 1
+        report = store.sweep()
+        assert (report.checked, report.quarantined) == (1, 1)
+        assert not old.exists()
+        assert store.get(spec) == summary_for(spec)
+
 
 class TestStoreFromEnv:
     @pytest.mark.parametrize("variable", ["REPRO_STORE_MAX_ENTRIES",

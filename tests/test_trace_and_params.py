@@ -25,20 +25,15 @@ class TestTraceLog:
         assert log.total(EventKind.SYSCALL, [0]) == 3
         assert log.total(EventKind.PAGE_FAULT) == 0
 
-    def test_per_sequencer_view(self):
-        log = TraceLog()
-        log.count(3, EventKind.TIMER)
-        log.count(3, EventKind.SYSCALL)
-        on3 = log.on_sequencer(3)
-        assert on3[EventKind.TIMER] == 1 and on3[EventKind.SYSCALL] == 1
-
     def test_fine_records_and_duration(self):
         log = TraceLog(record_fine=True)
         log.record(10, 25, 0, EventKind.RING_EXIT, detail="syscall")
-        records = list(log.records(EventKind.RING_EXIT))
-        assert len(records) == 1
-        assert records[0].duration == 15
-        assert log.time_in(EventKind.RING_EXIT) == 15
+        log.instant(30, 1, EventKind.TIMER)
+        assert log.records() == [
+            (10, 25, 0, EventKind.RING_EXIT, "syscall"),
+            (30, 30, 1, EventKind.TIMER, ""),
+        ]
+        assert log.total(EventKind.RING_EXIT) == 1
 
     def test_fine_recording_disabled(self):
         log = TraceLog(record_fine=False)
@@ -46,20 +41,13 @@ class TestTraceLog:
         assert list(log.records()) == []
         assert log.total(EventKind.RING_EXIT) == 1   # coarse still counts
 
-    def test_record_filters(self):
+    def test_summary(self):
         log = TraceLog()
-        log.record(0, 1, 0, EventKind.TIMER)
-        log.record(1, 2, 1, EventKind.TIMER)
-        log.record(2, 3, 0, EventKind.SYSCALL)
-        assert len(list(log.records(sequencer=0))) == 2
-        assert len(list(log.records(EventKind.TIMER, sequencer=0))) == 1
-
-    def test_summary_and_clear(self):
-        log = TraceLog()
-        log.count(0, EventKind.TIMER)
-        assert log.summary() == {"timer": 1}
-        log.clear()
         assert log.summary() == {}
+        log.count(0, EventKind.TIMER)
+        log.count(2, EventKind.TIMER)
+        log.count(1, EventKind.SYSCALL)
+        assert log.summary() == {"syscall": 1, "timer": 2}
 
 
 # ----------------------------------------------------------------------

@@ -149,12 +149,6 @@ class TestRunnerMechanics:
         assert captured["main"].affinity == 0
         assert captured["main"].last_worker == 0
 
-    def test_proxy_handler_registered(self):
-        from repro.core.yieldcond import Scenario
-        result = Session("misp", "1x3").run(small("dense_mvm"))
-        table = result.machine.processors[0].scenarios
-        assert Scenario.PROXY_REQUEST in table
-
     def test_smp_spawns_one_thread_per_cpu(self):
         result = Session("smp", "smp4").run(small("dense_mvm"))
         process = result.main_thread.process
