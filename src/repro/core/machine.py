@@ -42,6 +42,8 @@ from repro.exec.ops import (
 from repro.exec.stream import DirectStream, InstructionStream
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import OSThread, Process, ThreadState
+from repro.kernel.syscalls import SyscallSpec
+from repro.mem.addrspace import AddressSpace
 from repro.mem.hierarchy import HierarchyFactory, shared_l2_per_processor
 from repro.mem.pagetable import vpn_of
 from repro.params import DEFAULT_PARAMS, PAGE_SIZE, MachineParams
@@ -446,7 +448,7 @@ class Machine:
             return
         kind = action[0]
         if kind == "fault":
-            self._on_fault(seq, stream, op, action[1])
+            self._on_fault(seq, stream, action[1])
         elif kind == "syscall":
             self._on_syscall(seq, stream, action[1])
         elif kind == "signal":
@@ -499,13 +501,42 @@ class Machine:
     # Faults and syscalls
     # ------------------------------------------------------------------
     def _on_fault(self, seq: Sequencer, stream: InstructionStream,
-                  op: MachineOp, vpn: int) -> None:
+                  vpn: int) -> None:
         if seq.role is SequencerRole.AMS:
-            self._proxy_egress(seq, stream, op, ProxyKind.PAGE_FAULT, vpn=vpn)
+            self._proxy_egress(seq, stream, ProxyKind.PAGE_FAULT, vpn=vpn)
             return
-        process = seq.process_ref
         self.trace.instant(self.now, seq.seq_id, EventKind.PAGE_FAULT)
-        space = process.address_space
+        priv, priv_coefs, effect = self._page_fault_service(
+            seq.process_ref.address_space, vpn)
+        # the faulting op stays pending; _advance re-executes it
+        self._ring0_service(seq, EventKind.PAGE_FAULT, priv,
+                            priv_coefs=priv_coefs, effect=effect)
+
+    def _on_syscall(self, seq: Sequencer, stream: InstructionStream,
+                    op: SyscallOp) -> None:
+        if seq.role is SequencerRole.AMS:
+            self._proxy_egress(seq, stream, ProxyKind.SYSCALL,
+                               service=op.kind, cost_override=op.cost)
+            return
+        self.trace.instant(self.now, seq.seq_id, EventKind.SYSCALL,
+                           detail=op.kind)
+        priv, priv_coefs, spec = self._syscall_service(op.kind, op.cost)
+        block_for = op.arg if (spec.blocks and isinstance(op.arg, int)
+                               and op.arg > 0) else 0
+
+        def on_done() -> None:
+            stream.complete(0)
+            if block_for and seq.thread is not None:
+                self._block_thread(seq, block_for)
+
+        self._ring0_service(seq, EventKind.SYSCALL, priv,
+                            priv_coefs=priv_coefs, on_done=on_done)
+
+    def _page_fault_service(self, space: AddressSpace, vpn: int
+                            ) -> tuple[int, tuple, Callable[[], None]]:
+        """The cycles, ``priv_coefs`` and effect of servicing a page
+        fault on ``vpn`` in ``space``, from the OMS or by proxy: a page
+        already resident when the fault is serviced costs a quarter."""
         if not space.is_resident(vpn):
             priv = self.params.page_fault_service_cost
             priv_coefs = (("page_fault_service_cost", 1, 1),)
@@ -517,33 +548,18 @@ class Machine:
             if not space.is_resident(vpn):
                 self.kernel.service_page_fault(space, vpn)
 
-        # the faulting op stays pending; _advance re-executes it
-        self._ring0_service(seq, EventKind.PAGE_FAULT, priv,
-                            priv_coefs=priv_coefs, effect=effect)
+        return priv, priv_coefs, effect
 
-    def _on_syscall(self, seq: Sequencer, stream: InstructionStream,
-                    op: SyscallOp) -> None:
-        if seq.role is SequencerRole.AMS:
-            self._proxy_egress(seq, stream, op, ProxyKind.SYSCALL,
-                               service=op.kind, cost_override=op.cost)
-            return
-        self.trace.instant(self.now, seq.seq_id, EventKind.SYSCALL,
-                           detail=op.kind)
-        priv, spec = self.kernel.service_syscall(op.kind, op.cost)
+    def _syscall_service(self, name: str, cost: Optional[int]
+                         ) -> tuple[int, tuple, SyscallSpec]:
+        """The cycles and ``priv_coefs`` of servicing syscall ``name``,
+        from the OMS or by proxy, and its syscall-table entry."""
+        priv, spec = self.kernel.service_syscall(name, cost)
         # priv traces back to params only when neither the op nor the
         # syscall table pinned an explicit cost
         priv_coefs = ((("syscall_service_cost", 1, 1),)
-                      if op.cost is None and spec.cost is None else ())
-        block_for = op.arg if (spec.blocks and isinstance(op.arg, int)
-                               and op.arg > 0) else 0
-
-        def on_done() -> None:
-            stream.complete(0)
-            if block_for and seq.thread is not None:
-                self._block_thread(seq, block_for)
-
-        self._ring0_service(seq, EventKind.SYSCALL, priv,
-                            priv_coefs=priv_coefs, on_done=on_done)
+                      if cost is None and spec.cost is None else ())
+        return priv, priv_coefs, spec
 
     # ------------------------------------------------------------------
     # Ring-transition serialization (Equation 1)
@@ -655,7 +671,7 @@ class Machine:
     # Proxy execution (Equations 2 and 3)
     # ------------------------------------------------------------------
     def _proxy_egress(self, ams: Sequencer, stream: InstructionStream,
-                      op: MachineOp, kind: ProxyKind,
+                      kind: ProxyKind,
                       vpn: Optional[int] = None,
                       service: Optional[str] = None,
                       cost_override: Optional[int] = None) -> None:
@@ -665,14 +681,13 @@ class Machine:
                  else EventKind.SYSCALL)
         self.trace.instant(self.now, ams.seq_id, event)
         self.trace.instant(self.now, ams.seq_id, EventKind.PROXY_REQUEST)
-        request = ProxyRequest(ams=ams, kind=kind, op=op, vpn=vpn,
+        request = ProxyRequest(ams=ams, kind=kind, stream=stream,
+                               process=ams.process_ref, vpn=vpn,
                                service=service, cost_override=cost_override,
                                raised_at=self.now)
-        request.stream = stream                      # type: ignore[attr-defined]
-        request.process = ams.process_ref            # type: ignore[attr-defined]
         cap = self._cap
         if cap is not None:
-            request.cap_id = cap.proxy_raised()      # type: ignore[attr-defined]
+            request.cap_id = cap.proxy_raised()
         # Equation 2, first signal: notify the OMS
         sig = self._signal_cycles(ams)
         if sig:
@@ -684,36 +699,22 @@ class Machine:
                                               owner=ams.seq_id)
 
     def _proxy_arrive(self, proc: MISPProcessor, request: ProxyRequest) -> None:
-        proc.proxy_queue.append(request)
-        self.proxy_stats.note_request(request, len(proc.proxy_queue))
-        self._pending[proc.proc_id].append(("proxy", request))
+        pending = self._pending[proc.proc_id]
+        pending.append(("proxy", request))
+        # the requests waiting for the OMS, this one included
+        depth = sum(1 for item in pending if item[0] == "proxy")
+        self.proxy_stats.note_request(request, depth)
         self._advance(proc.oms)
 
     def _service_proxy(self, oms: Sequencer, request: ProxyRequest) -> None:
         """OMS side: impersonate the AMS and re-execute under Ring 0."""
-        proc = oms.processor
-        if proc.proxy_queue and proc.proxy_queue[0] is request:
-            proc.proxy_queue.popleft()
         self.trace.instant(self.now, oms.seq_id, EventKind.PROXY_BEGIN)
-        process = request.process  # type: ignore[attr-defined]
         if request.kind is ProxyKind.PAGE_FAULT:
-            space = process.address_space
-            if not space.is_resident(request.vpn):
-                priv = self.params.page_fault_service_cost
-                priv_coefs = (("page_fault_service_cost", 1, 1),)
-            else:
-                priv = self.params.page_fault_service_cost // 4
-                priv_coefs = (("page_fault_service_cost", 1, 4),)
-
-            def effect() -> None:
-                if not space.is_resident(request.vpn):
-                    self.kernel.service_page_fault(space, request.vpn)
+            priv, priv_coefs, effect = self._page_fault_service(
+                request.process.address_space, request.vpn)
         else:
-            priv, spec = self.kernel.service_syscall(
+            priv, priv_coefs, _ = self._syscall_service(
                 request.service, request.cost_override)
-            priv_coefs = ((("syscall_service_cost", 1, 1),)
-                          if request.cost_override is None
-                          and spec.cost is None else ())
             request.result = 0
             effect = None
 
@@ -727,12 +728,11 @@ class Machine:
                             effect=effect, on_done=on_done)
 
     def _proxy_done(self, request: ProxyRequest) -> None:
-        request.serviced = True
         self.proxy_stats.note_complete(request, self.now)
         if self._cap is not None:
-            self._cap.mark("pdone", request.cap_id)  # type: ignore[attr-defined]
+            self._cap.mark("pdone", request.cap_id)
         ams = request.ams
-        stream: InstructionStream = request.stream  # type: ignore[attr-defined]
+        stream = request.stream
         self.trace.instant(self.now, ams.seq_id, EventKind.PROXY_END)
         if request.kind is ProxyKind.SYSCALL:
             # the OMS executed the call on the shred's behalf; commit it

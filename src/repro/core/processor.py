@@ -8,14 +8,10 @@ processors of the Figure 6/7 configurations are modelled.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.core.sequencer import Sequencer, SequencerRole
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.proxy import ProxyRequest
 
 
 class MISPProcessor:
@@ -35,8 +31,6 @@ class MISPProcessor:
         for i, ams in enumerate(amss):
             ams.processor = self
             ams.sid = i + 1
-        #: pending proxy requests relayed from AMSs, FIFO (Section 2.5)
-        self.proxy_queue: deque["ProxyRequest"] = deque()
 
     # ------------------------------------------------------------------
     # Topology

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sequencer import Sequencer
-    from repro.exec.ops import MachineOp
+    from repro.exec.stream import InstructionStream
+    from repro.kernel.process import Process
 
 
 class ProxyKind(enum.Enum):
@@ -37,8 +38,10 @@ class ProxyRequest:
 
     ams: "Sequencer"
     kind: ProxyKind
-    #: the operation that faulted (retried or completed after service)
-    op: "MachineOp"
+    #: the faulting shred, resumed once the request is serviced
+    stream: "InstructionStream"
+    #: the process the shred belongs to, whose address space is served
+    process: "Process"
     #: faulting virtual page number (PAGE_FAULT only)
     vpn: Optional[int] = None
     #: syscall name (SYSCALL only)
@@ -49,12 +52,8 @@ class ProxyRequest:
     raised_at: int = 0
     #: value delivered back to the shred for a serviced syscall
     result: Any = None
-    serviced: bool = False
-
-    def describe(self) -> str:
-        if self.kind is ProxyKind.PAGE_FAULT:
-            return f"PF vpn={self.vpn:#x} from AMS sid={self.ams.sid}"
-        return f"syscall '{self.service}' from AMS sid={self.ams.sid}"
+    #: the trace capture's id for the request (captured runs only)
+    cap_id: Optional[int] = None
 
 
 @dataclass

@@ -3,15 +3,15 @@
 The :class:`Runner` takes :class:`~repro.experiments.spec.RunSpec`
 grids and returns :class:`~repro.experiments.summary.RunSummary`
 values, guaranteeing that each *unique* simulation executes exactly
-once per process (in-memory memo), at most once per machine when an
-on-disk store directory is configured, and that independent runs
+once per process (in-memory run table), at most once per machine when
+an on-disk store directory is configured, and that independent runs
 execute concurrently in worker processes.
 
-It is an :class:`~repro.service.ExperimentService` -- the same memo ->
-store -> in-flight -> executor resolution, the same
-:class:`~repro.service.ServiceStats` -- with a per-call worker pool.
-Every summary it returns was executed: re-pricing a captured trace
-under other timing parameters is the explicit
+It is an :class:`~repro.service.ExperimentService` -- the same run
+table (finished and in-flight runs) -> store -> executor resolution,
+the same :class:`~repro.service.ServiceStats` -- with a per-call
+worker pool.  Every summary it returns was executed: re-pricing a
+captured trace under other timing parameters is the explicit
 :class:`~repro.sim.captrace.ReplayMachine` API, never a Runner mode.
 """
 
@@ -48,7 +48,7 @@ class Runner(ExperimentService):
 
 
 # ----------------------------------------------------------------------
-# Process-wide default runner (shared memo across analysis modules)
+# Process-wide default runner (one run table across analysis modules)
 # ----------------------------------------------------------------------
 _default_runner: Optional[Runner] = None
 
@@ -74,8 +74,9 @@ def runner_from_env() -> Runner:
 def default_runner() -> Runner:
     """The process-wide shared Runner (built via :func:`runner_from_env`).
 
-    Sharing one memo across the analysis drivers is what lets a single
-    1P baseline serve Figure 4, Figure 5, and Table 1 in one process.
+    Sharing one run table across the analysis drivers is what lets a
+    single 1P baseline serve Figure 4, Figure 5, and Table 1 in one
+    process.
     """
     global _default_runner
     if _default_runner is None:

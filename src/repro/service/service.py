@@ -1,35 +1,37 @@
 """The experiment service: the one resolution path for experiment grids.
 
 :class:`ExperimentService` serves grids through two faces over the
-same layers -- in-process memo, content-addressed
-:class:`~repro.service.store.ResultStore`, cross-request
-:class:`~repro.service.inflight.InflightTable`, and one shared
-execution backend:
+same parts -- one run table, a content-addressed
+:class:`~repro.service.store.ResultStore`, and one shared execution
+backend:
 
 * :meth:`~ExperimentService.run`, :meth:`~ExperimentService.run_many`
   and :meth:`~ExperimentService.run_experiment` resolve on the calling
   thread and return once the grid is done;
-* :meth:`~ExperimentService.submit` looks the grid up in the memo and
-  the store on the calling thread, delivers those hits, and returns a
-  :class:`JobHandle`; only the specs still unresolved go on to a job
-  thread, so finished runs stream back through
+* :meth:`~ExperimentService.submit` resolves what the table and the
+  store already answer on the calling thread and returns a
+  :class:`JobHandle`; a job thread starts only for the specs the job
+  owns, so finished runs stream back through
   :meth:`JobHandle.as_completed` *as they finish*, not when the whole
-  grid does, and a grid the memo and store answer in full is done
+  grid does, and a grid the table and store answer in full is done
   before ``submit`` returns.
 
 Either way, a figure request repeated by N clients costs one
 execution, and two different grids sharing a baseline run share its
 simulation even while both are still in flight.
 
-Resolution order per job::
+The run table maps a spec hash to the summary of a finished run or to
+the pending future of a run in flight.  Resolution per job::
 
-    memo  ->  store  ->  inflight table  ->  executor
-    (hits)    (hits)     (join a run        (claim + run,
-                          already in         resolve joiners)
-                          the air)
+    table   ->  store  ->  claim             ->  executor
+    (deliver    (hits,     (under the table      (the specs the job
+     summaries,  backfill   lock: own a fresh     owns; each run
+     join        the        future, or recall     settles its future
+     futures)    table)     or join another's)    as it finishes)
 
-Everything an executed run produces is backfilled upward (store and
-memo), so the next request short-circuits as early as possible.
+An executed run is backfilled into the store and the table, and
+counted, before its future resolves, so the next request
+short-circuits as early as possible.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from typing import (
 from repro.errors import ExperimentExecutionError
 from repro.obs.metrics import MetricsRegistry, Stats, new_run_id
 from repro.service.executor import ExecutionBackend
-from repro.service.inflight import InflightTable
 from repro.service.store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,9 +99,11 @@ class ServiceStats(Stats):
     HELP = "ExperimentService resolution outcomes"
     LABEL = "service"
     #: requested -- grid members submitted; deduplicated -- duplicate
-    #: members within submitted grids; inflight_joined -- specs folded
-    #: onto an execution another job already had in flight; executed --
-    #: simulations run
+    #: members within submitted grids; memo_hits -- specs the run table
+    #: held finished; inflight_joined -- specs folded onto an execution
+    #: another job already had in flight; executed -- simulations run.
+    #: Once every job is done, requested = deduplicated + memo_hits +
+    #: store_hits + inflight_joined + executed + failed
     FIELDS = ("requested", "deduplicated", "memo_hits", "store_hits",
               "inflight_joined", "executed", "failed", "jobs")
 
@@ -208,9 +211,9 @@ class JobHandle:
         job (``submit``/``memo``/``store``/``execute``/``backfill``)
         to wall seconds spent in it.  ``submit`` times
         the start of the job thread, so it appears only when a
-        submitted job had specs left after the memo and store: a job
-        they answer in full starts no thread and has no ``submit``
-        phase.
+        submitted job owned specs to execute: a job whose every spec
+        the run table or the store answers, or joins a run in flight,
+        starts no thread and has no ``submit`` phase.
         """
         with self._lock:
             return {
@@ -237,14 +240,16 @@ class JobHandle:
 class ExperimentService:
     """Serve experiment grids, synchronously or as streaming jobs.
 
-    One service owns one memo, one (optional) content-addressed store,
-    one in-flight table, and one execution backend; every request --
-    a synchronous ``run*`` call or a submitted job -- shares all four.
-    Both faces look up the memo and the store on the calling thread;
-    :meth:`submit` hands only the rest to a job thread.
+    One service owns one run table, one (optional) content-addressed
+    store, and one execution backend; every request -- a synchronous
+    ``run*`` call or a submitted job -- shares all three.  Both faces
+    resolve a job against the table and the store on the calling
+    thread; :meth:`submit` hands only the runs the job owns to a job
+    thread.
 
-    * duplicate specs within and across requests run once (memo, and
-      the in-flight table while a run is still executing);
+    * duplicate specs within and across requests run once: the table
+      holds each finished run's summary, and the pending future of
+      each run in flight, which later requests join;
     * with a ``store`` (a :class:`ResultStore` or a directory), runs
       persist on disk keyed by spec hash, so new processes are served
       from the store;
@@ -255,7 +260,7 @@ class ExperimentService:
       backends/timing models stay visible).
 
     A failing simulation neither discards the rest of its grid
-    (completed runs are memoized and stored first) nor shadows other
+    (completed runs are stored and kept first) nor shadows other
     failures: one :class:`~repro.errors.ExperimentExecutionError` names
     every failed spec, so a retry only re-runs what failed.
 
@@ -263,6 +268,8 @@ class ExperimentService:
     (a :class:`ServiceStats`, which also counts the specs joined onto
     in-flight runs), store traffic in ``store.stats``, and each job's
     wall seconds per resolution phase in :meth:`JobHandle.metrics`.
+    A run's counts and phase times land before its future resolves,
+    so they are in place once a job that waited on it is done.
     Both stats register with ``registry`` (default: the process-wide
     one), which reads them only when it exports, labeled ``instance``
     (default ``""``: unnamed services and stores add up); a service
@@ -284,10 +291,12 @@ class ExperimentService:
             store = ResultStore(store, registry=registry,
                                 instance=instance)
         self.store: Optional[ResultStore] = store
-        #: finished summaries by spec hash, shared by every job
-        self._memo: dict[str, "RunSummary"] = {}
-        self._memo_lock = threading.Lock()
-        self.inflight = InflightTable()
+        #: every run by spec hash, shared by every job: its summary once
+        #: finished (executed, or read from the store), or the pending
+        #: future of a run in flight.  Only the job that put a future
+        #: there replaces it (with the summary) or removes it (failed)
+        self._runs: dict[str, Union["RunSummary", Future]] = {}
+        self._lock = threading.Lock()
         self.stats = ServiceStats(registry=registry, instance=instance)
         #: the job threads :meth:`submit` started that may still run
         self._threads: list[threading.Thread] = []
@@ -317,35 +326,38 @@ class ExperimentService:
         runs another request has in flight; raises
         :class:`~repro.errors.ExperimentExecutionError` if any failed.
         """
-        job, unique = self._open(experiment)
-        remaining = self._guarded(self._lookup, job, unique)
-        if remaining:
-            self._guarded(self._resolve_rest, job, unique, remaining)
+        job, owned = self._open(experiment)
+        if owned:
+            self._execute(job, owned)
         return job.result()
 
     def submit(self, experiment: Union["ExperimentSpec",
                                        Iterable["RunSpec"]]) -> JobHandle:
         """Accept a grid and return its :class:`JobHandle`.
 
-        Memo and store hits are looked up and delivered on the calling
-        thread before this returns.  A job thread starts only for the
-        specs left over, which join a run already in flight or
-        execute; a grid the memo and store answer in full is
-        :meth:`~JobHandle.done` on return.
+        Finished runs are delivered, and runs in flight joined, on the
+        calling thread before this returns.  A job thread starts only
+        for the specs the job owns, which execute; a grid the table
+        and the store answer in full is :meth:`~JobHandle.done` on
+        return.
         """
-        job, unique = self._open(experiment)
-        remaining = self._guarded(self._lookup, job, unique)
-        if remaining:
+        job, owned = self._open(experiment)
+        if owned:
             with self._phase(job, "submit"):
                 thread = threading.Thread(
-                    target=self._guarded,
-                    args=(self._resolve_rest, job, unique, remaining),
+                    target=self._execute, args=(job, owned),
                     name=f"repro-{job.job_id}", daemon=True)
                 with self._threads_lock:
                     self._threads = [t for t in self._threads
                                      if t.is_alive()]
+                    try:
+                        thread.start()
+                    except BaseException as exc:
+                        # claimed runs no thread will settle
+                        for spec in owned:
+                            self._fail(job, spec, exc)
+                        raise
                     self._threads.append(thread)
-                    thread.start()
         return job
 
     def close(self) -> None:
@@ -369,37 +381,74 @@ class ExperimentService:
     # ------------------------------------------------------------------
     def _open(self, experiment: Union["ExperimentSpec",
                                       Iterable["RunSpec"]]
-              ) -> tuple[JobHandle, dict[str, "RunSpec"]]:
-        """A counted job for ``experiment`` and its unique specs."""
+              ) -> tuple[JobHandle, list["RunSpec"]]:
+        """A counted job for ``experiment``, resolved as far as it can
+        be on the calling thread, and the specs it owns:
+
+        1. the table: deliver its summaries, join its pending futures;
+        2. the store: deliver its hits and backfill them;
+        3. a claim under the table lock: own a fresh future for each
+           spec still missing, or recall or join what another job put
+           there meanwhile.
+        """
         from repro.experiments.spec import ExperimentSpec
 
         if not isinstance(experiment, ExperimentSpec):
             experiment = ExperimentSpec("adhoc", tuple(experiment))
-        unique: dict[str, "RunSpec"] = {}
-        for spec in experiment.runs:
-            unique.setdefault(spec.spec_hash(), spec)
+        unique = experiment.unique_runs()
         self.stats.add(jobs=1, requested=len(experiment.runs),
                        deduplicated=len(experiment.runs) - len(unique))
-        return JobHandle(experiment, expected=len(unique)), unique
+        job = JobHandle(experiment, expected=len(unique))
 
-    def _guarded(self, step: Callable, job: JobHandle,
-                 unique: dict[str, "RunSpec"], *args):
-        """``step(job, unique, *args)``'s result, or None if it raised.
+        with self._phase(job, "memo"):
+            with self._lock:
+                runs = [self._runs.get(spec.spec_hash()) for spec in unique]
+            missing = self._serve(job, unique, runs)
 
-        A step that raises fails every spec of ``job`` not yet
-        settled, with that exception, so the job never hangs (a store
-        write can raise, e.g. ENOSPC).
-        """
-        try:
-            return step(job, unique, *args)
-        except Exception as exc:
-            with job._lock:
-                settled = set(job._results)
-                settled.update(s.spec_hash() for s, _ in job._failures)
-            for key, spec in unique.items():
-                if key not in settled:
-                    job._deliver_failure(spec, exc)
-            return None
+        if self.store is not None and missing:
+            with self._phase(job, "store"):
+                read = [(spec, self.store.get(spec)) for spec in missing]
+                hits = {spec.spec_hash(): summary
+                        for spec, summary in read if summary is not None}
+                missing = [spec for spec, summary in read if summary is None]
+                self.stats.add(store_hits=len(hits))
+                with self._lock:
+                    for key, summary in hits.items():
+                        self._runs.setdefault(key, summary)
+                for key, summary in hits.items():
+                    job._deliver(key, summary)
+
+        if not missing:
+            return job, []
+        with self._lock:
+            runs = [self._runs.get(spec.spec_hash()) for spec in missing]
+            for spec, run in zip(missing, runs):
+                if run is None:
+                    self._runs[spec.spec_hash()] = Future()
+        # what the table had no run for, this job has just claimed
+        return job, self._serve(job, missing, runs)
+
+    def _serve(self, job: JobHandle, specs: Sequence["RunSpec"],
+               runs: Sequence[Union["RunSummary", Future, None]]
+               ) -> list["RunSpec"]:
+        """Count what the table gave ``job`` for ``specs``, deliver its
+        summaries and join its futures; returns the specs it had no
+        run for."""
+        missing, finished, pending = [], [], []
+        for spec, run in zip(specs, runs):
+            if run is None:
+                missing.append(spec)
+            elif isinstance(run, Future):
+                pending.append((spec, run))
+            else:
+                finished.append((spec, run))
+        self.stats.add(memo_hits=len(finished),
+                       inflight_joined=len(pending))
+        for spec, summary in finished:
+            job._deliver(spec.spec_hash(), summary)
+        for spec, future in pending:
+            future.add_done_callback(partial(self._on_future, job, spec))
+        return missing
 
     @contextlib.contextmanager
     def _phase(self, job: JobHandle, name: str) -> Iterator[None]:
@@ -409,99 +458,51 @@ class ExperimentService:
         yield
         job._note_phase(name, time.perf_counter() - start)
 
-    def _lookup(self, job: JobHandle,
-                unique: dict[str, "RunSpec"]) -> list["RunSpec"]:
-        """Deliver the memo's hits, then the store's, each in grid
-        order; returns the specs neither holds."""
-        # 1. in-process memo
-        with self._phase(job, "memo"):
-            with self._memo_lock:
-                hits = {key: self._memo[key] for key in unique
-                        if key in self._memo}
-            remaining = [spec for key, spec in unique.items()
-                         if key not in hits]
-            self.stats.add(memo_hits=len(hits))
-            for key, summary in hits.items():
-                job._deliver(key, summary)
-
-        # 2. content-addressed store (backfills the memo)
-        if self.store is not None and remaining:
-            with self._phase(job, "store"):
-                hits, missed = {}, []
-                for spec in remaining:
-                    summary = self.store.get(spec)
-                    if summary is None:
-                        missed.append(spec)
-                    else:
-                        hits[spec.spec_hash()] = summary
-                remaining = missed
-                self.stats.add(store_hits=len(hits))
-                with self._memo_lock:
-                    self._memo.update(hits)
-                for key, summary in hits.items():
-                    job._deliver(key, summary)
-        return remaining
-
-    def _resolve_rest(self, job: JobHandle, unique: dict[str, "RunSpec"],
-                      remaining: Sequence["RunSpec"]) -> None:
-        """Join or execute what :meth:`_lookup` left, backfilling the
-        memo and store."""
-        # 3. cross-request in-flight dedup
-        owned, joined = self.inflight.claim(
-            spec.spec_hash() for spec in remaining)
-        self.stats.add(inflight_joined=len(joined))
-        for key, future in {**owned, **joined}.items():
-            future.add_done_callback(
-                partial(self._on_future, job, unique[key]))
-
+    def _execute(self, job: JobHandle, owned: Sequence["RunSpec"]) -> None:
+        """Run the specs ``job`` owns; each run settles -- and streams
+        to every job waiting on it -- as soon as it finishes."""
+        pending = {spec.spec_hash(): spec for spec in owned}
         try:
-            # double-check the memo for owned keys: another job may have
-            # resolved (and retired) the run between our memo miss and
-            # the claim -- serve it rather than re-executing
-            for key in list(owned):
-                with self._memo_lock:
-                    summary = self._memo.get(key)
-                if summary is not None:
-                    self.inflight.resolve(key, summary)
-                    del owned[key]
-
-            # 4. execute what this job owns
-            if owned:
-                self._execute_owned(job, [unique[key] for key in owned])
+            start = time.perf_counter()
+            for spec, outcome in self.backend.run(owned):
+                job._note_phase("execute", time.perf_counter() - start)
+                self._settle(job, spec, outcome)
+                del pending[spec.spec_hash()]
+                start = time.perf_counter()
         except BaseException as exc:
-            # an unsettled claim would hang its joiners and every later
-            # request for the spec; only the owner settles a claim, so
-            # a pending owned future is still the table's entry
-            for key, future in owned.items():
-                if not future.done():
-                    self.inflight.fail(key, exc)
-            raise
-
-    def _execute_owned(self, job: JobHandle,
-                       specs: Sequence["RunSpec"]) -> None:
-        with self._phase(job, "execute"):
-            # each run resolves -- and streams to every waiting job --
-            # as soon as it finishes
-            for spec, future in self.backend.run(specs):
-                self._settle(job, spec, future)
+            # a run left pending would hang its joiners and every later
+            # request for it (a store write can raise, e.g. ENOSPC)
+            for spec in pending.values():
+                self._fail(job, spec, exc)
+            if not isinstance(exc, Exception):
+                raise
 
     def _settle(self, job: JobHandle, spec: "RunSpec",
-                future: Future) -> None:
-        key = spec.spec_hash()
-        try:
-            summary = future.result()
-        except Exception as exc:
-            self.stats.add(failed=1)
-            self.inflight.fail(key, exc)
+                outcome: Future) -> None:
+        exc = outcome.exception()
+        if exc is not None:
+            self._fail(job, spec, exc)
             return
+        key, summary = spec.spec_hash(), outcome.result()
         with self._phase(job, "backfill"):
-            with self._memo_lock:
-                self._memo[key] = summary
             if self.store is not None:
                 self.store.put(spec, summary)
-            # resolving the future delivers to this job and every joiner
-            self.inflight.resolve(key, summary)
+            with self._lock:
+                run = self._runs[key]
+                self._runs[key] = summary
         self.stats.add(executed=1)
+        job._deliver(key, summary)
+        run.set_result(summary)                # delivers to every joiner
+
+    def _fail(self, job: JobHandle, spec: "RunSpec",
+              exc: BaseException) -> None:
+        """Fail a run ``job`` claimed, in ``job`` and every job joined
+        to it; it leaves the table first, so a retry executes it."""
+        with self._lock:
+            run = self._runs.pop(spec.spec_hash())
+        self.stats.add(failed=1)
+        job._deliver_failure(spec, exc)
+        run.set_exception(exc)
 
     def _on_future(self, job: JobHandle, spec: "RunSpec",
                    future: Future) -> None:

@@ -1,8 +1,9 @@
 """Tests for the layered experiment service: the content-addressed
 ResultStore (metrics, eviction, quarantine, temp-file reclamation,
 executed summaries only), resolution order, the execution backend, the
-cross-request InflightTable, concurrency invariants (shared-store
-races, in-flight dedup), and the ExperimentService streaming job API."""
+run table (in-flight joins, failures, counts that add up), concurrency
+invariants (shared-store races, in-flight dedup), and the
+ExperimentService streaming job API."""
 
 import dataclasses
 import errno
@@ -26,8 +27,8 @@ from repro.experiments import (
 )
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
-    STORE_VERSION, ExecutionBackend, ExperimentService, InflightTable,
-    ResultStore, execute, store_from_env,
+    STORE_VERSION, ExecutionBackend, ExperimentService, JobHandle,
+    ResultStore, ServiceStats, execute, store_from_env,
 )
 
 #: a fast workload for end-to-end service tests
@@ -110,6 +111,13 @@ def exit_after_run(spec):
     summary = execute(spec)
     threading.Timer(0.2, os._exit, (0,)).start()
     return summary
+
+
+def in_flight(service) -> list:
+    """The futures left in ``service``'s run table: none once every
+    job is done, since a run's future leaves it before it resolves."""
+    return [run for run in service._runs.values()
+            if isinstance(run, Future)]
 
 
 def assert_quarantined(tmp_path, text: str) -> None:
@@ -375,28 +383,6 @@ class TestExecutionBackend:
         assert out == [(spec, execute(spec)) for spec in specs]
 
 
-class TestInflightTable:
-    def test_claim_join_resolve(self):
-        table = InflightTable()
-        owned, joined = table.claim(["k1", "k2"])
-        assert set(owned) == {"k1", "k2"} and not joined
-        owned2, joined2 = table.claim(["k1", "k3"])
-        assert set(owned2) == {"k3"} and set(joined2) == {"k1"}
-        assert joined2["k1"] is owned["k1"]            # the same future
-        table.resolve("k1", "summary")
-        assert joined2["k1"].result(timeout=1) == "summary"
-        assert "k1" not in table and "k2" in table
-
-    def test_fail_propagates_to_joiners(self):
-        table = InflightTable()
-        owned, _ = table.claim(["k"])
-        _, joined = table.claim(["k"])
-        boom = SimulationError("boom")
-        table.fail("k", boom)
-        assert joined["k"].exception(timeout=1) is boom
-        assert len(table) == 0
-
-
 # ----------------------------------------------------------------------
 # Resolution order: memo -> store -> execution, with backfill
 # ----------------------------------------------------------------------
@@ -409,6 +395,12 @@ class StubExecute:
     def __call__(self, spec):
         self.calls.append(spec)
         return summary_for(spec)
+
+
+def outcomes(stats) -> int:
+    """The grid members ``stats`` has counted an outcome for."""
+    return (stats.deduplicated + stats.memo_hits + stats.store_hits
+            + stats.inflight_joined + stats.executed + stats.failed)
 
 
 def served_by(service):
@@ -489,7 +481,7 @@ class TestStoreWriteFailure:
                 service.submit(specs).result(timeout=10)
             assert all(isinstance(exc, OSError)
                        for _, exc in excinfo.value.failures)
-            assert len(service.inflight) == 0
+            assert in_flight(service) == []
             retry = service.submit(specs).result(timeout=10)
         assert retry.summaries() == [summary_for(s) for s in specs]
 
@@ -500,7 +492,7 @@ class TestStoreWriteFailure:
         fail_next_put(runner.store)
         with pytest.raises(ExperimentExecutionError):
             within(120, runner.run_many, specs)
-        assert len(runner.inflight) == 0
+        assert in_flight(runner) == []
         retry = within(120, runner.run_many, specs)
         assert retry == Runner(parallel=False).run_many(specs)
 
@@ -669,6 +661,182 @@ class TestConcurrency:
 
 
 # ----------------------------------------------------------------------
+# The run table: one entry per spec hash, a summary or a pending future
+# ----------------------------------------------------------------------
+class TestRunTable:
+    def test_run_finished_after_a_store_miss_is_a_memo_hit(self, tmp_path):
+        """Job A's store read misses while job B executes and finishes
+        the same spec; A's claim then finds B's summary in the table.
+        The spec executes once and both requests are counted."""
+        reading, finished = threading.Event(), threading.Event()
+
+        class MissThenWait(ResultStore):
+            """Its first read returns its miss only once B finished."""
+            first = True
+
+            def get(self, spec):
+                summary = super().get(spec)
+                if self.first:
+                    self.first = False
+                    reading.set()
+                    assert finished.wait(timeout=30)
+                return summary
+
+        spec, stub = spec_n(1), StubExecute()
+        service = ExperimentService(store=MissThenWait(tmp_path),
+                                    parallel=False, execute_fn=stub)
+        served = {}
+        job_a = threading.Thread(
+            target=lambda: served.update(a=service.run(spec)))
+        job_a.start()
+        assert reading.wait(timeout=30)
+        served["b"] = within(30, service.run, spec)
+        finished.set()
+        job_a.join(timeout=30)
+        assert not job_a.is_alive()
+        assert served == {"a": summary_for(spec), "b": summary_for(spec)}
+        assert len(stub.calls) == 1
+        stats = service.stats
+        assert (stats.executed, stats.memo_hits) == (1, 1)
+        assert stats.requested == outcomes(stats) == 2
+
+    def test_failed_run_fails_its_joiners_then_leaves_the_table(self):
+        release = threading.Event()
+        attempts = []
+
+        def fails_first(spec):
+            attempts.append(spec)
+            assert release.wait(timeout=30)
+            if len(attempts) == 1:
+                raise SimulationError("boom")
+            return summary_for(spec)
+
+        spec = spec_n(1)
+        with ExperimentService(parallel=False,
+                               execute_fn=fails_first) as service:
+            owner = service.submit([spec])
+            wait_until(lambda: attempts)               # the run is in flight
+            joiner = service.submit([spec])
+            wait_until(lambda: service.stats.inflight_joined == 1)
+            release.set()
+            raised = []
+            for job in (owner, joiner):
+                with pytest.raises(ExperimentExecutionError) as excinfo:
+                    job.result(timeout=30)
+                [(failed, exc)] = excinfo.value.failures
+                assert failed == spec
+                raised.append(exc)
+            assert raised[0] is raised[1]
+            assert str(raised[0]) == "boom"
+            assert in_flight(service) == []
+            # a retry executes
+            assert within(30, service.run, spec) == summary_for(spec)
+        assert len(attempts) == 2
+        assert (service.stats.failed, service.stats.executed) == (1, 1)
+        assert service.stats.requested == outcomes(service.stats) == 3
+
+    def test_concurrent_cold_requests_execute_each_spec_once(self):
+        """Client threads share one fresh service and ask for random
+        overlapping grids, so claims, joins and table reads race; each
+        spec must execute once and every member be counted once."""
+        specs = [spec_n(i) for i in range(16)]
+        stub = StubExecute()
+        service = ExperimentService(parallel=False, execute_fn=stub)
+        nthreads, requests = 8, 40
+        start = threading.Barrier(nthreads, timeout=30)
+        asked, wrong, errors = set(), [], []
+
+        def client(seed):
+            rng = random.Random(seed)
+            try:
+                start.wait()
+                for _ in range(requests):
+                    grid = [rng.choice(specs)
+                            for _ in range(rng.randint(1, 6))]
+                    asked.update(spec.spec_hash() for spec in grid)
+                    if rng.random() < 0.5:
+                        result = service.submit(grid).result(timeout=30)
+                    else:
+                        result = service.run_experiment(grid)
+                    wrong.extend(spec for spec in grid
+                                 if result[spec] != summary_for(spec))
+            except Exception as exc:               # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        within(30, service.close)
+        assert not errors and not wrong
+        assert sorted(s.spec_hash() for s in stub.calls) == sorted(asked)
+        stats = service.stats
+        assert stats.jobs == nthreads * requests
+        assert stats.executed == len(asked) and stats.failed == 0
+        assert stats.requested == outcomes(stats)
+        assert in_flight(service) == []
+
+    def test_a_job_thread_that_cannot_start_leaves_no_claim(self,
+                                                            monkeypatch):
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        spec = spec_n(1)
+        with ExperimentService(parallel=False,
+                               execute_fn=StubExecute()) as service:
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", cannot_start)
+                with pytest.raises(RuntimeError):
+                    service.submit([spec])
+            assert in_flight(service) == []
+            assert within(30, service.run, spec) == summary_for(spec)
+        assert service.stats.requested == outcomes(service.stats) == 2
+
+
+class TestBookkeepingLandsFirst:
+    """A job is done only once the phase times and the counts of the
+    runs it waited on have landed, however slowly they are recorded."""
+
+    def test_phase_times_land_before_the_result(self, monkeypatch):
+        note = JobHandle._note_phase
+
+        def slow_note(job, name, seconds):
+            time.sleep(0.05)
+            note(job, name, seconds)
+
+        monkeypatch.setattr(JobHandle, "_note_phase", slow_note)
+        with ExperimentService(parallel=False,
+                               execute_fn=StubExecute()) as service:
+            job = service.submit([spec_n(1)])
+            job.result(timeout=30)
+            phases = set(job.metrics()["phases"])
+        assert {"memo", "execute", "backfill"} <= phases
+
+    def test_counts_land_before_the_result(self, monkeypatch):
+        add = ServiceStats.add
+
+        def slow_add(stats, **deltas):
+            if "executed" in deltas:
+                time.sleep(0.05)
+            add(stats, **deltas)
+
+        monkeypatch.setattr(ServiceStats, "add", slow_add)
+        with ExperimentService(parallel=False,
+                               execute_fn=StubExecute()) as service:
+            service.submit([spec_n(1)]).result(timeout=30)
+            executed = service.stats.executed
+        assert executed == 1
+
+
+# ----------------------------------------------------------------------
 # Warm requests: memo and store hits are served on the caller's thread
 # ----------------------------------------------------------------------
 def stored(tmp_path, specs) -> None:
@@ -828,13 +996,13 @@ class TestExperimentService:
         before = set(multiprocessing.active_children())
         specs = [TINY, RunSpec("dense_mvm", "1p", scale=0.01)]
         service = ExperimentService(max_workers=2)
-        claim = service.inflight.claim
+        run = service.backend.run
 
-        def late_claim(keys):
+        def late_run(specs):
             time.sleep(0.3)
-            return claim(keys)
+            return run(specs)
 
-        monkeypatch.setattr(service.inflight, "claim", late_claim)
+        monkeypatch.setattr(service.backend, "run", late_run)
         job = service.submit(specs)
         within(120, service.close)
         assert job.done()
