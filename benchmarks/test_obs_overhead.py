@@ -1,13 +1,14 @@
 """Observability overhead gate: instrumented runs must stay cheap.
 
 ``test_obs_overhead_ratio`` runs the Figure 4 smoke grid plain and
-**observed** (``Session.observe(...)``: signal counting closure, fine
-trace records, stall notes at the serialization sites, and
+**observed** (``Session.observe(...)``: the machine's stall account,
+noted at each serialization stage, fine trace records, and
 registration of the finished run as a metrics collector) in
 interleaved rounds, best-of-N per side, in one process, and gates
 the enabled-observability overhead below ``OVERHEAD_LIMIT`` -- the
-"zero-cost when disabled, cheap when enabled" contract from the
-observability layer.  The registry reads an observed run's families
+"coarse counts only when disabled, cheap when enabled" contract from
+the observability layer.  Both sides keep the coarse counts every
+run keeps (TraceLog totals, signal counts).  The registry reads an observed run's families
 only when it exports, and this gate exports nothing, so it times what
 every observed run pays.
 

@@ -30,7 +30,7 @@ def main():
     print(f"{result.workload} on {result.system}:{result.config} -> "
           f"{result.cycles:,} cycles (observed as '{result.obs.run_id}')")
 
-    # -- the hot-path counters the observation wrapper collected -------
+    # -- the timing-layer totals, read off the finished machine --------
     obs = result.obs
     print(f"\ntiming layer: {obs.ops:,} ops priced, "
           f"{obs.charged_cycles:,} cycles charged, "

@@ -12,6 +12,7 @@ cache.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import time
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from repro.analysis.table2 import (
 from repro.core.notation import FIGURE6_CONFIGS, config_name, parse_config
 from repro.errors import ConfigurationError
 from repro.experiments import Runner, default_runner
-from repro.obs.emit import ReportEmitter
+from repro.obs.metrics import new_run_id
 from repro.params import DEFAULT_PARAMS
 from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
@@ -53,117 +54,99 @@ def full_report(workloads: Optional[Sequence[str]] = None,
                 runner: Optional[Runner] = None,
                 streaming: bool = False,
                 stream=None,
-                emitter: Optional[ReportEmitter] = None,
                 smoke: bool = False) -> None:
-    """Regenerate every artifact.
+    """Regenerate every artifact, printing each line to ``stream``
+    (default: stdout) as soon as it is ready.
 
     With ``streaming`` the Figure 4 grid flows through the runner's
     streaming job API (``submit``) -- partial results print as runs
     finish.  When the runner has a store, the report ends with its
-    hit-rate line.
-
-    Output flows through a :class:`~repro.obs.emit.ReportEmitter`
-    (built from ``stream`` when not passed), so every line carries the
-    report's correlation id in structured mode.  ``smoke`` restricts
-    the report to the Figure 4 grid -- the fast end-to-end slice CI
-    exercises for observability artifacts.
+    hit-rate line.  ``smoke`` restricts the report to the Figure 4
+    grid -- the fast end-to-end slice CI exercises for observability
+    artifacts.
     """
     from repro.workloads import FIGURE4_ORDER
     names = list(workloads or FIGURE4_ORDER)
     runner = runner or default_runner()
-    out = emitter if emitter is not None else ReportEmitter(stream=stream)
-    emit = out.emit
+    emit = functools.partial(print, file=stream, flush=True)
 
     t0 = time.time()
-    emit("=" * 70, kind="header")
-    emit("MISP reproduction -- full evaluation report", kind="header",
-         run=out.run_id)
+    emit("=" * 70)
+    emit("MISP reproduction -- full evaluation report")
     emit("system backends: " + ", ".join(
         f"{b.name} ({b.default_config})"
-        for b in SYSTEM_REGISTRY.values()), kind="header")
-    emit("=" * 70, kind="header")
+        for b in SYSTEM_REGISTRY.values()))
+    emit("=" * 70)
 
-    out.section("Figure 4: speedup vs 1P (MISP 1x8 vs SMP 8-way)")
+    emit("\n--- Figure 4: speedup vs 1P (MISP 1x8 vs SMP 8-way) ---")
     if streaming:
         def progress(done: int, total: int, summary) -> None:
             emit(f"  [{done}/{total}] {summary.workload}/{summary.system}:"
-                 f"{summary.config} -> {summary.cycles:,} cycles",
-                 kind="progress", done=done, total=total,
-                 workload=summary.workload, system=summary.system,
-                 config=summary.config, cycles=summary.cycles)
+                 f"{summary.config} -> {summary.cycles:,} cycles")
 
         fig4 = run_figure4_streaming(runner, names, scale=scale,
                                      progress=progress)
     else:
         fig4 = run_figure4(names, scale=scale, runner=runner)
-    emit(format_figure4(fig4), kind="artifact", artifact="figure4")
+    emit(format_figure4(fig4))
 
     if not smoke:
-        out.section("Table 1: serializing events (MISP 1x8)")
-        emit(format_table1(run_table1(names, scale=scale, runner=runner)),
-             kind="artifact", artifact="table1")
+        emit("\n--- Table 1: serializing events (MISP 1x8) ---")
+        emit(format_table1(run_table1(names, scale=scale, runner=runner)))
 
-        out.section("Figure 5: sensitivity to signal cost")
-        emit(format_figure5(run_figure5(names, scale=scale, runner=runner)),
-             kind="artifact", artifact="figure5")
+        emit("\n--- Figure 5: sensitivity to signal cost ---")
+        emit(format_figure5(run_figure5(names, scale=scale, runner=runner)))
 
-        out.section("Figure M: sensitivity to memory cost (new axis)")
+        emit("\n--- Figure M: sensitivity to memory cost (new axis) ---")
         emit(format_figure_mem(run_figure_mem(workload=names[0], scale=scale,
-                                              runner=runner)),
-             kind="artifact", artifact="figure_mem")
+                                              runner=runner)))
         sample = fig4.misp_summaries[names[0]].mem
         emit(f"{names[0]} on MISP: {sample.accesses:,} hierarchy accesses, "
              f"L1 {sample.l1_hit_rate * 100:.1f}% / "
              f"L2 {sample.l2_hit_rate * 100:.1f}% hit, "
              f"{sample.l1_invalidations} L1 invalidations, "
              f"TLB {sample.tlb_hits:,}h/{sample.tlb_misses:,}m/"
-             f"{sample.tlb_flushes}f", kind="stats")
+             f"{sample.tlb_flushes}f")
 
-        emit("\n--- " + figure6_text(), kind="artifact", artifact="figure6")
+        emit("\n--- " + figure6_text())
 
-        out.section("Figure 7: MP throughput under multiprogramming")
-        fig7 = run_figure7(rt_scale=rt_scale, runner=runner)
-        emit(format_figure7(fig7), kind="artifact", artifact="figure7")
+        emit("\n--- Figure 7: MP throughput under multiprogramming ---")
+        emit(format_figure7(run_figure7(rt_scale=rt_scale, runner=runner)))
 
-        out.section("Table 2: porting legacy applications")
-        emit(format_table2(run_table2(runner=runner)),
-             kind="artifact", artifact="table2")
+        emit("\n--- Table 2: porting legacy applications ---")
+        emit(format_table2(run_table2(runner=runner)))
         speedup = ode_restructuring_speedup(runner=runner)
-        emit(f"ODE restructuring speedup: {speedup:.2f}x", kind="stats",
-             speedup=speedup)
+        emit(f"ODE restructuring speedup: {speedup:.2f}x")
 
     emit(f"\n[report completed in {time.time() - t0:.1f}s; "
-         f"runs: {runner.stats}]", kind="stats")
+         f"runs: {runner.stats}]")
     if streaming:
-        emit(f"[service: {runner.stats}]", kind="stats")
+        emit(f"[service: {runner.stats}]")
     if runner.store is not None:
         # the ROADMAP's serving target: a figure request should be
         # almost entirely store hits -- report the measured rate
-        emit(f"[{runner.store.stats}]", kind="stats")
+        emit(f"[{runner.store.stats}]")
 
 
 def _observed_timeline(names: Sequence[str], scale: Optional[float],
-                       emitter: ReportEmitter, trace_out: str) -> RunResult:
+                       run_id: str, trace_out: str) -> RunResult:
     """Run one observed MISP simulation and export its timeline.
 
     The run is labeled with the report's correlation id, so the
-    Perfetto document, the metrics snapshot, and the structured report
-    lines all join on one id.  Returns the run's result: the registry
-    holds the run only weakly, so a caller exporting metrics keeps the
-    result until it has.
+    Perfetto document and the metrics snapshot join on one id.
+    Returns the run's result: the registry holds the run only weakly,
+    so a caller exporting metrics keeps the result until it has.
     """
     from repro.obs.perfetto import export_run
     from repro.systems import Session
 
     workload = names[0]
-    session = Session("misp").observe(run_id=emitter.run_id)
+    session = Session("misp").observe(run_id=run_id)
     result = session.run(workload, scale=scale if scale is not None else 0.05)
     doc = export_run(result, trace_out)
-    emitter.emit(
-        f"[trace: {len(doc['traceEvents'])} events from observed "
-        f"{workload} run ({result.cycles:,} cycles) -> {trace_out}]",
-        kind="artifact", artifact="trace", path=trace_out,
-        events=len(doc["traceEvents"]), cycles=result.cycles)
+    print(f"[trace: {len(doc['traceEvents'])} events from observed "
+          f"{workload} run ({result.cycles:,} cycles) -> {trace_out}]",
+          flush=True)
     return result
 
 
@@ -198,8 +181,7 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict:
 
 def _bottleneck_analysis(names: Sequence[str], scale: Optional[float],
                          timing: str = "fixed",
-                         params: Optional[dict] = None,
-                         emitter: Optional[ReportEmitter] = None) -> dict:
+                         params: Optional[dict] = None) -> dict:
     """Run the Figure 4 grid and attribute every run's cycles.
 
     Each run captures its event-dependency trace when the backend and
@@ -228,12 +210,10 @@ def _bottleneck_analysis(names: Sequence[str], scale: Optional[float],
             if backend.supports_capture and model.supports_capture:
                 session = session.capture()
             else:
-                if not noticed and emitter is not None:
-                    emitter.emit(
-                        f"[analyze: '{timing}' timing does not support "
-                        "trace capture; attributing from observed stall "
-                        "accounts (no critical path)]", kind="notice",
-                        timing=timing)
+                if not noticed:
+                    print(f"[analyze: '{timing}' timing does not support "
+                          "trace capture; attributing from observed stall "
+                          "accounts (no critical path)]", flush=True)
                 noticed = True
                 session = session.observe(registry=MetricsRegistry())
             result = session.run(workload, scale=scale)
@@ -272,9 +252,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="fast end-to-end slice: Figure 4 grid only, "
                              "small default scale (CI's observability run)")
-    parser.add_argument("--structured", action="store_true",
-                        help="emit JSON-lines records with run correlation "
-                             "ids instead of human text")
     parser.add_argument("--metrics", action="store_true",
                         help="print the metrics-registry snapshot after "
                              "the report")
@@ -323,52 +300,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.smoke and scale is None:
         scale = 0.05
 
-    emitter = ReportEmitter(structured=args.structured)
+    # the correlation id of this invocation's store, runner, observed
+    # run and metrics snapshot
+    run_id = new_run_id("report")
+    emit = functools.partial(print, flush=True)
     try:
-        store = (store_from_env(args.cache_dir, instance=emitter.run_id)
+        store = (store_from_env(args.cache_dir, instance=run_id)
                  if args.cache_dir else None)
         runner = Runner(store=store, max_workers=args.jobs,
-                        parallel=not args.serial, instance=emitter.run_id)
+                        parallel=not args.serial, instance=run_id)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
     with runner:
         full_report(names, scale, args.rt_scale, runner=runner,
-                    streaming=args.stream, emitter=emitter,
-                    smoke=args.smoke)
+                    streaming=args.stream, smoke=args.smoke)
     if args.analyze or args.analyze_out:
         from repro.obs.critpath import format_analysis
-        emitter.section("Bottleneck attribution (critical path & stalls)")
-        analysis = _bottleneck_analysis(
-            names, scale, timing=args.timing,
-            params=params, emitter=emitter)
+        emit("\n--- Bottleneck attribution (critical path & stalls) ---")
+        analysis = _bottleneck_analysis(names, scale, timing=args.timing,
+                                        params=params)
         for key in analysis["runs"]:
-            emitter.emit(format_analysis(analysis["runs"][key]),
-                         kind="artifact", artifact="analysis", run_key=key)
+            emit(format_analysis(analysis["runs"][key]))
         if args.analyze_out:
             with open(args.analyze_out, "w", encoding="utf-8") as fh:
                 json.dump(analysis, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            emitter.emit(f"[analysis: {len(analysis['runs'])} runs -> "
-                         f"{args.analyze_out}]", kind="artifact",
-                         artifact="analysis", path=args.analyze_out,
-                         runs=len(analysis["runs"]))
-    traced = (_observed_timeline(names, scale, emitter, args.trace_out)
+            emit(f"[analysis: {len(analysis['runs'])} runs -> "
+                 f"{args.analyze_out}]")
+    traced = (_observed_timeline(names, scale, run_id, args.trace_out)
               if args.trace_out else None)
     if args.metrics or args.metrics_out:
         from repro.obs.metrics import get_registry
         snapshot = get_registry().snapshot()
         if args.metrics_out:
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump({"run": emitter.run_id, "metrics": snapshot},
+                json.dump({"run": run_id, "metrics": snapshot},
                           fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            emitter.emit(f"[metrics: {len(snapshot)} families -> "
-                         f"{args.metrics_out}]", kind="artifact",
-                         artifact="metrics", path=args.metrics_out,
-                         families=len(snapshot))
+            emit(f"[metrics: {len(snapshot)} families -> "
+                 f"{args.metrics_out}]")
         if args.metrics:
-            emitter.emit(get_registry().render_prometheus(),
-                         kind="metrics", families=len(snapshot))
+            emit(get_registry().render_prometheus())
     del traced      # the observed run may leave the registry from here
     return 0
 

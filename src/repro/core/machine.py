@@ -52,7 +52,7 @@ from repro.sim.captrace import (
 )
 from repro.sim.engine import Engine
 from repro.sim.trace import EventKind, TraceLog
-from repro.timing.base import PARAM_CLASS, TimingModel
+from repro.timing.base import PARAM_CLASS, StallAccount, TimingModel
 from repro.timing.fixed import FixedTiming
 
 #: stall class for a privileged service's ``priv`` term when its cost
@@ -84,8 +84,12 @@ class Machine:
         self.proxy_stats = ProxyStats()
         #: trace capture (repro.sim.captrace.TraceCapture), if enabled
         self._cap: Optional[Any] = None
-        #: observation state (repro.obs.observe.ObservedRun), if enabled
-        self._obs: Optional[Any] = None
+        #: the run's stall account, once enable_observation() ran
+        self.stalls: Optional[StallAccount] = None
+        #: signal broadcasts priced and the cycles they cost: coarse
+        #: counts every run keeps, like TraceLog's
+        self.signal_charges = 0
+        self.signal_cycles = 0
 
         # -- build sequencers and processors ------------------------------
         self.sequencers: list[Sequencer] = []
@@ -114,21 +118,9 @@ class Machine:
 
     def _bind_timing(self) -> None:
         self.timing.bind(self)
-        if self._obs is not None:
-            # observed runs attribute priced cycles into the run's
-            # stall account; attach after bind (models hoist params
-            # there) and before the charge hoist below (models may
-            # attach by shadowing charge with a closure)
-            self.timing.attach_stalls(self._obs.stalls)
-        # hot-path hoists: one bound-method lookup per op, not an
-        # attribute chain (these rebind on set_timing).  The charge
-        # path is never wrapped: an observed run reads its op and
-        # cycle totals off the sequencers (ops_issued / busy_cycles)
+        # hot-path hoist: one bound-method lookup per op, not an
+        # attribute chain (rebinds on set_timing)
         self._charge = self.timing.charge
-        signal_cycles = self.timing.signal_cycles
-        if self._obs is not None:
-            signal_cycles = self._obs.wrap_signal(signal_cycles)
-        self._signal_cycles = signal_cycles
 
     def set_timing(self, timing: TimingModel) -> None:
         """Swap in a timing model (before any events are scheduled).
@@ -174,25 +166,23 @@ class Machine:
             self._cap = cap
         return self._cap
 
-    def enable_observation(self, obs: Any) -> Any:
-        """Attach an :class:`~repro.obs.observe.ObservedRun`.
+    def enable_observation(self) -> None:
+        """Keep a stall account (:attr:`stalls`) and fine trace records
+        for this run.
 
-        Must run before any events are scheduled (the signal wrapper
-        and the stall account have to see every charge).  Turns on
-        fine-grained trace recording so the run can be exported as a
-        timeline; when never called, no wrapper, no fine records, and
-        no registry writes exist -- observation is strictly zero-cost
-        when disabled.
+        Must run before any events are scheduled: the account has to
+        see every serialization stage and every charge the timing
+        model notes into it, and the fine records let the run be
+        exported as a timeline.  An unobserved run keeps neither, only
+        the coarse counts every run keeps (TraceLog totals,
+        :attr:`signal_charges`, :attr:`signal_cycles`).
         """
         if self.engine.events_scheduled:
             raise SimulationError(
                 "enable_observation() must run before any events are "
                 "scheduled")
-        self._obs = obs
+        self.stalls = StallAccount()
         self.trace.record_fine = True
-        obs.bind_machine(self)
-        self._bind_timing()   # reinstall hot-path hoists, now wrapped
-        return obs
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -360,7 +350,7 @@ class Machine:
         elif kind is SyscallOp:
             base, action = 0, ("syscall", op)
         elif kind is SignalShred:
-            base, action = self._signal_cycles(seq), ("signal", op)
+            base, action = self._signal(seq), ("signal", op)
         else:
             raise SimulationError(f"unknown machine op {op!r}")
         fetch = 0
@@ -545,8 +535,7 @@ class Machine:
             priv_coefs = (("page_fault_service_cost", 1, 4),)
 
         def effect() -> None:
-            if not space.is_resident(vpn):
-                self.kernel.service_page_fault(space, vpn)
+            self.kernel.service_page_fault(space, vpn)
 
         return priv, priv_coefs, effect
 
@@ -607,26 +596,13 @@ class Machine:
                                    EventKind.AMS_SUSPEND)
                 if cap is not None:
                     cap.mark("sus", ams.seq_id)
-            stalls = self.timing.stalls
-            if stalls is not None and priv:
-                stalls.note(oms.seq_id, svc_class, priv)
-            self.engine.schedule(priv, stage_service, active)
-            if cap is not None:
-                cap.patterns[-1] = cap.pattern_id(priv_coefs,
-                                                  owner=oms.seq_id)
+            self._stage(oms, priv, priv_coefs, ((svc_class, priv),),
+                        stage_service, active)
 
         def stage_service(active: list[Sequencer]) -> None:
             if effect is not None:
                 effect()
-            signal = self._signal_cycles(oms) if active else 0
-            if signal:
-                self._note_signal(oms, signal)
-            self.engine.schedule(signal, stage_resume, active)
-            cap = self._cap
-            if cap is not None:
-                cap.patterns[-1] = cap.pattern_id(
-                    (("signal_cost", 1, 1),) if active else (),
-                    owner=oms.seq_id)
+            self._signal_stage(oms, 1 if active else 0, stage_resume, active)
 
         def stage_resume(active: list[Sequencer]) -> None:
             cap = self._cap
@@ -646,26 +622,48 @@ class Machine:
             self._advance(oms)
 
         n_signals = pre_signals + (1 if oms.processor.active_amss() else 0)
-        sig0 = self._signal_cycles(oms, n_signals)
-        if sig0:
-            self._note_signal(oms, sig0)
-        self.engine.schedule(sig0, stage_suspend)
+        self._signal_stage(oms, n_signals, stage_suspend)
+
+    # ------------------------------------------------------------------
+    # Serialization stages (Equations 1-3, context switches)
+    # ------------------------------------------------------------------
+    def _signal(self, seq: Sequencer, count: int = 1) -> int:
+        """Price ``count`` back-to-back signal broadcasts from ``seq``'s
+        processor, counting them."""
+        cycles = self.timing.signal_cycles(seq, count)
+        self.signal_charges += count
+        self.signal_cycles += cycles
+        return cycles
+
+    def _stage(self, seq: Sequencer, cycles: int, terms: tuple,
+               parts: tuple, callback: Callable[..., None],
+               *args: Any) -> None:
+        """Schedule one serialization stage: ``callback(*args)`` after
+        ``cycles`` that ``seq`` spends on it.
+
+        The stage is recorded for both instruments: its MachineParams
+        coefficient ``terms`` as the captured event's pattern, and its
+        ``(stall class, cycles)`` ``parts`` in the stall account (a part
+        of zero cycles is not noted).
+        """
+        stalls = self.stalls
+        if stalls is not None:
+            for klass, n in parts:
+                if n:
+                    stalls.note(seq.seq_id, klass, n)
+        self.engine.schedule(cycles, callback, *args)
         cap = self._cap
         if cap is not None:
-            cap.patterns[-1] = cap.pattern_id(
-                (("signal_cost", n_signals, 1),) if n_signals else (),
-                owner=oms.seq_id)
+            cap.patterns[-1] = cap.pattern_id(terms, owner=seq.seq_id)
 
-    def _note_signal(self, seq: Sequencer, cost: int) -> None:
-        """Attribute a directly scheduled signal delay (Equations 1-3
-        stages, proxy egress) to the run's stall account, split by the
-        timing model (``fixed``: all signal; ``scoreboard``:
-        drain + refill)."""
-        stalls = self.timing.stalls
-        if stalls is not None:
-            for klass, cycles in self.timing.split_signal(cost):
-                if cycles:
-                    stalls.note(seq.seq_id, klass, cycles)
+    def _signal_stage(self, seq: Sequencer, count: int,
+                      callback: Callable[..., None], *args: Any) -> None:
+        """A :meth:`_stage` of ``count`` signal broadcasts from ``seq``'s
+        processor, its cycles split into classes by the timing model
+        (``fixed``: all signal; ``scoreboard``: drain + refill)."""
+        cycles = self._signal(seq, count)
+        self._stage(seq, cycles, (("signal_cost", count, 1),) if count else (),
+                    self.timing.split_signal(cycles), callback, *args)
 
     # ------------------------------------------------------------------
     # Proxy execution (Equations 2 and 3)
@@ -685,18 +683,10 @@ class Machine:
                                process=ams.process_ref, vpn=vpn,
                                service=service, cost_override=cost_override,
                                raised_at=self.now)
-        cap = self._cap
-        if cap is not None:
-            request.cap_id = cap.proxy_raised()
+        if self._cap is not None:
+            request.cap_id = self._cap.proxy_raised()
         # Equation 2, first signal: notify the OMS
-        sig = self._signal_cycles(ams)
-        if sig:
-            self._note_signal(ams, sig)
-        self.engine.schedule(sig, self._proxy_arrive,
-                             ams.processor, request)
-        if cap is not None:
-            cap.patterns[-1] = cap.pattern_id((("signal_cost", 1, 1),),
-                                              owner=ams.seq_id)
+        self._signal_stage(ams, 1, self._proxy_arrive, ams.processor, request)
 
     def _proxy_arrive(self, proc: MISPProcessor, request: ProxyRequest) -> None:
         pending = self._pending[proc.proc_id]
@@ -791,7 +781,6 @@ class Machine:
         if oms.busy:
             raise SimulationError(f"context switch on busy {oms}")
         old = self.kernel.scheduler.preempt(cpu, requeue=True)
-        cost = 0
         n_save = 0
         if old is not None:
             old.context_switches += 1
@@ -799,10 +788,8 @@ class Machine:
             oms.stream = None
             oms.thread = None
             oms.process_ref = None
-            cost += self.params.context_switch_cost
             if old.is_shredded:
                 self._freeze_team(old, proc)
-                cost += self.params.sequencer_state_save_cost
                 n_save += 1
             self.trace.instant(self.now, oms.seq_id,
                                EventKind.CONTEXT_SWITCH, detail="out")
@@ -812,29 +799,21 @@ class Machine:
         if new.start_time is None:
             new.start_time = self.now
         if old is None:
-            cost += self.params.context_switch_cost
             self.trace.instant(self.now, oms.seq_id,
                                EventKind.CONTEXT_SWITCH, detail="in")
         if new.is_shredded:
-            cost += self.params.sequencer_state_save_cost
             n_save += 1
         oms.busy = True
-        stalls = self.timing.stalls
-        if stalls is not None:
-            stalls.note(oms.seq_id, "context_switch",
-                        self.params.context_switch_cost)
-            if n_save:
-                stalls.note(oms.seq_id, "state_save",
-                            n_save * self.params.sequencer_state_save_cost)
-        self.engine.schedule(cost, self._finish_switch_in, cpu, new)
-        cap = self._cap
-        if cap is not None:
-            # exactly one context_switch_cost is in `cost` on every
-            # path that reaches the schedule above
-            coefs = (("context_switch_cost", 1, 1),)
-            if n_save:
-                coefs += (("sequencer_state_save_cost", n_save, 1),)
-            cap.patterns[-1] = cap.pattern_id(coefs, owner=oms.seq_id)
+        # one switch, out or in, and a team state save per shredded
+        # thread switched out or in
+        switch = self.params.context_switch_cost
+        save = n_save * self.params.sequencer_state_save_cost
+        terms: tuple = (("context_switch_cost", 1, 1),)
+        if n_save:
+            terms += (("sequencer_state_save_cost", n_save, 1),)
+        self._stage(oms, switch + save, terms,
+                    (("context_switch", switch), ("state_save", save)),
+                    self._finish_switch_in, cpu, new)
 
     def _finish_switch_in(self, cpu: int, thread: OSThread) -> None:
         proc = self.processors[cpu]

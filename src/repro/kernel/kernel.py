@@ -4,10 +4,11 @@ This is the Ring-0 side of the simulated machine: process and thread
 lifecycle, demand-paging service, syscall service, and scheduling
 policy.  It is deliberately *passive* -- the machine layer
 (:mod:`repro.core.machine`) drives all timing, ring transitions, AMS
-suspension, and proxy execution; the kernel supplies state transitions
-and service costs.  This split mirrors the paper's prototype, where
-the firmware (our machine layer) interposed on architectural events
-and the unmodified OS serviced them.
+suspension, and proxy execution, and prices page faults; the kernel
+supplies state transitions and the syscall table's service costs.
+This split mirrors the paper's prototype, where the firmware (our
+machine layer) interposed on architectural events and the unmodified
+OS serviced them.
 """
 
 from __future__ import annotations
@@ -81,20 +82,19 @@ class Kernel:
             process.address_space.release()
 
     # ------------------------------------------------------------------
-    # Service routines (costs consumed by the machine layer)
+    # Service routines
     # ------------------------------------------------------------------
-    def service_page_fault(self, space: AddressSpace, vpn: int) -> int:
-        """Make ``vpn`` resident; returns the service cost in cycles.
+    def service_page_fault(self, space: AddressSpace, vpn: int) -> None:
+        """Make ``vpn`` resident and count the fault.
 
-        Concurrent faults on the same page are benign: the loser of the
-        race finds the page resident and pays a shortened re-validation
-        cost.
+        Concurrent faults on the same page are benign: the loser of
+        the race finds the page resident and maps nothing.  The
+        machine prices each fault where it is raised
+        (``Machine._page_fault_service``).
         """
-        if space.is_resident(vpn):
-            return self.params.page_fault_service_cost // 4
-        space.handle_fault(vpn)
-        self.page_faults_serviced += 1
-        return self.params.page_fault_service_cost
+        if not space.is_resident(vpn):
+            space.handle_fault(vpn)
+            self.page_faults_serviced += 1
 
     def service_syscall(self, kind: str, cost_override: Optional[int] = None
                         ) -> tuple[int, SyscallSpec]:

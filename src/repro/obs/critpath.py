@@ -416,13 +416,13 @@ def analyze_observed(result: "RunResult") -> dict:
 
     Used when no captured event graph exists (the ``scoreboard``
     timing model refuses capture): per-sequencer busy/suspended
-    statistics plus the run's live
-    :class:`~repro.timing.base.StallAccount`.  No critical path -- the
+    statistics plus the machine's stall account (``Machine.stalls``,
+    which an observed run keeps).  No critical path -- the
     event-dependency graph was never recorded.
     """
     machine = result.machine
     wall = result.cycles
-    stalls = result.obs.stalls if result.obs is not None else None
+    stalls = machine.stalls
     stall_rows = stalls.per_sequencer() if stalls is not None else {}
     sequencers, totals = _roll_up(
         [(seq.seq_id, stall_rows.get(seq.seq_id, {}), seq.busy_cycles,

@@ -1,44 +1,39 @@
 """Observed simulation runs: per-run metrics across every layer.
 
-An :class:`ObservedRun` is the bridge between one simulation and the
-metrics registry.  When a run is observed (``Session.observe(...)`` or
-``machine.enable_observation(obs)``):
+Observation is a state of the machine, and an :class:`ObservedRun`
+only reads it.  ``Session.observe(...)`` (or
+``machine.enable_observation()`` before the run) turns on:
 
-* the timing model's ``signal_cycles`` is wrapped in a counting
-  closure (signals are rare); the per-op ``charge`` path is never
-  wrapped -- the ops and cycles it priced are read off the sequencers
-  at the end of the run (:meth:`Machine.ops_issued
-  <repro.core.machine.Machine.ops_issued>` and the sum of
-  ``busy_cycles``, which ``Machine._issue`` accumulates from the same
-  charge);
-* fine-grained :class:`~repro.sim.trace.TraceLog` recording turns on,
-  so the run can be exported as a Perfetto timeline
+* the machine's :class:`~repro.timing.base.StallAccount`
+  (``Machine.stalls``), which each serialization stage and a
+  decomposing timing model note their cycles into;
+* fine-grained :class:`~repro.sim.trace.TraceLog` recording, so the
+  run can be exported as a Perfetto timeline
   (:mod:`repro.obs.perfetto`);
-* the ShredLib runtime log gets a simulation clock (timestamped
-  contention records);
-* at :meth:`finish`, the run records its end state and registers
-  itself as a collector; whenever the registry exports,
-  :meth:`~ObservedRun.collect` derives every layer's counters --
-  engine, trace, memory hierarchy (aggregate and per cache), TLBs,
-  timing, shredlib -- from the finished machine, as families labeled
-  with the run's correlation id.
+* a simulation clock for the ShredLib runtime log (timestamped
+  contention records), which ``Session.run`` attaches.
 
-The registry holds the run weakly.  The run and its machine refer to
-each other, so a dropped run leaves the registry when the cyclic
-garbage collector next runs; an export that must be deterministic
-holds on to the runs it exports.
+Every run, observed or not, keeps the coarse counts: TraceLog totals,
+the signal broadcasts it priced (``Machine.signal_charges`` and
+``signal_cycles``), and each sequencer's ops and busy cycles.
 
-When observation is *not* enabled none of this exists: no signal
-wrapper, no fine records, no registration -- the default run is
-bit-for-bit and allocation-for-allocation the un-instrumented one.
+At :meth:`ObservedRun.finish` the run records the finished machine and
+its end state and registers itself as a collector; whenever the
+registry exports, :meth:`~ObservedRun.collect` derives every layer's
+counters -- engine, trace, memory hierarchy (aggregate and per cache),
+TLBs, timing, stalls, shredlib -- from the finished machine, as
+families labeled with the run's correlation id.
+
+The registry holds the run weakly, and nothing in the machine refers
+back to it, so a dropped run leaves the registry at once; an export
+that must be deterministic holds on to the runs it exports.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs.metrics import MetricsRegistry, get_registry, new_run_id
-from repro.timing.base import StallAccount
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import Machine
@@ -48,29 +43,22 @@ __all__ = ["ObservedRun"]
 
 
 class ObservedRun:
-    """Instrumentation state of one run, and its metrics collector.
+    """The metrics collector of one observed run.
 
     ``registry`` defaults to the process-wide registry, which
     :meth:`finish` registers the run with; ``run_id`` is the
     correlation id labeling every family this run yields (pass a
-    fixed one to correlate with a report emitter, or for
-    deterministic test output).
+    fixed one to correlate with a report's other artifacts, or for
+    deterministic test output).  Every total reads 0 until
+    :meth:`finish` records the machine.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  run_id: Optional[str] = None) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.run_id = run_id or new_run_id()
+        #: the finished machine, recorded by finish()
         self.machine: Optional["Machine"] = None
-        #: counted by the signal wrapper (plain ints on purpose: the
-        #: hot path must not take locks or allocate)
-        self.signal_charges = 0
-        self.signal_cycles = 0
-        #: stall-taxonomy account the timing model notes into
-        #: (Machine._bind_timing attaches it via attach_stalls)
-        self.stalls = StallAccount()
-        self.finished = False
-        #: end state, recorded by finish()
         self._cycles: Optional[int] = None
         self._runtime: Optional["ShredRuntime"] = None
         self._labels: dict[str, str] = {}
@@ -80,63 +68,57 @@ class ObservedRun:
     # ------------------------------------------------------------------
     @property
     def ops(self) -> int:
-        """Ops the timing model priced (0 before a machine is bound)."""
+        """Ops the timing model priced."""
         machine = self.machine
         return machine.ops_issued() if machine is not None else 0
 
     @property
     def charged_cycles(self) -> int:
         """Cycles the timing model charged to ops, summed over
-        sequencers (0 before a machine is bound)."""
+        sequencers."""
         machine = self.machine
         if machine is None:
             return 0
         return sum(seq.busy_cycles for seq in machine.sequencers)
 
-    # ------------------------------------------------------------------
-    # Hot-path wrapper (installed by Machine._bind_timing)
-    # ------------------------------------------------------------------
-    def wrap_signal(self, signal_cycles: Callable) -> Callable:
-        def signal_counted(seq, count=1):
-            cost = signal_cycles(seq, count)
-            self.signal_charges += count
-            self.signal_cycles += cost
-            return cost
-        return signal_counted
+    @property
+    def signal_charges(self) -> int:
+        """Signal broadcasts the timing model priced."""
+        machine = self.machine
+        return machine.signal_charges if machine is not None else 0
 
-    # ------------------------------------------------------------------
-    # Run wiring
-    # ------------------------------------------------------------------
-    def bind_machine(self, machine: "Machine") -> None:
-        self.machine = machine
-
-    def attach_runtime(self, runtime: "ShredRuntime") -> None:
-        """Give the runtime's :class:`~repro.shredlib.log.ShredLog` this
-        run's simulation clock, so its contention records carry
-        timestamps for the timeline export."""
-        if self.machine is not None:
-            runtime.log.attach_clock(self.machine.engine)
+    @property
+    def signal_cycles(self) -> int:
+        """Cycles the timing model charged to signal broadcasts."""
+        machine = self.machine
+        return machine.signal_cycles if machine is not None else 0
 
     # ------------------------------------------------------------------
     # End state and collection
     # ------------------------------------------------------------------
-    def finish(self, cycles: Optional[int] = None,
+    def finish(self, machine: "Machine", cycles: Optional[int] = None,
                runtime: Optional["ShredRuntime"] = None,
                workload: str = "", system: str = "",
                config: str = "") -> None:
-        """Record the run's end state and register with the registry.
+        """Record the finished ``machine`` and the run's end state, and
+        register with the registry.
 
-        Nothing is counted or copied here: :meth:`collect` reads every
-        layer's totals off the finished machine whenever the registry
-        exports, so the simulator's own counters (TraceLog, Cache,
-        Sequencer.tlb) stay plain ints on the hot path.
+        ``machine`` must have been observed
+        (:meth:`~repro.core.machine.Machine.enable_observation` before
+        its run): anything else is a :class:`ValueError`.  Nothing is
+        counted or copied here: :meth:`collect` reads every layer's
+        totals off the machine whenever the registry exports, so the
+        simulator's own counters (TraceLog, Cache, Sequencer.tlb) stay
+        plain ints on the hot path.
         """
-        if self.finished:
+        if self.machine is not None:
             return
-        if self.machine is None:
-            raise ValueError("ObservedRun was never bound to a machine")
-        self.finished = True
-        self._cycles = cycles if cycles is not None else self.machine.now
+        if machine.stalls is None:
+            raise ValueError(
+                "ObservedRun.finish() needs an observed machine: call "
+                "machine.enable_observation() before the run")
+        self.machine = machine
+        self._cycles = cycles if cycles is not None else machine.now
         self._runtime = runtime
         self._labels = {"workload": workload, "system": system,
                         "config": config}
@@ -171,10 +153,10 @@ class ObservedRun:
                "cycles charged by the timing model",
                [({"run": run, "model": model, "kind": kind}, cycles)
                 for kind, cycles in (("op", self.charged_cycles),
-                                     ("signal", self.signal_cycles))])
+                                     ("signal", machine.signal_cycles))])
 
-        stall = self.stalls.items()
-        per_seq = self.stalls.per_sequencer()
+        stall = machine.stalls.items()
+        per_seq = machine.stalls.per_sequencer()
         for seq in machine.sequencers:
             accounted = sum(per_seq.get(seq.seq_id, {}).values())
             susp = seq.suspended_cycles
@@ -218,6 +200,6 @@ class ObservedRun:
         """This run's families alone (none before :meth:`finish`), in
         :meth:`MetricsRegistry.snapshot` form."""
         registry = MetricsRegistry()
-        if self.finished:
+        if self.machine is not None:
             registry.register(self)
         return registry.snapshot()

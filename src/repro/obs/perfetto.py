@@ -125,12 +125,12 @@ def trace_events(machine: "Machine",
                  trace: Optional["CapturedTrace"] = None) -> list[dict]:
     """Build the Chrome ``traceEvents`` list for one finished run.
 
-    Requires fine-grained trace records, which
-    :meth:`~repro.core.machine.Machine.enable_observation` (e.g. via
-    ``Session.observe(...)``) turns on; with none recorded the result
-    is just the metadata tracks.  Passing the run's captured event
-    graph as ``trace`` adds the counter tracks and the critical-path
-    track.
+    Requires fine-grained trace records, which only an observed run
+    keeps (:meth:`~repro.core.machine.Machine.enable_observation`,
+    e.g. via ``Session.observe(...)``); an unobserved run keeps only
+    coarse counts, so its result is just the metadata tracks.  Passing
+    the run's captured event graph as ``trace`` adds the counter
+    tracks and the critical-path track.
     """
     events: list[dict] = []
     names = _sequencer_names(machine)

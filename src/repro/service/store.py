@@ -172,40 +172,54 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    def get(self, spec: "RunSpec") -> Optional["RunSummary"]:
-        """The stored summary for ``spec``, or None on miss.
+    def _read(self, path: Union[str, Path], key: str
+              ) -> Optional["RunSummary"]:
+        """The summary the entry at ``path`` holds for spec hash
+        ``key`` (the one rule :meth:`get` and :meth:`sweep` read by),
+        or None for a stale entry, from another :data:`STORE_VERSION`.
 
-        A present-but-unreadable entry -- truncated JSON, JSON that is
-        not an object, a payload whose recorded hash disagrees with
-        its address, or a summary that was not executed -- is counted
-        in ``stats.corrupt`` and quarantined (renamed ``*.corrupt``)
-        so it cannot shadow the key, then reported as a miss.  An entry from another
-        :data:`STORE_VERSION` is a plain miss (stale, not corrupt); the
-        next put overwrites it.
+        A corrupt entry raises OSError, ValueError, KeyError or
+        TypeError: unreadable JSON or not an object, a recorded hash
+        that disagrees with ``key``, no version field, or a summary
+        that does not load or was not executed.
         """
         from repro.experiments.summary import RunSummary
 
+        with open(path, encoding="utf-8") as fh:
+            payload = json.loads(fh.read())
+        if not isinstance(payload, dict):
+            raise ValueError("entry is not a JSON object")
+        if payload.get("spec_hash") != key:
+            raise ValueError("entry does not match its address")
+        version = payload.get("store_version", payload.get("cache_version"))
+        if version is None:
+            raise ValueError("entry carries no version")
+        if version != STORE_VERSION:
+            return None
+        summary = RunSummary.from_dict(payload["summary"])
+        if summary.timing != "execute":
+            raise ValueError("entry holds a summary not executed")
+        return summary
+
+    def get(self, spec: "RunSpec") -> Optional["RunSummary"]:
+        """The stored summary for ``spec``, or None on miss.
+
+        A missing or stale entry is a plain miss.  A corrupt one (see
+        :meth:`_read`) is counted in ``stats.corrupt`` and quarantined
+        (renamed ``*.corrupt``) so it cannot shadow the key, then
+        reported as a miss.
+        """
         key = spec.spec_hash()
         path = self._address(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.loads(fh.read())
-            if not isinstance(payload, dict):
-                raise ValueError("entry is not a JSON object")
-            if payload.get("spec_hash") != key:
-                raise ValueError("entry does not match its address")
-            if payload.get("store_version",
-                           payload.get("cache_version")) != STORE_VERSION:
-                self.stats.add(misses=1)
-                return None
-            summary = RunSummary.from_dict(payload["summary"])
-            if summary.timing != "execute":
-                raise ValueError("entry holds a summary not executed")
+            summary = self._read(path, key)
         except FileNotFoundError:
-            self.stats.add(misses=1)
-            return None
+            summary = None
         except (OSError, ValueError, KeyError, TypeError):
             self._quarantine(path)
+            return None
+        if summary is None:
+            self.stats.add(misses=1)
             return None
         self.stats.add(hits=1)
         self._touch(path)
@@ -251,13 +265,11 @@ class ResultStore:
     def sweep(self) -> SweepReport:
         """Integrity pass: validate every entry, reclaim temp orphans.
 
-        Entries that fail to load, carry no version field at all, or
-        disagree with their address are quarantined, and so is any
-        other ``*.json`` file; version-mismatched (stale but
-        well-formed) entries are left for puts to overwrite.
+        Every entry is read by the rule :meth:`get` reads it by
+        (:meth:`_read`): corrupt entries are quarantined, and so is
+        any other ``*.json`` file; stale entries are left for puts to
+        overwrite.
         """
-        from repro.experiments.summary import RunSummary
-
         entries = self._entries()
         others = sorted(set(self.root.glob("*.json")).difference(entries))
         for path in others:
@@ -265,16 +277,7 @@ class ResultStore:
         quarantined = len(others)
         for path in sorted(entries):
             try:
-                with path.open("r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                if not isinstance(payload, dict):
-                    raise ValueError("entry is not a JSON object")
-                if payload.get("spec_hash") != path.stem:
-                    raise ValueError("entry does not match its address")
-                if "store_version" not in payload \
-                        and "cache_version" not in payload:
-                    raise ValueError("entry carries no version")
-                RunSummary.from_dict(payload["summary"])
+                self._read(path, path.stem)
             except (OSError, ValueError, KeyError, TypeError):
                 self._quarantine(path)
                 quarantined += 1

@@ -129,17 +129,17 @@ class Session:
                 run_id: Optional[str] = None) -> "Session":
         """Instrument the run with the observability layer.
 
-        An observed run counts signal charges, attributes stall
-        classes, turns on fine-grained trace records (timeline
-        export), timestamps ShredLib contention, and at the end
-        registers with a metrics registry (default: the process-wide
-        one from :func:`repro.obs.get_registry`), which reads every
-        layer's totals -- op and cycle totals included -- off the
-        finished run under one correlation id whenever it exports.
+        An observed run keeps a stall account and fine-grained trace
+        records (timeline export) on its machine, timestamps ShredLib
+        contention, and at the end registers with a metrics registry
+        (default: the process-wide one from
+        :func:`repro.obs.get_registry`), which reads every layer's
+        totals -- op, cycle and signal totals included -- off the
+        finished machine under one correlation id whenever it exports.
         The :class:`~repro.obs.observe.ObservedRun` rides back on
         ``RunResult.obs``; the registry holds it weakly, so keep the
         result until its metrics are exported.  Un-observed sessions
-        pay nothing.
+        keep only the coarse counts every run keeps.
         """
         new = self._clone()
         new._observe = (registry, run_id) if enabled else None
@@ -198,7 +198,7 @@ class Session:
             from repro.obs.observe import ObservedRun
             registry, run_id = self._observe
             obs = ObservedRun(registry=registry, run_id=run_id)
-            machine.enable_observation(obs)
+            machine.enable_observation()
         cap = None
         if self._capture:
             if not backend.supports_capture:
@@ -210,7 +210,8 @@ class Session:
                                policy=self._policy,
                                background=self._background)
         if obs is not None:
-            obs.attach_runtime(staged.runtime)
+            # timestamped contention records for the timeline export
+            staged.runtime.log.attach_clock(machine.engine)
         limit = self._limit if self._limit is not None else backend.default_limit
         cycles = backend.drive(staged, limit)
         trace = None
@@ -220,7 +221,7 @@ class Session:
             trace = CapturedTrace.from_machine(machine, cap,
                                                staged.process.pid)
         if obs is not None:
-            obs.finish(cycles=cycles, runtime=staged.runtime,
+            obs.finish(machine, cycles=cycles, runtime=staged.runtime,
                        workload=workload.name, system=backend.name,
                        config=config)
         return RunResult(workload.name, backend.name, config, cycles,

@@ -34,7 +34,7 @@ state.  The built-in ``fixed`` model is the only capture-safe one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Type, Union
+from typing import TYPE_CHECKING, Type, Union
 
 from repro.errors import ConfigurationError
 from repro.registry import Registry
@@ -82,9 +82,12 @@ class StallAccount:
     """Per-sequencer, per-class cycle attribution for one run.
 
     A plain ``(seq_id, class) -> cycles`` dict behind the narrowest
-    possible hot-path API (:meth:`note` is one dict update); timing
-    models and the machine's serialization sites write into it only
-    when a run is observed, so un-observed runs never touch one.
+    possible hot-path API (:meth:`note` is one dict update).  The
+    machine owns it (``Machine.stalls``, created by
+    ``Machine.enable_observation``): its serialization stages note
+    their classes, and a timing model that decomposes its charges
+    notes them through ``self.machine.stalls``.  An unobserved run has
+    none.
     """
 
     __slots__ = ("cycles",)
@@ -105,19 +108,9 @@ class StallAccount:
             out.setdefault(seq_id, {})[klass] = cycles
         return out
 
-    def by_class(self) -> dict[str, int]:
-        """``class -> cycles`` summed over sequencers (sorted keys)."""
-        out: dict[str, int] = {}
-        for (_, klass), cycles in self.cycles.items():
-            out[klass] = out.get(klass, 0) + cycles
-        return dict(sorted(out.items()))
-
     def items(self) -> list[tuple[tuple[int, str], int]]:
         """Sorted ``((seq_id, class), cycles)`` pairs."""
         return sorted(self.cycles.items())
-
-    def total(self) -> int:
-        return sum(self.cycles.values())
 
 
 class TimingModel:
@@ -136,8 +129,6 @@ class TimingModel:
     supports_capture: bool = False
     #: one-line description for docs and error messages
     description: str = ""
-    #: :class:`StallAccount` when the run is observed, else None
-    stalls: Optional["StallAccount"] = None
 
     def canonical_name(self) -> str:
         """The normalized registry name this model prices as."""
@@ -156,20 +147,11 @@ class TimingModel:
         """
         self.machine = machine
 
-    def attach_stalls(self, stalls: "StallAccount") -> None:
-        """Attach a stall account (observed runs only; after bind).
-
-        Models charge every priced cycle into a :data:`STALL_CLASSES`
-        bucket on it.  Never called for un-observed runs, so the
-        default charge path stays untouched.
-        """
-        self.stalls = stalls
-
     def split_signal(self, cost: int) -> tuple[tuple[str, int], ...]:
         """Decompose the most recent :meth:`signal_cycles` result into
-        ``(stall class, cycles)`` parts for attribution at the machine's
-        serialization sites (which schedule the returned delay directly,
-        outside :meth:`charge`)."""
+        ``(stall class, cycles)`` parts for the machine's serialization
+        stages (which schedule the returned delay directly, outside
+        :meth:`charge`)."""
         return (("signal", cost),)
 
     # ------------------------------------------------------------------

@@ -16,6 +16,11 @@ constant and occupancy-free, it is also the only built-in model with
 :attr:`~repro.timing.base.TimingModel.supports_capture` -- trace
 replay re-prices per-event coefficient sums, which is exactly this
 model's structure.
+
+It notes nothing into an observed run's stall account: a captured
+trace's coefficients recover its compute/memory/page_walk split
+exactly (:func:`repro.obs.critpath.analyze_trace`), and the machine's
+serialization stages note their own classes.
 """
 
 from __future__ import annotations
@@ -63,16 +68,3 @@ class FixedTiming(TimingModel):
 
     def signal_cycles(self, seq: "Sequencer", count: int = 1) -> int:
         return count * self._signal_cost
-
-    # Stall attribution: this model does NOT decompose its charge path
-    # live.  Constant pricing means the full compute/memory/page_walk
-    # decomposition is recoverable exactly from a captured trace's
-    # coefficients (repro.obs.critpath.analyze_trace), so adding
-    # per-op accounting to the observed hot path would buy nothing but
-    # overhead -- the observability cost gate in
-    # benchmarks/test_obs_overhead.py keeps the observed/plain ratio
-    # honest.  The base-class attach_stalls is inherited unchanged:
-    # the machine's serialization sites (SIGNAL broadcasts, Ring-0
-    # services, proxy egress, context switches -- all rare events)
-    # note their classes directly, which is exactly the fixed-cost
-    # serialization taxonomy the paper's model defines.

@@ -124,7 +124,7 @@ class ScoreboardTiming(TimingModel):
         if lat < 1:
             lat = 1
 
-        stalls = self.stalls
+        stalls = self.machine.stalls
         if type(op) is SignalShred:
             # `base` already came from signal_cycles (drain + refill)
             # and accounted for pipeline occupancy; don't queue the

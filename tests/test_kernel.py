@@ -226,10 +226,11 @@ class TestSyscalls:
     def test_page_fault_service(self):
         kernel = make_kernel()
         proc = kernel.create_process("p")
-        region = proc.address_space.reserve("d", 1)
-        cost = kernel.service_page_fault(proc.address_space, region.vpn(0))
-        assert cost == DEFAULT_PARAMS.page_fault_service_cost
-        # second (racing) fault on the same page is cheap revalidation
-        cost2 = kernel.service_page_fault(proc.address_space, region.vpn(0))
-        assert cost2 < cost
+        space = proc.address_space
+        region = space.reserve("d", 1)
+        kernel.service_page_fault(space, region.vpn(0))
+        assert space.is_resident(region.vpn(0))
+        # a second (racing) fault on the same page maps nothing
+        kernel.service_page_fault(space, region.vpn(0))
         assert kernel.page_faults_serviced == 1
+        assert space.faults_serviced == 1

@@ -3,6 +3,8 @@ transitions, serialization, proxy execution, SIGNAL, context switches,
 and blocking syscalls.  These verify the *timed choreography* matches
 the Section 5.1 equations."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import build_machine
@@ -172,6 +174,34 @@ class TestProxyExecution:
                  + 2 * params.signal_cost           # suspend + resume
                  + params.syscall_service_cost)
         assert machine.proxy_stats.total_latency >= lower
+
+    def test_a_page_already_mapped_costs_a_quarter_to_service(self):
+        """Two AMSs fault on one fresh page: the first proxy service
+        maps it at the full price, the second finds it resident and
+        pays a quarter; both are priced when the OMS takes them."""
+        machine = build_machine([2], params=quiet_params())
+        cap = machine.enable_capture()
+        proc = machine.spawn_process("app")
+        region = proc.address_space.reserve("d", 1)
+
+        def worker():
+            yield Touch(region, 0)
+
+        def body():
+            for sid in (1, 2):
+                yield SignalShred(sid, worker(), label=f"w{sid}")
+            yield Compute(80_000_000)
+
+        thread = machine.spawn_thread(proc, "main", body(), pinned_cpu=0)
+        thread.is_shredded = True
+        machine.run_to_completion(limit=10**10)
+        terms = {pid: coefs for (coefs, _, _), pid in cap.pattern_ids.items()}
+        priced = Counter((mult, div) for pid in cap.patterns
+                         for key, mult, div in terms[pid]
+                         if key == "page_fault_service_cost")
+        assert priced == {(1, 1): 1, (1, 4): 1}
+        assert machine.proxy_stats.page_faults == 2
+        assert machine.kernel.page_faults_serviced == 1
 
     def test_concurrent_proxies_are_serialized_fifo(self):
         params = quiet_params()

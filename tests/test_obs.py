@@ -1,9 +1,11 @@
 """Tests for the unified observability layer: the metrics registry of
 collectors (snapshot determinism, Prometheus exposition, label
 escaping, collectors leaving with their owners), the Stats record,
-zero-overhead-when-disabled, observed runs, the JobHandle metrics
-surface, deterministic report exports, the golden-file Perfetto
-export and its exact JSON encoder."""
+unobserved runs keeping coarse counts only, observed runs (totals
+against counting wrappers, one stage record feeding capture and
+observation alike), the JobHandle metrics surface, deterministic
+report exports, the golden-file Perfetto export and its exact JSON
+encoder."""
 
 import gc
 import json
@@ -21,7 +23,6 @@ from repro.obs import (
     MetricsRegistry, ObservedRun, Stats, export_run, get_registry,
     new_run_id, write_trace,
 )
-from repro.obs.emit import ReportEmitter
 from repro.obs.perfetto import trace_json
 from repro.systems import Session
 from repro.timing import get_timing
@@ -250,15 +251,16 @@ class TestStats:
 class TestZeroOverheadWhenDisabled:
     def test_default_run_touches_nothing(self):
         """An un-observed Session run leaves the global registry alone
-        and records neither fine trace records nor charge wrappers."""
-        # an observed run an earlier test dropped leaves the registry
+        and keeps no stall account, no fine trace records and no
+        charge wrapper."""
+        # a service or store an earlier test dropped leaves the registry
         # when the cyclic collector runs: let it go before comparing
         gc.collect()
         before = get_registry().snapshot()
         result = Session("misp", "1x2").run("dense_mvm", scale=0.01)
         assert get_registry().snapshot() == before
         assert result.obs is None
-        assert result.machine._obs is None
+        assert result.machine.stalls is None
         assert list(result.machine.trace.records()) == []
         # the charge path is the raw bound method, not a closure
         timing = result.machine.timing
@@ -339,28 +341,39 @@ class TestObservedRun:
         assert rega.snapshot() == regb.snapshot()
 
     def test_dropped_run_leaves_the_registry(self):
+        """Nothing in the machine refers back to its observed run, so
+        the run leaves the registry when its result is dropped, with
+        no help from the cyclic garbage collector."""
         reg, result = self._observed()
         assert "repro_run_cycles" in reg.snapshot()
-        del result
-        gc.collect()          # the run and its machine form a cycle
-        assert reg.snapshot() == {}
+        gc.disable()
+        try:
+            del result
+            assert reg.snapshot() == {}
+        finally:
+            gc.enable()
 
     def test_finish_requires_machine(self):
-        with pytest.raises(ValueError):
-            ObservedRun(registry=MetricsRegistry()).finish()
+        unobserved = Session("misp", "1x2").run("dense_mvm", scale=0.01)
+        obs = ObservedRun(registry=MetricsRegistry())
+        with pytest.raises(ValueError, match="enable_observation"):
+            obs.finish(unobserved.machine)
+        assert obs.machine is None and obs.snapshot() == {}
 
     @pytest.mark.parametrize("timing", ["fixed", "scoreboard"])
     @pytest.mark.parametrize("system", ["misp", "hybrid", "multiprog"])
     def test_timing_totals_equal_a_counting_charge(self, monkeypatch,
                                                    system, timing):
-        """The published op and cycle totals are derived from the
-        sequencers, not counted per charge; they must equal what a
-        wrapper around the model's charge counts.  These runs drop
-        completions of killed shreds, and multiprogramming stops with
-        an op still in flight, so both correction terms are exercised."""
+        """The published op, cycle and signal totals are read off the
+        machine, not counted per call by observation; they must equal
+        what wrappers around the model's charge and signal_cycles
+        count.  These runs drop completions of killed shreds, and
+        multiprogramming stops with an op still in flight, so both
+        correction terms of the op totals are exercised; the signal
+        totals cover SIGNAL ops and serialization stages alike."""
         model = get_timing(timing)
-        charge = model.charge
-        counted = {"ops": 0, "cycles": 0}
+        charge, signal_cycles = model.charge, model.signal_cycles
+        counted = {"ops": 0, "cycles": 0, "signals": 0, "signal_cycles": 0}
 
         def counting(self, seq, op, base, walks=0, access=0, fetch=0):
             cost = charge(self, seq, op, base, walks, access, fetch)
@@ -368,7 +381,14 @@ class TestObservedRun:
             counted["cycles"] += cost
             return cost
 
+        def counting_signal(self, seq, count=1):
+            cost = signal_cycles(self, seq, count)
+            counted["signals"] += count
+            counted["signal_cycles"] += cost
+            return cost
+
         monkeypatch.setattr(model, "charge", counting)
+        monkeypatch.setattr(model, "signal_cycles", counting_signal)
         reg = MetricsRegistry()
         session = Session(system).timing(timing)
         if system == "multiprog":
@@ -383,6 +403,33 @@ class TestObservedRun:
         assert cycles["op"] == counted["cycles"] == result.obs.charged_cycles
         executed = sum(s.ops_executed for s in result.machine.sequencers)
         assert counted["ops"] > executed
+        assert cycles["signal"] == counted["signal_cycles"] \
+            == result.obs.signal_cycles
+        assert counted["signals"] == result.obs.signal_charges > 0
+
+    @pytest.mark.parametrize("system, config", [
+        ("misp", "1x2"), ("smp", "smp4"), ("hybrid", "1x2+1x2")])
+    def test_one_stage_record_feeds_capture_and_observation(self, system,
+                                                            config):
+        """Each serialization stage is recorded once for both
+        instruments: a run captured and observed at once gives the
+        capture-only run's trace and the observe-only run's stall
+        attribution and metrics."""
+        from repro.obs import analyze_observed
+
+        session = Session(system, config)
+
+        def run(capture, observe):
+            s = session.capture(capture)
+            if observe:
+                s = s.observe(registry=MetricsRegistry(), run_id="both")
+            return s.run("dense_mvm", scale=0.02)
+
+        both = run(True, True)
+        captured, observed = run(True, False), run(False, True)
+        assert both.trace.to_dict() == captured.trace.to_dict()
+        assert analyze_observed(both) == analyze_observed(observed)
+        assert both.obs.snapshot() == observed.obs.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -417,29 +464,6 @@ class TestJobMetrics:
             if s["labels"]["event"] == "jobs"]
         assert job_sample["labels"]["service"] == "svc-test"
         assert job_sample["value"] == 1
-
-
-# ----------------------------------------------------------------------
-# Report emitter
-# ----------------------------------------------------------------------
-class TestReportEmitter:
-    def test_human_mode_is_bare_text(self):
-        import io
-        buf = io.StringIO()
-        ReportEmitter(stream=buf).emit("hello")
-        assert buf.getvalue() == "hello\n"
-
-    def test_structured_mode_correlates(self):
-        import io
-        buf = io.StringIO()
-        em = ReportEmitter(stream=buf, structured=True, run_id="r-1")
-        em.emit("a", kind="header")
-        em.section("S")
-        lines = [json.loads(ln) for ln in buf.getvalue().splitlines()]
-        assert [ln["seq"] for ln in lines] == [1, 2]
-        assert all(ln["run"] == "r-1" for ln in lines)
-        assert lines[1]["kind"] == "section"
-        assert lines[1]["section"] == "S"
 
 
 # ----------------------------------------------------------------------

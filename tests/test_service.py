@@ -291,6 +291,42 @@ class TestResultStore:
         assert store.clear() == 1
         assert not old.exists()
 
+    @pytest.mark.parametrize("edit, corrupt", [
+        # a replayed summary under the executed key
+        ({"summary": {"timing": "replay"}}, True),
+        # a stale entry whose summary this version no longer loads
+        ({"store_version": STORE_VERSION - 1,
+          "cache_version": STORE_VERSION - 1,
+          "summary": {"retired_field": 1}}, False),
+        # an entry with no version field at all
+        ({"store_version": None, "cache_version": None}, True),
+    ], ids=["replayed", "stale-unloadable", "unversioned"])
+    def test_get_and_sweep_read_an_entry_by_one_rule(self, tmp_path, edit,
+                                                      corrupt):
+        """get() and sweep() agree on every entry: both quarantine a
+        corrupt one, and both leave a stale one for a put to
+        overwrite."""
+        verdicts = []
+        for reader in ("get", "sweep"):
+            store = ResultStore(tmp_path / reader)
+            spec = spec_n(1)
+            path = store.put(spec, summary_for(spec))
+            payload = json.loads(path.read_text())
+            for field, value in edit.items():
+                if isinstance(value, dict):
+                    payload[field].update(value)
+                elif value is None:             # drop the field
+                    del payload[field]
+                else:
+                    payload[field] = value
+            path.write_text(json.dumps(payload))
+            if reader == "get":
+                assert store.get(spec) is None
+            else:
+                assert store.sweep().checked == 1
+            verdicts.append((store.stats.corrupt, path.exists()))
+        assert verdicts == [(int(corrupt), not corrupt)] * 2
+
     def test_replay_file_of_an_older_version_is_no_entry(self, tmp_path):
         """A ``<hash>.replay.json`` beside an executed entry is not
         counted, bounded or validated as an entry: sweep quarantines
