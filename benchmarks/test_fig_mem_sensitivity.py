@@ -32,7 +32,7 @@ def test_figure_mem_sweep(runner):
     rows = run_figure_mem(scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure_mem(rows))
-    assert [row.mem_cost for row in rows] == list(FIGURE_MEM_COSTS)
+    assert [row.point for row in rows] == list(FIGURE_MEM_COSTS)
 
     for prev, cur in zip(rows, rows[1:]):
         # runtimes grow with the miss penalty on every system
@@ -46,7 +46,7 @@ def test_figure_mem_sweep(runner):
     for row in rows:
         assert row.misp_speedup > 2.0 and row.smp_speedup > 2.0
         # shared vs private L2: observable at every sweep point
-        assert row.misp_mem.l2_hits > row.smp_mem.l2_hits
-        assert row.misp_mem.l2_invalidations == 0
-        assert row.smp_mem.l2_invalidations > 0
-        assert row.smp_mem.mem_accesses > row.misp_mem.mem_accesses
+        assert row.misp.mem.l2_hits > row.smp.mem.l2_hits
+        assert row.misp.mem.l2_invalidations == 0
+        assert row.smp.mem.l2_invalidations > 0
+        assert row.smp.mem.mem_accesses > row.misp.mem.mem_accesses

@@ -33,7 +33,7 @@ def test_figure_pipeline(runner):
     rows = run_figure_pipeline(scale=BENCH_SCALE, runner=runner)
     print()
     print(format_figure_pipeline(rows))
-    assert [row.fu_count for row in rows] == list(FIGURE_PIPELINE_FU_COUNTS)
+    assert [row.point for row in rows] == list(FIGURE_PIPELINE_FU_COUNTS)
 
     for prev, cur in zip(rows, rows[1:]):
         # widening the shared pool never slows the MISP gang down

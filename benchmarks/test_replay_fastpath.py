@@ -25,8 +25,8 @@ import time
 from conftest import BENCH_SCALE
 
 from repro.analysis import FIGURE_MEM_COSTS, format_figure_mem, run_figure_mem
-from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
-from repro.analysis.figure_mem import DEFAULT_WORKLOAD, MemSensitivityRow
+from repro.analysis.figure4 import DEFAULT_AMS_COUNT, SpeedupRow, _systems
+from repro.analysis.figure_mem import DEFAULT_WORKLOAD
 from repro.experiments import Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.service import execute_captured
@@ -55,17 +55,14 @@ def test_figure_mem_sweep_replay():
         swept = DEFAULT_PARAMS.with_changes(mem_cost=mem_cost)
         point = {system: machines[system].run(params=swept)
                  for system, _config in systems}
-        rows.append(MemSensitivityRow(
-            DEFAULT_WORKLOAD, mem_cost,
-            point["1p"].cycles, point["misp"].cycles,
-            point["smp"].cycles,
-            point["misp"].mem, point["smp"].mem))
+        rows.append(SpeedupRow(mem_cost, point["1p"], point["misp"],
+                               point["smp"]))
     replay_time = time.perf_counter() - t0
     print()
     print(format_figure_mem(rows))
 
     # same figure shape the execution-driven test asserts
-    assert [row.mem_cost for row in rows] == list(FIGURE_MEM_COSTS)
+    assert [row.point for row in rows] == list(FIGURE_MEM_COSTS)
     for prev, cur in zip(rows, rows[1:]):
         assert prev.cycles_misp <= cur.cycles_misp
         assert prev.cycles_smp <= cur.cycles_smp

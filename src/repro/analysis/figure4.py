@@ -13,19 +13,25 @@ applications perform, on average, 1.9% faster on MISP."
 The experiment is declared as a ``workloads x {1p, misp, smp}`` grid
 over :mod:`repro.experiments`; the Runner deduplicates runs shared
 with Table 1 / Figure 5 and executes grid members in parallel.
+
+The comparison itself is shared with Figure M and Figure P, which
+re-plot it along one swept axis: every three-system grid is built
+point-major (each point's runs in :func:`_systems` order), and its
+rows (:class:`SpeedupRow`) are the result's summaries read three at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.core.notation import config_name
 from repro.experiments import (
-    ExperimentSpec, Runner, RunSpec, RunSummary, default_runner,
+    ExperimentSpec, Runner, RunSummary, default_runner,
 )
 from repro.params import DEFAULT_PARAMS, MachineParams
-from repro.service import ExperimentService
+from repro.service import ExperimentResult, ExperimentService
 from repro.workloads.base import REGISTRY
 
 #: AMS count of the paper's MISP uniprocessor prototype (1 OMS + 7 AMS)
@@ -34,13 +40,33 @@ DEFAULT_AMS_COUNT = 7
 
 @dataclass(frozen=True)
 class SpeedupRow:
-    """One bar pair of Figure 4."""
+    """One point of a three-system comparison: a Figure 4 bar pair, or
+    one swept point of Figure M or Figure P.
 
-    workload: str
-    suite: str
-    cycles_1p: int
-    cycles_misp: int
-    cycles_smp: int
+    ``point`` is what the row stands for (a workload, a ``mem_cost``,
+    an FU count); ``one_p``, ``misp`` and ``smp`` are the point's runs.
+    """
+
+    point: Union[str, int]
+    one_p: RunSummary
+    misp: RunSummary
+    smp: RunSummary
+
+    @property
+    def workload(self) -> str:
+        return self.misp.workload
+
+    @property
+    def cycles_1p(self) -> int:
+        return self.one_p.cycles
+
+    @property
+    def cycles_misp(self) -> int:
+        return self.misp.cycles
+
+    @property
+    def cycles_smp(self) -> int:
+        return self.smp.cycles
 
     @property
     def misp_speedup(self) -> float:
@@ -59,8 +85,11 @@ class SpeedupRow:
 @dataclass
 class Figure4Result:
     rows: list[SpeedupRow]
-    #: MISP run summaries for further analysis (Table 1, Figure 5)
-    misp_summaries: dict[str, RunSummary]
+
+    @property
+    def misp_summaries(self) -> dict[str, RunSummary]:
+        """MISP run summaries for further analysis (Table 1, Figure 5)."""
+        return {row.workload: row.misp for row in self.rows}
 
     def row(self, workload: str) -> SpeedupRow:
         for row in self.rows:
@@ -70,16 +99,28 @@ class Figure4Result:
 
     def mean_misp_vs_smp(self, suite: str) -> float:
         """Average MISP-vs-SMP delta for one suite (the §5.3 numbers)."""
-        deltas = [r.misp_vs_smp for r in self.rows if r.suite == suite]
+        deltas = [r.misp_vs_smp for r in self.rows
+                  if REGISTRY.get(r.workload).suite == suite]
         if not deltas:
             raise ValueError(f"no rows for suite '{suite}'")
         return sum(deltas) / len(deltas)
 
 
 def _systems(ams_count: int) -> tuple[tuple[str, str], ...]:
+    """The three systems of every comparison, in the order each point's
+    runs appear in its grid: 1P, MISP 1xN, SMP N-way."""
     return (("1p", "smp1"),
             ("misp", config_name([ams_count])),
             ("smp", f"smp{ams_count + 1}"))
+
+
+def _comparison_rows(points: Sequence, result: ExperimentResult
+                     ) -> list[SpeedupRow]:
+    """Read a point-major grid (each point's runs in ``_systems``
+    order) three summaries at a time: one row per point."""
+    runs = result.summaries()
+    return [SpeedupRow(point, *runs[3 * i:3 * i + 3])
+            for i, point in enumerate(points)]
 
 
 def figure4_experiment(workload_names: Sequence[str],
@@ -90,32 +131,6 @@ def figure4_experiment(workload_names: Sequence[str],
     return ExperimentSpec.grid("figure4", workload_names,
                                systems=_systems(ams_count),
                                scale=scale, params=params)
-
-
-def _assemble_figure4(result, workload_names: Sequence[str],
-                      ams_count: int, params: MachineParams,
-                      scale: Optional[float]) -> Figure4Result:
-    """Shape an experiment result into the figure's rows.
-
-    ``result`` is anything indexable by :class:`RunSpec` (an
-    :class:`~repro.experiments.ExperimentResult`, however produced --
-    batch Runner or streaming service job)."""
-    spec_1p, spec_misp, spec_smp = _systems(ams_count)
-    rows: list[SpeedupRow] = []
-    misp_summaries: dict[str, RunSummary] = {}
-    for name in workload_names:
-        suite = REGISTRY.get(name).suite
-        per_system = {
-            system: result[RunSpec(name, system, config, scale=scale,
-                                   params=params)]
-            for system, config in (spec_1p, spec_misp, spec_smp)
-        }
-        rows.append(SpeedupRow(name, suite,
-                               per_system["1p"].cycles,
-                               per_system["misp"].cycles,
-                               per_system["smp"].cycles))
-        misp_summaries[name] = per_system["misp"]
-    return Figure4Result(rows, misp_summaries)
 
 
 def run_figure4(workload_names: Sequence[str],
@@ -131,8 +146,7 @@ def run_figure4(workload_names: Sequence[str],
     runner = runner or default_runner()
     result = runner.run_experiment(
         figure4_experiment(workload_names, ams_count, params, scale))
-    return _assemble_figure4(result, workload_names, ams_count, params,
-                             scale)
+    return Figure4Result(_comparison_rows(workload_names, result))
 
 
 def run_figure4_streaming(
@@ -159,8 +173,7 @@ def run_figure4_streaming(
     for done, summary in enumerate(job.as_completed(), start=1):
         if progress is not None:
             progress(done, job.expected, summary)
-    return _assemble_figure4(job.result(), workload_names, ams_count,
-                             params, scale)
+    return Figure4Result(_comparison_rows(workload_names, job.result()))
 
 
 def format_figure4(result: Figure4Result) -> str:

@@ -20,18 +20,20 @@ sweep separates the two effects the hierarchy models:
 
 Declared as a ``mem_cost x {1p, misp, smp}`` grid of RunSpecs, so the
 Runner deduplicates, parallelizes, and caches it like every other
-figure.
+figure.  It is Figure 4's comparison along a swept axis: each row is
+a :class:`~repro.analysis.figure4.SpeedupRow` whose ``point`` is the
+``mem_cost``, and whose ``misp.mem`` / ``smp.mem`` carry the cache
+behaviour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
-from repro.experiments import (
-    ExperimentSpec, MemorySummary, Runner, RunSpec, default_runner,
+from repro.analysis.figure4 import (
+    DEFAULT_AMS_COUNT, SpeedupRow, _comparison_rows, _systems,
 )
+from repro.experiments import ExperimentSpec, Runner, default_runner
 from repro.params import DEFAULT_PARAMS, MachineParams
 
 #: miss penalties (cycles) evaluated by the sweep; the default
@@ -43,46 +45,18 @@ FIGURE_MEM_COSTS = (15, 60, 240, 960)
 DEFAULT_WORKLOAD = "RayTracer"
 
 
-@dataclass(frozen=True)
-class MemSensitivityRow:
-    """One ``mem_cost`` point: the three systems plus MISP/SMP cache
-    behaviour."""
-
-    workload: str
-    mem_cost: int
-    cycles_1p: int
-    cycles_misp: int
-    cycles_smp: int
-    misp_mem: MemorySummary
-    smp_mem: MemorySummary
-
-    @property
-    def misp_speedup(self) -> float:
-        return self.cycles_1p / self.cycles_misp
-
-    @property
-    def smp_speedup(self) -> float:
-        return self.cycles_1p / self.cycles_smp
-
-    @property
-    def misp_vs_smp(self) -> float:
-        """Relative MISP slowdown vs SMP (positive = MISP slower)."""
-        return self.cycles_misp / self.cycles_smp - 1.0
-
-
 def figure_mem_experiment(workload: str = DEFAULT_WORKLOAD,
                           mem_costs: Sequence[int] = FIGURE_MEM_COSTS,
                           ams_count: int = DEFAULT_AMS_COUNT,
                           params: MachineParams = DEFAULT_PARAMS,
                           scale: Optional[float] = None) -> ExperimentSpec:
-    """Declare the sweep grid: ``mem_costs x {1p, misp, smp}``."""
-    runs = []
-    for mem_cost in mem_costs:
-        swept = params.with_changes(mem_cost=mem_cost)
-        for system, config in _systems(ams_count):
-            runs.append(RunSpec(workload, system, config, scale=scale,
-                                params=swept))
-    return ExperimentSpec("figure_mem", tuple(runs))
+    """Declare the sweep grid point-major: each ``mem_cost`` on
+    ``{1p, misp, smp}``."""
+    return ExperimentSpec("figure_mem", tuple(
+        spec for mem_cost in mem_costs
+        for spec in ExperimentSpec.grid(
+            "figure_mem", [workload], _systems(ams_count), scale=scale,
+            params=params.with_changes(mem_cost=mem_cost)).runs))
 
 
 def run_figure_mem(workload: str = DEFAULT_WORKLOAD,
@@ -90,32 +64,16 @@ def run_figure_mem(workload: str = DEFAULT_WORKLOAD,
                    ams_count: int = DEFAULT_AMS_COUNT,
                    params: MachineParams = DEFAULT_PARAMS,
                    scale: Optional[float] = None,
-                   runner: Optional[Runner] = None
-                   ) -> list[MemSensitivityRow]:
-    """Execute the sweep and collect one row per miss penalty."""
+                   runner: Optional[Runner] = None) -> list[SpeedupRow]:
+    """Execute the sweep: one row per miss penalty, ``point`` = the
+    ``mem_cost``."""
     runner = runner or default_runner()
     result = runner.run_experiment(
         figure_mem_experiment(workload, mem_costs, ams_count, params, scale))
-    spec_1p, spec_misp, spec_smp = _systems(ams_count)
-    rows: list[MemSensitivityRow] = []
-    for mem_cost in mem_costs:
-        swept = params.with_changes(mem_cost=mem_cost)
-        per_system = {
-            system: result[RunSpec(workload, system, config, scale=scale,
-                                   params=swept)]
-            for system, config in (spec_1p, spec_misp, spec_smp)
-        }
-        rows.append(MemSensitivityRow(
-            workload, mem_cost,
-            per_system["1p"].cycles,
-            per_system["misp"].cycles,
-            per_system["smp"].cycles,
-            per_system["misp"].mem,
-            per_system["smp"].mem))
-    return rows
+    return _comparison_rows(mem_costs, result)
 
 
-def format_figure_mem(rows: Sequence[MemSensitivityRow]) -> str:
+def format_figure_mem(rows: Sequence[SpeedupRow]) -> str:
     """Render the sweep as a table of speedups and cache behaviour."""
     if not rows:
         return "figure_mem: no rows"
@@ -125,17 +83,17 @@ def format_figure_mem(rows: Sequence[MemSensitivityRow]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{'':{len(rows[0].workload) + 1}s} {row.mem_cost:>8d} "
+            f"{'':{len(rows[0].workload) + 1}s} {row.point:>8d} "
             f"{row.misp_speedup:6.2f} {row.smp_speedup:6.2f} "
             f"{row.misp_vs_smp * 100:+7.2f}%   "
-            f"{row.misp_mem.l2_hit_rate * 100:5.1f}/"
-            f"{row.smp_mem.l2_hit_rate * 100:<5.1f} "
-            f"{row.misp_mem.l1_invalidations:>6d}/"
-            f"{row.smp_mem.l1_invalidations:<6d}")
+            f"{row.misp.mem.l2_hit_rate * 100:5.1f}/"
+            f"{row.smp.mem.l2_hit_rate * 100:<5.1f} "
+            f"{row.misp.mem.l1_invalidations:>6d}/"
+            f"{row.smp.mem.l1_invalidations:<6d}")
     first, last = rows[0], rows[-1]
     lines.append(
         f"MISP speedup {first.misp_speedup:.2f} -> {last.misp_speedup:.2f} "
-        f"as mem_cost {first.mem_cost} -> {last.mem_cost} "
+        f"as mem_cost {first.point} -> {last.point} "
         f"(shared-L2 hierarchy; SMP pays "
-        f"{last.smp_mem.l2_invalidations} cross-L2 invalidations)")
+        f"{last.smp.mem.l2_invalidations} cross-L2 invalidations)")
     return "\n".join(lines)

@@ -22,18 +22,18 @@ assumes an execution core wide enough for its shred gang.
 Scoreboard runs are execution-driven only (no capture/replay), but
 they dedup, parallelize, and cache like any grid: ``timing_model`` is
 part of every spec hash, so these runs never collide with the fixed
-model's.
+model's.  Each row is a :class:`~repro.analysis.figure4.SpeedupRow`
+whose ``point`` is the FU count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
-from repro.experiments import (
-    ExperimentSpec, Runner, RunSpec, default_runner,
+from repro.analysis.figure4 import (
+    DEFAULT_AMS_COUNT, SpeedupRow, _comparison_rows, _systems,
 )
+from repro.experiments import ExperimentSpec, Runner, default_runner
 from repro.params import DEFAULT_PARAMS, MachineParams
 
 #: functional-unit counts swept (applied to ALU and memory pools
@@ -45,49 +45,21 @@ FIGURE_PIPELINE_FU_COUNTS = (1, 2, 4, 8)
 DEFAULT_WORKLOAD = "RayTracer"
 
 
-def _swept_params(params: MachineParams, fu_count: int) -> MachineParams:
-    return params.with_changes(sb_alu_units=fu_count,
-                               sb_mem_units=fu_count)
-
-
-@dataclass(frozen=True)
-class PipelineRow:
-    """One FU-count point: the three systems under the scoreboard."""
-
-    workload: str
-    fu_count: int
-    cycles_1p: int
-    cycles_misp: int
-    cycles_smp: int
-
-    @property
-    def misp_speedup(self) -> float:
-        return self.cycles_1p / self.cycles_misp
-
-    @property
-    def smp_speedup(self) -> float:
-        return self.cycles_1p / self.cycles_smp
-
-    @property
-    def misp_vs_smp(self) -> float:
-        """Relative MISP slowdown vs SMP (positive = MISP slower)."""
-        return self.cycles_misp / self.cycles_smp - 1.0
-
-
 def figure_pipeline_experiment(
         workload: str = DEFAULT_WORKLOAD,
         fu_counts: Sequence[int] = FIGURE_PIPELINE_FU_COUNTS,
         ams_count: int = DEFAULT_AMS_COUNT,
         params: MachineParams = DEFAULT_PARAMS,
         scale: Optional[float] = None) -> ExperimentSpec:
-    """Declare the grid: ``fu_counts x {1p, misp, smp}``, scoreboard."""
-    runs = []
-    for fu_count in fu_counts:
-        swept = _swept_params(params, fu_count)
-        for system, config in _systems(ams_count):
-            runs.append(RunSpec(workload, system, config, scale=scale,
-                                params=swept, timing_model="scoreboard"))
-    return ExperimentSpec("figure_pipeline", tuple(runs))
+    """Declare the grid point-major: each FU count on
+    ``{1p, misp, smp}``, scoreboard."""
+    return ExperimentSpec("figure_pipeline", tuple(
+        spec for fu_count in fu_counts
+        for spec in ExperimentSpec.grid(
+            "figure_pipeline", [workload], _systems(ams_count), scale=scale,
+            params=params.with_changes(sb_alu_units=fu_count,
+                                       sb_mem_units=fu_count),
+            timing_model="scoreboard").runs))
 
 
 def run_figure_pipeline(workload: str = DEFAULT_WORKLOAD,
@@ -96,30 +68,15 @@ def run_figure_pipeline(workload: str = DEFAULT_WORKLOAD,
                         params: MachineParams = DEFAULT_PARAMS,
                         scale: Optional[float] = None,
                         runner: Optional[Runner] = None
-                        ) -> list[PipelineRow]:
-    """Execute the sweep and collect one row per FU count."""
+                        ) -> list[SpeedupRow]:
+    """Execute the sweep: one row per FU count, ``point`` = the count."""
     runner = runner or default_runner()
     result = runner.run_experiment(figure_pipeline_experiment(
         workload, fu_counts, ams_count, params, scale))
-    systems = _systems(ams_count)
-    rows: list[PipelineRow] = []
-    for fu_count in fu_counts:
-        swept = _swept_params(params, fu_count)
-        per_system = {
-            system: result[RunSpec(workload, system, config, scale=scale,
-                                   params=swept,
-                                   timing_model="scoreboard")]
-            for system, config in systems
-        }
-        rows.append(PipelineRow(
-            workload, fu_count,
-            per_system["1p"].cycles,
-            per_system["misp"].cycles,
-            per_system["smp"].cycles))
-    return rows
+    return _comparison_rows(fu_counts, result)
 
 
-def format_figure_pipeline(rows: Sequence[PipelineRow]) -> str:
+def format_figure_pipeline(rows: Sequence[SpeedupRow]) -> str:
     """Render the sweep as a table of speedups per core width."""
     if not rows:
         return "figure_pipeline: no rows"
@@ -128,12 +85,12 @@ def format_figure_pipeline(rows: Sequence[PipelineRow]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{'':{len(rows[0].workload) + 14}s} {row.fu_count:>4d} "
+            f"{'':{len(rows[0].workload) + 14}s} {row.point:>4d} "
             f"{row.misp_speedup:6.2f} {row.smp_speedup:6.2f} "
             f"{row.misp_vs_smp * 100:+7.2f}%")
     first, last = rows[0], rows[-1]
     lines.append(
         f"MISP speedup {first.misp_speedup:.2f} -> {last.misp_speedup:.2f} "
-        f"as shared FU pool widens {first.fu_count} -> {last.fu_count} "
+        f"as shared FU pool widens {first.point} -> {last.point} "
         "(single-sequencer SMP cores never contend)")
     return "\n".join(lines)

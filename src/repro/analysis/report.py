@@ -18,7 +18,8 @@ import time
 from typing import Optional, Sequence
 
 from repro.analysis.figure4 import (
-    format_figure4, run_figure4, run_figure4_streaming,
+    DEFAULT_AMS_COUNT, _systems, format_figure4, run_figure4,
+    run_figure4_streaming,
 )
 from repro.analysis.figure5 import format_figure5, run_figure5
 from repro.analysis.figure7 import format_figure7, run_figure7
@@ -34,6 +35,7 @@ from repro.obs.metrics import new_run_id
 from repro.params import DEFAULT_PARAMS
 from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
+from repro.workloads.base import REGISTRY, check_scale
 from repro.workloads.runner import RunResult
 
 
@@ -150,11 +152,6 @@ def _observed_timeline(names: Sequence[str], scale: Optional[float],
     return result
 
 
-#: the Figure 4 smoke grid the bottleneck analysis sweeps: each
-#: workload on the paper's three system shapes
-_ANALYZE_SYSTEMS = (("1p", "smp1"), ("misp", "1x8"), ("smp", "smp8"))
-
-
 def _parse_params(pairs: Optional[Sequence[str]]) -> dict:
     """``--param KEY=VALUE`` pairs as MachineParams field overrides.
 
@@ -201,7 +198,7 @@ def _bottleneck_analysis(names: Sequence[str], scale: Optional[float],
     runs: dict = {}
     noticed = False
     for workload in names:
-        for system, config in _ANALYZE_SYSTEMS:
+        for system, config in _systems(DEFAULT_AMS_COUNT):
             session = Session(system, config).timing(timing)
             if params:
                 session = session.params(**params)
@@ -286,12 +283,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     params = _parse_params(args.param)
     if args.diff:
         from repro.obs.diff import diff_analyses, format_diff
+        docs = []
+        for path in args.diff:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except OSError as exc:
+                raise SystemExit(f"--diff: cannot read {path}: "
+                                 f"{exc.strerror}") from None
+            except ValueError as exc:
+                raise SystemExit(f"--diff: cannot parse {path}: "
+                                 f"{exc}") from None
+            if not isinstance(doc, dict):
+                raise SystemExit(f"--diff: cannot parse {path}: "
+                                 "not a JSON object")
+            docs.append(doc)
         path_a, path_b = args.diff
-        with open(path_a, encoding="utf-8") as fh:
-            doc_a = json.load(fh)
-        with open(path_b, encoding="utf-8") as fh:
-            doc_b = json.load(fh)
-        print(format_diff(diff_analyses(doc_a, doc_b,
+        print(format_diff(diff_analyses(*docs,
                                         label_a=path_a, label_b=path_b)))
         return 0
     from repro.workloads import FIGURE4_ORDER
@@ -299,6 +307,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scale = args.scale
     if args.smoke and scale is None:
         scale = 0.05
+    # reject a bad name or scale before the report prints its first line
+    checks = ([("--workloads", REGISTRY.get, name) for name in names]
+              + [("--scale", check_scale, scale),
+                 ("--rt-scale", check_scale, args.rt_scale)])
+    for option, check, value in checks:
+        try:
+            check(value)
+        except ConfigurationError as exc:
+            raise SystemExit(f"{option}: {exc}") from None
 
     # the correlation id of this invocation's store, runner, observed
     # run and metrics snapshot

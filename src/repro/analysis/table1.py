@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.analysis.figure4 import DEFAULT_AMS_COUNT
-from repro.experiments import (
-    ExperimentSpec, Runner, RunSummary, default_runner,
-)
+from repro.analysis.figure5 import figure5_experiment
+from repro.experiments import Runner, RunSummary, default_runner
 from repro.params import DEFAULT_PARAMS, MachineParams
 from repro.workloads.runner import RunResult
 from repro.workloads.speccomp import EVENT_SCALE
@@ -82,24 +81,15 @@ def measured_row(result: Union[RunResult, RunSummary]) -> EventRow:
                     events["ams_pf"])
 
 
-def table1_experiment(workload_names: Sequence[str],
-                      ams_count: int = DEFAULT_AMS_COUNT,
-                      params: MachineParams = DEFAULT_PARAMS,
-                      scale: Optional[float] = None) -> ExperimentSpec:
-    """Declare the Table 1 grid: one MISP run per workload."""
-    from repro.analysis.figure5 import figure5_experiment
-    grid = figure5_experiment(workload_names, ams_count, params, scale)
-    return ExperimentSpec("table1", grid.runs)
-
-
 def run_table1(workload_names: Sequence[str],
                ams_count: int = DEFAULT_AMS_COUNT,
                params: MachineParams = DEFAULT_PARAMS,
                scale: Optional[float] = None,
                runner: Optional[Runner] = None) -> list[EventRow]:
-    """Run the MISP grid and extract each workload's Table 1 row."""
+    """Run the MISP grid and extract each workload's Table 1 row (the
+    MISP runs of Figure 4 and Figure 5)."""
     runner = runner or default_runner()
-    exp = table1_experiment(workload_names, ams_count, params, scale)
+    exp = figure5_experiment(workload_names, ams_count, params, scale)
     return [measured_row(s) for s in runner.run_many(exp.runs)]
 
 

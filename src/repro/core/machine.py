@@ -55,17 +55,6 @@ from repro.sim.trace import EventKind, TraceLog
 from repro.timing.base import PARAM_CLASS, StallAccount, TimingModel
 from repro.timing.fixed import FixedTiming
 
-#: stall class for a privileged service's ``priv`` term when its cost
-#: is pinned by the workload (empty priv_coefs) and so carries no
-#: MachineParams coefficient to classify through PARAM_CLASS
-_KIND_CLASS = {
-    EventKind.PAGE_FAULT: "page_fault_service",
-    EventKind.SYSCALL: "syscall_service",
-    EventKind.TIMER: "timer_service",
-    EventKind.INTERRUPT: "interrupt_service",
-    EventKind.PROXY_BEGIN: "syscall_service",
-}
-
 
 class Machine:
     """A full simulated system (processors + kernel + memory + clock)."""
@@ -583,9 +572,9 @@ class Machine:
         oms.busy = True
         self.trace.instant(t0, oms.seq_id, EventKind.RING_ENTER,
                            detail=kind.value)
+        # only a syscall's cost can be pinned (empty priv_coefs)
         svc_class = (PARAM_CLASS.get(priv_coefs[0][0], "syscall_service")
-                     if priv_coefs
-                     else _KIND_CLASS.get(kind, "syscall_service"))
+                     if priv_coefs else "syscall_service")
 
         def stage_suspend() -> None:
             cap = self._cap

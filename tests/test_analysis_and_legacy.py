@@ -3,10 +3,16 @@ and the legacy applications on both system types."""
 
 import pytest
 
-from repro.analysis.figure4 import Figure4Result, SpeedupRow
+from repro.analysis.figure4 import (
+    DEFAULT_AMS_COUNT, Figure4Result, SpeedupRow, _systems, run_figure4,
+)
 from repro.analysis.figure5 import PAPER_TICK_CYCLES, sensitivity_from_run
+from repro.analysis.figure_mem import run_figure_mem
+from repro.analysis.figure_pipeline import run_figure_pipeline
 from repro.analysis.report import figure6_text
 from repro.analysis.table1 import EventRow, PAPER_TABLE1, format_table1
+from repro.experiments import Runner, RunSpec, RunSummary
+from repro.params import DEFAULT_PARAMS
 from repro.systems import Session
 from repro.workloads.base import REGISTRY
 from repro.workloads.legacy import (
@@ -15,18 +21,27 @@ from repro.workloads.legacy import (
 )
 
 
+def speedup_row(workload, *cycles):
+    """A Figure 4 row of hand-set cycles (1P, MISP, SMP)."""
+    return SpeedupRow(workload, *(
+        RunSummary(workload, system, config, count)
+        for (system, config), count in zip(_systems(DEFAULT_AMS_COUNT),
+                                           cycles)))
+
+
 class TestFigure4Math:
     def make_result(self):
+        # registered workloads, so each row's suite resolves
         rows = [
-            SpeedupRow("a", "rms", 1000, 125, 120),
-            SpeedupRow("b", "rms", 1000, 250, 260),
-            SpeedupRow("c", "speccomp", 1000, 200, 210),
+            speedup_row("dense_mvm", 1000, 125, 120),   # rms
+            speedup_row("gauss", 1000, 250, 260),       # rms
+            speedup_row("swim", 1000, 200, 210),        # speccomp
         ]
-        return Figure4Result(rows, {})
+        return Figure4Result(rows)
 
     def test_speedups(self):
         result = self.make_result()
-        row = result.row("a")
+        row = result.row("dense_mvm")
         assert row.misp_speedup == pytest.approx(8.0)
         assert row.smp_speedup == pytest.approx(1000 / 120)
         assert row.misp_vs_smp == pytest.approx(125 / 120 - 1)
@@ -50,6 +65,51 @@ class TestFigure4Math:
         assert spec2.suite == "speccomp"
         full = REGISTRY.build("gauss", None)
         assert full is REGISTRY.get("gauss")
+
+
+#: each three-system figure: how to run it on a serial Runner, its
+#: points, and the RunSpec one of its points declares on one system
+SCALE = 0.02
+COMPARISONS = {
+    "figure4": (
+        lambda runner: run_figure4(["dense_mvm", "gauss"], scale=SCALE,
+                                   runner=runner).rows,
+        ["dense_mvm", "gauss"],
+        lambda point, system, config: RunSpec(point, system, config,
+                                              scale=SCALE)),
+    "figure_mem": (
+        lambda runner: run_figure_mem("dense_mvm", mem_costs=(15, 960),
+                                      scale=SCALE, runner=runner),
+        [15, 960],
+        lambda point, system, config: RunSpec(
+            "dense_mvm", system, config, scale=SCALE,
+            params=DEFAULT_PARAMS.with_changes(mem_cost=point))),
+    "figure_pipeline": (
+        lambda runner: run_figure_pipeline("dense_mvm", fu_counts=(1, 2),
+                                           scale=SCALE, runner=runner),
+        [1, 2],
+        lambda point, system, config: RunSpec(
+            "dense_mvm", system, config, scale=SCALE,
+            params=DEFAULT_PARAMS.with_changes(sb_alu_units=point,
+                                               sb_mem_units=point),
+            timing_model="scoreboard")),
+}
+
+
+@pytest.mark.parametrize("figure", COMPARISONS)
+def test_each_row_holds_the_runs_its_point_declares(figure):
+    """Rows are read three summaries at a time off a point-major grid:
+    every row's 1P, MISP and SMP runs are the specs its point declares,
+    in ``_systems`` order (a grid built system-major would fail)."""
+    run, points, declared = COMPARISONS[figure]
+    rows = run(Runner(parallel=False))
+    assert [row.point for row in rows] == points
+    for row in rows:
+        runs = (row.one_p, row.misp, row.smp)
+        for summary, (system, config) in zip(
+                runs, _systems(DEFAULT_AMS_COUNT), strict=True):
+            spec = declared(row.point, system, config)
+            assert summary.spec_hash == spec.spec_hash(), spec.describe()
 
 
 class TestTable1Rows:

@@ -680,3 +680,47 @@ def test_report_rejects_a_bad_worker_count_without_a_traceback(jobs):
     assert f"got {jobs}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""                   # nothing simulated
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--workloads", "dense_mvm", "nope"],
+     "--workloads: unknown workload 'nope'"),
+    (["--scale", "0"], "--scale: scale must be positive and finite: 0.0"),
+    (["--scale", "-1"], "--scale: scale must be positive and finite: -1.0"),
+    (["--rt-scale", "0"],
+     "--rt-scale: scale must be positive and finite: 0.0"),
+], ids=["workload", "scale-0", "scale-negative", "rt-scale-0"])
+def test_report_rejects_a_bad_name_or_scale_before_its_first_line(
+        argv, named, capsys):
+    """One line naming the bad value, with nothing printed or simulated
+    (SystemExit with a message exits 1)."""
+    from repro.analysis.report import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--serial", *argv])
+    assert str(excinfo.value).startswith(named)
+    assert capsys.readouterr().out == ""
+
+
+def test_report_diff_names_the_file_it_cannot_read_or_parse(tmp_path,
+                                                            capsys):
+    from repro.analysis.report import main
+
+    good = tmp_path / "good.json"
+    good.write_text('{"runs": {}}')
+    missing = tmp_path / "missing.json"
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("not json")
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1]")
+    for argv, named in ((["--diff", str(missing), str(good)],
+                         f"--diff: cannot read {missing}: "),
+                        (["--diff", str(good), str(garbled)],
+                         f"--diff: cannot parse {garbled}: "),
+                        (["--diff", str(listed), str(good)],
+                         f"--diff: cannot parse {listed}: not a JSON "
+                         "object")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value).startswith(named)
+        assert capsys.readouterr().out == ""

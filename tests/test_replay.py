@@ -12,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.figure4 import DEFAULT_AMS_COUNT, _systems
-from repro.analysis.figure_mem import (
-    DEFAULT_WORKLOAD, FIGURE_MEM_COSTS, MemSensitivityRow,
-)
+from repro.analysis.figure4 import DEFAULT_AMS_COUNT, SpeedupRow, _systems
+from repro.analysis.figure_mem import DEFAULT_WORKLOAD, FIGURE_MEM_COSTS
 from repro.core import build_machine
 from repro.errors import ConfigurationError
 from repro.experiments import RunSpec, RunSummary
@@ -248,11 +246,9 @@ class TestTimingSweeps:
             swept = DEFAULT_PARAMS.with_changes(mem_cost=mem_cost)
             point = {system: machine.run(params=swept)
                      for system, machine in machines.items()}
-            rows.append(MemSensitivityRow(
-                DEFAULT_WORKLOAD, mem_cost, point["1p"].cycles,
-                point["misp"].cycles, point["smp"].cycles,
-                point["misp"].mem, point["smp"].mem))
-        assert [row.mem_cost for row in rows] == list(FIGURE_MEM_COSTS)
+            rows.append(SpeedupRow(mem_cost, point["1p"], point["misp"],
+                                   point["smp"]))
+        assert [row.point for row in rows] == list(FIGURE_MEM_COSTS)
         speedups = [row.misp_speedup for row in rows]
         assert all(a >= b for a, b in zip(speedups, speedups[1:]))
         assert speedups[0] > speedups[-1]
