@@ -299,8 +299,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  "not a JSON object")
             docs.append(doc)
         path_a, path_b = args.diff
-        print(format_diff(diff_analyses(*docs,
-                                        label_a=path_a, label_b=path_b)))
+        try:
+            diff = diff_analyses(*docs, label_a=path_a, label_b=path_b)
+        except ValueError as exc:   # names the file that is not one
+            raise SystemExit(f"--diff: {exc}") from None
+        print(format_diff(diff))
         return 0
     from repro.workloads import FIGURE4_ORDER
     names = list(args.workloads or FIGURE4_ORDER)

@@ -24,11 +24,24 @@ The kernel scheduler is shred-oblivious: when it preempts a
 multi-shredded thread, the machine freezes that thread's AMS streams
 into the thread's aggregate save area (Section 2.2) and the AMSs idle
 -- the effect Figure 7 measures.
+
+Every op's completion is one engine event.  An uncaptured machine
+*holds* idle gang schedulers' completions (each
+:class:`~repro.exec.ops.IdlePoll`, and the lock RMW and poll after it)
+instead of queueing them, and :meth:`Machine._step_held` steps them at
+their own ``(time, seqno)`` keys.  A quiet step makes the state reads
+and mutating calls the full completion would, and skips only what the
+loop contract of :func:`~repro.shredlib.scheduler.gang_scheduler`
+makes side-effect free; anything else runs the full completion.  So a
+held run is exact by construction.  A captured run queues every event
+(its capture needs one row per event), and is the per-op reference a
+held run is tested against.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.notation import config_name
@@ -37,7 +50,8 @@ from repro.core.proxy import ProxyKind, ProxyRequest, ProxyStats
 from repro.core.sequencer import Sequencer, SequencerRole
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec.ops import (
-    AtomicOp, Compute, MachineOp, MemAccess, SignalShred, SyscallOp, Touch,
+    AtomicOp, Compute, IdlePoll, MachineOp, MemAccess, SignalShred, SyscallOp,
+    Touch,
 )
 from repro.exec.stream import DirectStream, InstructionStream
 from repro.kernel.kernel import Kernel
@@ -54,6 +68,10 @@ from repro.sim.engine import Engine
 from repro.sim.trace import EventKind, TraceLog
 from repro.timing.base import PARAM_CLASS, StallAccount, TimingModel
 from repro.timing.fixed import FixedTiming
+
+#: Machine._stand_in while _step_held runs: no stand-in is queued, and
+#: every IdlePoll completion issued meanwhile is held (it ends with one)
+_STEPPING = (-1, -1)
 
 
 class Machine:
@@ -99,6 +117,13 @@ class Machine:
         self._pending: list[deque[tuple]] = [deque() for _ in self.processors]
         self._timers_started = False
         self._stopped = False
+        #: held op completions, a heap of ``(time, seqno, seq, stream,
+        #: poll, lock)`` entries: ``poll`` is the IdlePoll the stream
+        #: has pending, ``lock`` the lock RMW in flight, or None while
+        #: the poll itself is
+        self._held: list[tuple] = []
+        #: key of the queued stand-in entry (None: none is queued)
+        self._stand_in: Optional[tuple[int, int]] = None
 
         #: the timing model pricing every op (repro.timing); the
         #: default `fixed` model reproduces the constant per-op costs
@@ -199,10 +224,11 @@ class Machine:
 
     def ops_issued(self) -> int:
         """Ops the timing model has priced so far: completed, dropped
-        with a killed stream, or still in flight (a drive loop may stop
-        before the engine drains, as multiprogramming's does)."""
+        with a killed stream, or still in flight, queued or held (a
+        drive loop may stop before the engine drains, as
+        multiprogramming's does)."""
         return (sum(s.ops_executed + s.ops_dropped for s in self.sequencers)
-                + self.engine.queued(self._complete))
+                + self.engine.queued(self._complete) + len(self._held))
 
     # ------------------------------------------------------------------
     # Process / thread API
@@ -310,9 +336,9 @@ class Machine:
     def _issue(self, seq: Sequencer, stream: InstructionStream,
                op: MachineOp) -> None:
         """Decompose an op's functional cost, price it through the
-        timing model, and schedule its completion."""
+        timing model, and schedule its completion (hold it, for an
+        IdlePoll in an uncaptured run)."""
         cap = self._cap
-        stream.sequencer = seq  # bind for commit-time translation
         base: int
         walks = 0
         access = 0
@@ -340,10 +366,13 @@ class Machine:
             base, action = 0, ("syscall", op)
         elif kind is SignalShred:
             base, action = self._signal(seq), ("signal", op)
+        elif kind is IdlePoll:
+            base = op.cycles
         else:
             raise SimulationError(f"unknown machine op {op!r}")
         fetch = 0
         if stream.models_fetch:
+            stream.sequencer = seq  # bind for commit-time translation
             # instruction fetch goes through the same hierarchy (a
             # fault retry refetches, like the re-executed instruction)
             fetch_addr = stream.fetch_addr(self.hierarchy)
@@ -354,26 +383,32 @@ class Machine:
         cost = self._charge(seq, op, base, walks, access, fetch)
         seq.busy = True
         seq.busy_cycles += cost
+        if cap is None:
+            if kind is IdlePoll:
+                self._hold(cost, seq, stream, op)
+            else:
+                self.engine.schedule(cost, self._complete, seq, stream, op,
+                                     action)
+            return
         seqno = self.engine.schedule(cost, self._complete, seq, stream, op,
                                      action)
-        if cap is not None:
-            # annotate the event just scheduled: its pattern (the
-            # sequencer it keeps busy and its coefficient terms), and
-            # the accesses it made
-            terms = ISSUE_WALK if walks else 0
-            if kind is AtomicOp:
-                if not op.cycles:
-                    terms += ISSUE_ATOMIC
-            elif kind is SignalShred:
-                terms = ISSUE_SIGNAL
-            cap.patterns[-1] = cap.issue_patterns[seq.seq_id][terms]
-            records = len(cap.acc_addrs)
-            if records != cap.acc_ends[-1]:
-                cap.acc_events.append(seqno)
-                cap.acc_ends.append(records)
-                cap.acc_costs.append(access + fetch)
-                cap.acc_l1_misses.append(cap.l1s[seq.seq_id].misses)
-                cap.acc_mem.append(self.hierarchy.mem_accesses)
+        # annotate the event just scheduled: its pattern (the sequencer
+        # it keeps busy and its coefficient terms), and the accesses it
+        # made
+        terms = ISSUE_WALK if walks else 0
+        if kind is AtomicOp:
+            if not op.cycles:
+                terms += ISSUE_ATOMIC
+        elif kind is SignalShred:
+            terms = ISSUE_SIGNAL
+        cap.patterns[-1] = cap.issue_patterns[seq.seq_id][terms]
+        records = len(cap.acc_addrs)
+        if records != cap.acc_ends[-1]:
+            cap.acc_events.append(seqno)
+            cap.acc_ends.append(records)
+            cap.acc_costs.append(access + fetch)
+            cap.acc_l1_misses.append(cap.l1s[seq.seq_id].misses)
+            cap.acc_mem.append(self.hierarchy.mem_accesses)
 
     def _classify_access(self, seq: Sequencer, vaddr: int, write: bool,
                          span: int = 1) -> tuple[int, int, Optional[tuple]]:
@@ -392,13 +427,18 @@ class Machine:
         cap = self._cap
         vpn = vpn_of(vaddr)
         walks = 0
-        frame = seq.tlb.lookup(vpn)
-        if frame is None:
+        tlb = seq.tlb
+        frame = tlb.translations.get(vpn)
+        if frame is not None:   # TLB.lookup's hit, inlined
+            tlb.translations.move_to_end(vpn)
+            tlb.hits += 1
+        else:
+            tlb.misses += 1
             walks = 1
             pte = process.address_space.page_table.lookup(vpn)
             if pte is None:
                 return walks, 0, ("fault", vpn)
-            seq.tlb.insert(vpn, pte.frame)
+            tlb.insert(vpn, pte.frame)
             frame = pte.frame
         paddr = frame * PAGE_SIZE + vaddr % PAGE_SIZE
         hierarchy = self.hierarchy
@@ -421,9 +461,23 @@ class Machine:
             return
         seq.ops_executed += 1
         if action is None:
-            stream.complete(None)
-            if seq.stream is stream:
+            if type(stream) is DirectStream:
+                # complete(None), inlined
+                stream.pending = stream.send_value = None
+            else:
+                stream.complete(None)
+            if seq.stream is not stream:
+                return
+            if (seq.suspend_depth or seq.proxy_wait
+                    or (seq.is_oms and self._pending[seq.processor.proc_id])):
                 self._advance(seq)
+                return
+            # the common case, _advance inlined: fetch and issue
+            op = stream.next_op()
+            if op is None:
+                self._stream_finished(seq)
+            else:
+                self._issue(seq, stream, op)
             return
         kind = action[0]
         if kind == "fault":
@@ -434,6 +488,117 @@ class Machine:
             self._on_signal(seq, stream, action[1])
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown action {kind}")
+
+    # ------------------------------------------------------------------
+    # Held completions (idle gang schedulers)
+    # ------------------------------------------------------------------
+    def _hold(self, cost: int, seq: Sequencer, stream: InstructionStream,
+              poll: IdlePoll) -> None:
+        """Hold the completion of ``poll``, issued ``cost`` cycles
+        before it, instead of queueing it.
+
+        A completion that would come before the queued stand-in is
+        queued as usual, so the stand-in always sits at the earliest
+        held key without ever moving in the engine's queue.
+        """
+        stand_in = self._stand_in
+        if stand_in is not None and self.engine.now + cost < stand_in[0]:
+            self.engine.schedule(cost, self._complete, seq, stream, poll,
+                                 None)
+            return
+        time, seqno = key = self.engine.reserve(cost)
+        heappush(self._held, (time, seqno, seq, stream, poll, None))
+        if stand_in is None:
+            self._stand_in = key
+            self.engine.stand_in(key, self._step_held)
+
+    def _step_held(self) -> None:
+        """The stand-in's callback: run held completions in key order
+        while each comes before the engine's next queued event, then
+        queue the stand-in at the earliest one left.
+
+        A quiet step completes the held op and issues the next one in
+        place, held: after the backoff, the lock RMW (its TLB hit and
+        cache access, priced); after the lock RMW on a quiet queue,
+        one poll and the same backoff.  Anything else runs the full
+        completion.
+        """
+        engine = self.engine
+        held = self._held
+        pending = self._pending
+        charge = self._charge
+        hierarchy = self.hierarchy
+        self._stand_in = _STEPPING
+        # only a full completion queues events, so the bound moves only
+        # after one
+        limit = engine.next_key()
+        entry = heappop(held)
+        while True:
+            time, seqno, seq, stream, poll, lock = entry
+            engine.step_to(time, seqno)
+            rt = poll.runtime
+            quiet = not (stream.killed or seq.stream is not stream
+                         or seq.suspend_depth or seq.proxy_wait
+                         or (seq.is_oms and pending[seq.processor.proc_id]))
+            if quiet and lock is None:
+                # the backoff completed: the lock RMW, unless its word
+                # misses the TLB (the walk, or fault, runs in full)
+                op = rt.lock_op
+                base = op.cycles or self.params.atomic_op_cost
+                access = 0
+                if op.vaddr is not None:
+                    vpn, offset = divmod(op.vaddr, PAGE_SIZE)
+                    tlb = seq.tlb
+                    frame = tlb.translations.get(vpn)
+                    if frame is None or seq.process_ref is None:
+                        quiet = False
+                    else:
+                        tlb.translations.move_to_end(vpn)
+                        tlb.hits += 1
+                        access = hierarchy.access_line(
+                            seq.seq_id, (frame * PAGE_SIZE + offset)
+                            // hierarchy.line_size, True)
+            elif quiet:
+                # the lock RMW completed: one poll and the same backoff,
+                # while the queue stays quiet
+                quiet = rt.quiet
+                if quiet:
+                    rt.note_poll()
+                    op, base, access = poll, poll.cycles, 0
+            if quiet:
+                seq.ops_executed += 1
+                cost = charge(seq, op, base, 0, access, 0)
+                seq.busy_cycles += cost
+                time, seqno = engine.reserve(cost)
+                # the earliest held event next, the one just issued
+                # included (often it: no heap round trip then)
+                entry = heappushpop(held, (time, seqno, seq, stream, poll,
+                                           op if lock is None else None))
+            else:
+                if lock is not None:
+                    # the generator still has the backoff pending: bring
+                    # it to the lock RMW, as the per-op path would have
+                    stream.complete(None)
+                    if stream.next_op() is not lock:
+                        raise SimulationError(
+                            f"stream '{stream.label}' broke the idle-poll "
+                            "contract: no lock RMW after the backoff")
+                self._complete(seq, stream,
+                               poll if lock is None else lock, None)
+                limit = engine.next_key()
+                if not held:
+                    break
+                entry = heappop(held)
+            # an entry against a 2-tuple key compares on (time, seqno),
+            # which no two events share
+            if entry > limit:
+                heappush(held, entry)
+                break
+        self._stand_in = None
+        if held:
+            key = held[0][:2]
+            self._stand_in = key
+            engine.stand_in(key, self._step_held)
 
     def _stream_finished(self, seq: Sequencer) -> None:
         """A stream ran to completion on ``seq``."""

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mem.addrspace import Region
+    from repro.shredlib.runtime import ShredRuntime
 
 
 class Op:
@@ -74,6 +75,24 @@ class Compute(MachineOp):
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise ValueError("compute cycles must be non-negative")
+
+
+@dataclass(frozen=True)
+class IdlePoll(MachineOp):
+    """One PAUSE-loop backoff of a gang scheduler that found the work
+    queue empty (the idle arm of Figure 3's loop).
+
+    Every timing model prices it exactly like a :class:`Compute` of
+    ``cycles`` with no register dependences, and a trace capture gives
+    it :class:`Compute`'s pattern.  It carries the ``runtime`` whose
+    queue its scheduler polls: an uncaptured machine holds the
+    completion and may step the next lock RMW and poll in place while
+    that queue stays quiet, relying on the loop contract documented
+    on :func:`repro.shredlib.scheduler.gang_scheduler`.
+    """
+
+    cycles: int
+    runtime: "ShredRuntime" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

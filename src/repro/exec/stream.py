@@ -22,7 +22,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.errors import SimulationError
-from repro.exec.ops import HaltOp, MachineOp, Op
+from repro.exec.ops import (
+    AtomicOp, Compute, HaltOp, IdlePoll, MachineOp, MemAccess, Op,
+    SignalShred, SyscallOp, Touch,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sequencer import Sequencer
@@ -72,6 +75,12 @@ class InstructionStream:
         raise NotImplementedError
 
 
+#: the op classes the machine's issue path dispatches on, tested by
+#: exact type before the isinstance fallbacks (they are final)
+_ISSUED = frozenset((Compute, AtomicOp, IdlePoll, Touch, MemAccess,
+                     SyscallOp, SignalShred))
+
+
 class DirectStream(InstructionStream):
     """Adapts a generator of ops into an :class:`InstructionStream`.
 
@@ -84,46 +93,52 @@ class DirectStream(InstructionStream):
     def __init__(self, gen: Iterator[Op], label: str = "") -> None:
         self._gen = gen
         self.label = label
-        self._pending: Optional[MachineOp] = None
-        self._send_value: Any = None
-        self._started = False
+        #: the fetched op awaiting completion (None: fetch the next)
+        self.pending: Optional[MachineOp] = None
+        #: what the next fetch sends in; None primes a fresh generator.
+        #: The machine commits an op with no value inline, by clearing
+        #: both, instead of calling complete(None)
+        self.send_value: Any = None
         self._finished = False
+        # the machine reads these two on every op: as instance
+        # attributes they skip the class lookup
+        self.killed = False
+        self.models_fetch = False
 
     @property
     def finished(self) -> bool:
         return self._finished
 
     def next_op(self) -> Optional[MachineOp]:
+        op = self.pending
+        if op is not None:
+            return op  # fault retry: same op again
         if self._finished:
             return None
-        if self._pending is not None:
-            return self._pending  # fault retry: same op again
         try:
-            if not self._started:
-                self._started = True
-                op = next(self._gen)
-            else:
-                op = self._gen.send(self._send_value)
+            op = self._gen.send(self.send_value)
         except StopIteration:
             self._finished = True
             return None
-        if isinstance(op, HaltOp):
-            self._finished = True
-            self._close()
-            return None
-        if not isinstance(op, MachineOp):
-            raise SimulationError(
-                f"stream '{self.label}' yielded a non-machine op {op!r}; "
-                "scheduler sentinels must be intercepted by the shred runner")
-        self._pending = op
+        if type(op) not in _ISSUED:
+            if isinstance(op, HaltOp):
+                self._finished = True
+                self._close()
+                return None
+            if not isinstance(op, MachineOp):
+                raise SimulationError(
+                    f"stream '{self.label}' yielded a non-machine op "
+                    f"{op!r}; scheduler sentinels must be intercepted by "
+                    "the shred runner")
+        self.pending = op
         return op
 
     def complete(self, value: Any = None) -> None:
-        if self._pending is None:
+        if self.pending is None:
             raise SimulationError(
                 f"stream '{self.label}': complete() with no pending op")
-        self._pending = None
-        self._send_value = value
+        self.pending = None
+        self.send_value = value
 
     def _close(self) -> None:
         close = getattr(self._gen, "close", None)

@@ -22,18 +22,20 @@ class TLB:
         if entries <= 0:
             raise ValueError("TLB must have at least one entry")
         self.capacity = entries
-        self._map: OrderedDict[int, int] = OrderedDict()
+        #: vpn -> frame, least recently used first; the machine's
+        #: translation path inlines :meth:`lookup`'s hit on it
+        self.translations: OrderedDict[int, int] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.flushes = 0
 
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the cached frame for ``vpn``, updating LRU order."""
-        frame = self._map.get(vpn)
+        frame = self.translations.get(vpn)
         if frame is None:
             self.misses += 1
             return None
-        self._map.move_to_end(vpn)
+        self.translations.move_to_end(vpn)
         self.hits += 1
         return frame
 
@@ -43,17 +45,17 @@ class TLB:
         Used by the commit phase of a two-phase access (issue already
         counted the lookup); architecturally it is the same reference.
         """
-        return self._map.get(vpn)
+        return self.translations.get(vpn)
 
     def insert(self, vpn: int, frame: int) -> None:
         """Install a translation, evicting the LRU entry when full."""
-        if vpn in self._map:
-            self._map.move_to_end(vpn)
-            self._map[vpn] = frame
+        if vpn in self.translations:
+            self.translations.move_to_end(vpn)
+            self.translations[vpn] = frame
             return
-        if len(self._map) >= self.capacity:
-            self._map.popitem(last=False)
-        self._map[vpn] = frame
+        if len(self.translations) >= self.capacity:
+            self.translations.popitem(last=False)
+        self.translations[vpn] = frame
 
     def invalidate(self, vpn: int) -> bool:
         """Drop one translation.
@@ -61,15 +63,15 @@ class TLB:
         The machine never calls this (it only flushes whole TLBs);
         it is for tests and callers outside the model.
         """
-        return self._map.pop(vpn, None) is not None
+        return self.translations.pop(vpn, None) is not None
 
     def flush(self) -> None:
         """Purge all translations (the CR3-write path)."""
-        self._map.clear()
+        self.translations.clear()
         self.flushes += 1
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.translations)
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._map
+        return vpn in self.translations

@@ -17,6 +17,8 @@ deterministic for a given pair of inputs.
 
 from __future__ import annotations
 
+from repro.obs.critpath import ANALYZE_SCHEMA
+
 __all__ = ["diff_analyses", "format_diff"]
 
 #: schema tag stamped into every diff document
@@ -29,14 +31,19 @@ DIFF_SCHEMA = "repro.diff/1"
 _DERIVED = ("idle", "suspended")
 
 
-def _runs_of(doc: dict) -> dict[str, dict]:
+def _runs_of(doc: dict, label: str) -> dict[str, dict]:
     """Normalize an input to ``{run key: analysis doc}``.
 
-    Accepts a multi-run ``--analyze`` file (``{"runs": {...}}``) or a
-    single analysis document.
+    Accepts a multi-run ``--analyze`` file (it has a ``runs`` dict) or
+    a single analysis document (its ``schema`` is
+    ``repro.critpath/1``); anything else is a :class:`ValueError`
+    naming the input by ``label``.
     """
-    if "runs" in doc and isinstance(doc["runs"], dict):
-        return doc["runs"]
+    runs = doc.get("runs")
+    if isinstance(runs, dict):
+        return runs
+    if doc.get("schema") != ANALYZE_SCHEMA:
+        raise ValueError(f"{label} is not an analysis document")
     system = doc.get("system", "")
     if system and doc.get("config"):
         system = f"{system}:{doc['config']}"
@@ -76,9 +83,11 @@ def diff_analyses(a: dict, b: dict, label_a: str = "A",
 
     Returns a ``repro.diff/1`` document: totals, per-run deltas ranked
     by magnitude, and -- within each run and overall -- the
-    stall-class and sequencer deltas that explain the movement.
+    stall-class and sequencer deltas that explain the movement.  An
+    input that is neither a multi-run file nor one analysis raises
+    :class:`ValueError` naming it by its label.
     """
-    runs_a, runs_b = _runs_of(a), _runs_of(b)
+    runs_a, runs_b = _runs_of(a, label_a), _runs_of(b, label_b)
     shared = sorted(set(runs_a) & set(runs_b))
     total_a = sum(runs_a[k].get("wall_cycles", 0) for k in shared)
     total_b = sum(runs_b[k].get("wall_cycles", 0) for k in shared)

@@ -30,7 +30,7 @@ from typing import Any, Iterator, Optional
 
 from repro.errors import ShredLibError
 from repro.exec.ops import (
-    AtomicOp, Block, Compute, ExitShred, MachineOp, Op, YieldShred,
+    AtomicOp, Block, Compute, ExitShred, IdlePoll, MachineOp, Op, YieldShred,
 )
 from repro.params import MachineParams
 from repro.shredlib.log import ShredEvent, ShredLog
@@ -84,7 +84,7 @@ class ShredRuntime:
         #: light-weight switch back out of a shred
         self.switch_out_op = Compute(params.shred_switch_cost)
         #: PAUSE-loop backoff on an empty queue
-        self.idle_poll_op = Compute(params.idle_poll_cost)
+        self.idle_poll_op = IdlePoll(params.idle_poll_cost, self)
         # -- counters ------------------------------------------------------
         self.created = 0
         self.finished = 0
@@ -185,8 +185,14 @@ class ShredRuntime:
         self.push(shred)
 
     @property
-    def queue_empty(self) -> bool:
-        return not self.queue
+    def quiet(self) -> bool:
+        """The queue is empty and not shut down: a gang scheduler whose
+        lock RMW completes now counts one poll and backs off again."""
+        return not self.queue and not self.shutdown
+
+    def note_poll(self) -> None:
+        """Count one poll of an empty queue."""
+        self.log.note(ShredEvent.QUEUE_EMPTY_POLL)
 
     @property
     def all_work_done(self) -> bool:
@@ -207,16 +213,11 @@ class ShredRuntime:
         shred.last_worker = worker_id
         self.log.note(ShredEvent.SCHEDULED)
         gen = shred.gen
+        # None primes a fresh body and resumes a parked one alike
         send_value: Any = None
-        first = not getattr(shred, "_started", False)
         while True:
             try:
-                if first:
-                    shred._started = True  # type: ignore[attr-defined]
-                    first = False
-                    op = next(gen)
-                else:
-                    op = gen.send(send_value)
+                op = gen.send(send_value)
             except StopIteration as stop:
                 shred.result = stop.value
                 self.finish_shred(shred)

@@ -12,6 +12,13 @@ sequencer -- the OMS calls it as a function, the AMSs receive it via
 the SMP baseline).  All of them contend for the shared queue in
 :class:`~repro.shredlib.runtime.ShredRuntime`, giving the M:N shred
 scheduling of Section 3.
+
+An idle scheduler spins: lock RMW, empty queue, PAUSE backoff, lock
+RMW again.  An uncaptured :class:`~repro.core.machine.Machine` steps
+those quiet polls in place instead of resuming this generator for
+each of them, which is exact only while the loop keeps the contract
+spelled out on :func:`gang_scheduler`; ``tests/test_shredlib.py``
+drives the loop by hand to hold it to that contract.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.exec.ops import Op
-from repro.shredlib.log import ShredEvent
 from repro.shredlib.runtime import ShredRuntime
 
 
@@ -33,6 +39,15 @@ def gang_scheduler(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
     compute; the loop exits once the runtime signals shutdown and the
     queue has drained ("Exit?" in Figure 3).  Every op it yields is
     one of the runtime's prebuilt ops.
+
+    The machine's quiet-poll step relies on two steps of this loop:
+
+    * after ``rt.idle_poll_op`` completes, the loop yields
+      ``rt.lock_op`` with no side effect in between;
+    * after that lock op completes on a queue that is empty and not
+      shut down (:attr:`ShredRuntime.quiet`), the loop counts one
+      ``QUEUE_EMPTY_POLL`` (:meth:`ShredRuntime.note_poll`) and yields
+      the same ``rt.idle_poll_op`` again.
     """
     while True:
         yield rt.lock_op                  # lock the work queue
@@ -40,7 +55,7 @@ def gang_scheduler(rt: ShredRuntime, worker_id: int) -> Iterator[Op]:
         if shred is None:
             if rt.all_work_done:
                 return
-            rt.log.note(ShredEvent.QUEUE_EMPTY_POLL)
+            rt.note_poll()
             yield rt.idle_poll_op         # PAUSE-loop backoff
             continue
         # dequeue + unlock + light-weight switch into the shred

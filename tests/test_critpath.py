@@ -273,6 +273,17 @@ class TestDiff:
         assert doc["only_a"] == ["w1/s:c"] and doc["only_b"] == ["w2/s:c"]
         assert doc["delta_cycles"] == 0
 
+    def test_only_an_analysis_or_a_multi_run_file_is_diffed(self):
+        """A document without a runs dict must carry the analysis
+        schema: a metrics snapshot is refused by its label."""
+        good = _mini_doc(1000, {"compute": 1000})
+        for other in ({"metrics": {}}, {"runs": []},
+                      {**good, "schema": "repro.analyze/1"}):
+            with pytest.raises(ValueError,
+                               match="^new is not an analysis document$"):
+                diff_analyses(good, other, label_a="old", label_b="new")
+        assert diff_analyses({"runs": {}}, good)["only_b"] == ["w/s:c"]
+
     def test_format_diff_highlights_top_class(self):
         a = _mini_doc(1000, {"compute": 900, "memory": 100})
         b = _mini_doc(1500, {"compute": 900, "memory": 600})

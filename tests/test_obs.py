@@ -702,6 +702,22 @@ def test_report_rejects_a_bad_name_or_scale_before_its_first_line(
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("first", ["metrics", "analysis"])
+def test_report_diff_refuses_a_file_that_is_not_an_analysis(first, capsys):
+    """A metrics snapshot diffed against itself or against the
+    analysis baseline is one named line and exit 1, not a diff."""
+    from repro.analysis.report import main
+
+    root = Path(__file__).resolve().parent.parent
+    metrics = root / "tests" / "golden" / "report_smoke_metrics.json"
+    paths = {"metrics": metrics, "analysis": root / "ANALYZE_baseline.json"}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--diff", str(paths[first]), str(metrics)])
+    assert str(excinfo.value) == \
+        f"--diff: {metrics} is not an analysis document"
+    assert capsys.readouterr().out == ""
+
+
 def test_report_diff_names_the_file_it_cannot_read_or_parse(tmp_path,
                                                             capsys):
     from repro.analysis.report import main

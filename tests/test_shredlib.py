@@ -12,12 +12,13 @@ from repro.core.machine import Machine
 from repro.core.notation import config_name
 from repro.errors import ShredLibError
 from repro.exec.context import ExecContext
-from repro.exec.ops import Compute, SignalShred
+from repro.exec.ops import Compute, IdlePoll, SignalShred
 from repro.params import DEFAULT_PARAMS
 from repro.shredlib import (
     PthreadsAPI, QueuePolicy, ShredAPI, ShredRuntime, ShredState, TlsKey,
     Win32API, gang_scheduler,
 )
+from repro.shredlib.log import ShredEvent
 from repro.systems import Session
 from repro.workloads.base import WorkloadSpec
 
@@ -102,6 +103,46 @@ class TestRuntime:
         assert rt.created == 3 and rt.active == 3
         rt.finish_shred(shreds[0])
         assert rt.finished == 1 and rt.active == 2
+
+
+def test_gang_scheduler_keeps_the_idle_poll_contract():
+    """The machine steps quiet polls in place on the strength of two
+    steps of Figure 3's loop; driving the loop by hand on an empty
+    runtime holds it to them, so changing the loop fails here rather
+    than silently breaking the machine's quiet step."""
+    rt = ShredRuntime(DEFAULT_PARAMS)
+    rt.attach_shared(0x10_000, 4096)
+    poll = rt.idle_poll_op
+    assert type(poll) is IdlePoll and poll.runtime is rt
+    assert poll.cycles == DEFAULT_PARAMS.idle_poll_cost
+
+    def state():
+        return (rt.log.summary(), list(rt.queue), rt.shutdown, rt.created,
+                rt.finished, rt.active, rt.log.max_queue_depth)
+
+    loop = gang_scheduler(rt, worker_id=0)
+    assert next(loop) is rt.lock_op
+    for polls in range(1, 4):
+        # the lock RMW completes on a quiet queue: one poll is noted
+        # and the same backoff follows
+        assert rt.quiet
+        assert loop.send(None) is poll
+        assert rt.log.count(ShredEvent.QUEUE_EMPTY_POLL) == polls
+        # the backoff completes: the lock RMW, with nothing changed
+        before = state()
+        assert loop.send(None) is rt.lock_op
+        assert state() == before
+    # a queue with work is not quiet: the loop switches into the shred
+    rt.push(rt.new_shred(iter(()), "work"))
+    assert not rt.quiet
+    assert loop.send(None) is rt.switch_in_op
+    # nor is a shut-down one: the drained loop exits
+    rt.shutdown = True
+    assert not rt.quiet
+    loop = gang_scheduler(rt, worker_id=1)
+    assert next(loop) is rt.lock_op
+    with pytest.raises(StopIteration):
+        loop.send(None)
 
 
 def _lock_traffic(place_first: bool, place: bool = True) -> dict:

@@ -8,7 +8,9 @@ import dataclasses
 import pytest
 
 from repro.analysis import run_figure_pipeline
+from repro.core.machine import Machine
 from repro.errors import ConfigurationError, SimulationError
+from repro.exec.ops import Compute, IdlePoll
 from repro.experiments import ExperimentSpec, Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
 from repro.systems import Session, get_system
@@ -18,6 +20,22 @@ from repro.timing import (
 )
 
 FAST = dict(workload="dense_mvm", scale=0.05)
+
+
+@pytest.mark.parametrize("model", ["fixed", "scoreboard"])
+def test_idle_poll_is_priced_like_compute(model):
+    """An IdlePoll is a Compute of its cycles to every model: the
+    scoreboard puts both on an ALU (three of them here, against one
+    memory unit), so back-to-back charges match."""
+    params = DEFAULT_PARAMS.with_changes(sb_alu_units=3, sb_mem_units=1)
+    costs = []
+    for op in (Compute(700), IdlePoll(700, runtime=None)):
+        machine = Machine([3], params=params)
+        machine.set_timing(resolve_timing(model))
+        seq = machine.sequencers[1]
+        costs.append([machine.timing.charge(seq, op, 700)
+                      for _ in range(4)])
+    assert costs[0] == costs[1]
 
 
 # ----------------------------------------------------------------------
