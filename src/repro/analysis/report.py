@@ -35,6 +35,7 @@ from repro.obs.metrics import new_run_id
 from repro.params import DEFAULT_PARAMS
 from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
+from repro.timing import get_timing
 from repro.workloads.base import REGISTRY, check_scale
 from repro.workloads.runner import RunResult
 
@@ -313,7 +314,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # reject a bad name or scale before the report prints its first line
     checks = ([("--workloads", REGISTRY.get, name) for name in names]
               + [("--scale", check_scale, scale),
-                 ("--rt-scale", check_scale, args.rt_scale)])
+                 ("--rt-scale", check_scale, args.rt_scale),
+                 ("--timing", get_timing, args.timing)])
     for option, check, value in checks:
         try:
             check(value)

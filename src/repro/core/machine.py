@@ -25,23 +25,24 @@ multi-shredded thread, the machine freezes that thread's AMS streams
 into the thread's aggregate save area (Section 2.2) and the AMSs idle
 -- the effect Figure 7 measures.
 
-Every op's completion is one engine event.  An uncaptured machine
-*holds* idle gang schedulers' completions (each
-:class:`~repro.exec.ops.IdlePoll`, and the lock RMW and poll after it)
-instead of queueing them, and :meth:`Machine._step_held` steps them at
-their own ``(time, seqno)`` keys.  A quiet step makes the state reads
-and mutating calls the full completion would, and skips only what the
-loop contract of :func:`~repro.shredlib.scheduler.gang_scheduler`
-makes side-effect free; anything else runs the full completion.  So a
-held run is exact by construction.  A captured run queues every event
-(its capture needs one row per event), and is the per-op reference a
-held run is tested against.
+Every op's completion is one engine event.  An idle gang scheduler's
+completions go to two dedicated callbacks: each
+:class:`~repro.exec.ops.IdlePoll`'s to :meth:`Machine._poll_done`,
+which on a quiet scheduler issues the lock RMW in place, and that lock
+RMW's to :meth:`Machine._lock_done`, which on a quiet work queue counts
+one poll and issues the same backoff again.  A quiet step makes the
+state reads, mutating calls and :meth:`~repro.sim.engine.Engine.schedule`
+call the full completion would, and skips only resuming the generator,
+which the loop contract of
+:func:`~repro.shredlib.scheduler.gang_scheduler` makes side-effect
+free; anything else runs the full completion.  So every run, captured
+or not, fires the events of the per-op path in its order, and a quiet
+event's capture row is the one the full path would write.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.notation import config_name
@@ -68,11 +69,6 @@ from repro.sim.engine import Engine
 from repro.sim.trace import EventKind, TraceLog
 from repro.timing.base import PARAM_CLASS, StallAccount, TimingModel
 from repro.timing.fixed import FixedTiming
-
-#: Machine._stand_in while _step_held runs: no stand-in is queued, and
-#: every IdlePoll completion issued meanwhile is held (it ends with one)
-_STEPPING = (-1, -1)
-
 
 class Machine:
     """A full simulated system (processors + kernel + memory + clock)."""
@@ -117,13 +113,6 @@ class Machine:
         self._pending: list[deque[tuple]] = [deque() for _ in self.processors]
         self._timers_started = False
         self._stopped = False
-        #: held op completions, a heap of ``(time, seqno, seq, stream,
-        #: poll, lock)`` entries: ``poll`` is the IdlePoll the stream
-        #: has pending, ``lock`` the lock RMW in flight, or None while
-        #: the poll itself is
-        self._held: list[tuple] = []
-        #: key of the queued stand-in entry (None: none is queued)
-        self._stand_in: Optional[tuple[int, int]] = None
 
         #: the timing model pricing every op (repro.timing); the
         #: default `fixed` model reproduces the constant per-op costs
@@ -224,11 +213,11 @@ class Machine:
 
     def ops_issued(self) -> int:
         """Ops the timing model has priced so far: completed, dropped
-        with a killed stream, or still in flight, queued or held (a
-        drive loop may stop before the engine drains, as
-        multiprogramming's does)."""
+        with a killed stream, or still in flight (a drive loop may stop
+        before the engine drains, as multiprogramming's does)."""
         return (sum(s.ops_executed + s.ops_dropped for s in self.sequencers)
-                + self.engine.queued(self._complete) + len(self._held))
+                + sum(self.engine.queued(done) for done in (
+                    self._complete, self._poll_done, self._lock_done)))
 
     # ------------------------------------------------------------------
     # Process / thread API
@@ -336,8 +325,8 @@ class Machine:
     def _issue(self, seq: Sequencer, stream: InstructionStream,
                op: MachineOp) -> None:
         """Decompose an op's functional cost, price it through the
-        timing model, and schedule its completion (hold it, for an
-        IdlePoll in an uncaptured run)."""
+        timing model, and schedule its completion (to
+        :meth:`_poll_done`, for an IdlePoll)."""
         cap = self._cap
         base: int
         walks = 0
@@ -383,30 +372,33 @@ class Machine:
         cost = self._charge(seq, op, base, walks, access, fetch)
         seq.busy = True
         seq.busy_cycles += cost
-        if cap is None:
-            if kind is IdlePoll:
-                self._hold(cost, seq, stream, op)
-            else:
-                self.engine.schedule(cost, self._complete, seq, stream, op,
-                                     action)
-            return
-        seqno = self.engine.schedule(cost, self._complete, seq, stream, op,
-                                     action)
-        # annotate the event just scheduled: its pattern (the sequencer
-        # it keeps busy and its coefficient terms), and the accesses it
-        # made
-        terms = ISSUE_WALK if walks else 0
-        if kind is AtomicOp:
-            if not op.cycles:
-                terms += ISSUE_ATOMIC
-        elif kind is SignalShred:
-            terms = ISSUE_SIGNAL
+        if kind is IdlePoll:
+            seqno = self.engine.schedule(cost, self._poll_done, seq, stream,
+                                         op)
+        else:
+            seqno = self.engine.schedule(cost, self._complete, seq, stream,
+                                         op, action)
+        if cap is not None:
+            terms = ISSUE_WALK if walks else 0
+            if kind is AtomicOp:
+                if not op.cycles:
+                    terms += ISSUE_ATOMIC
+            elif kind is SignalShred:
+                terms = ISSUE_SIGNAL
+            self._annotate_issue(cap, seq, seqno, terms, access + fetch)
+
+    def _annotate_issue(self, cap: TraceCapture, seq: Sequencer, seqno: int,
+                        terms: int, cost: int) -> None:
+        """Annotate the op issue just scheduled as event ``seqno``: its
+        pattern (the sequencer it keeps busy and its ``ISSUE_*``
+        coefficient terms), and the access records it made, closed into
+        one access event with the hierarchy ``cost`` they charged."""
         cap.patterns[-1] = cap.issue_patterns[seq.seq_id][terms]
         records = len(cap.acc_addrs)
         if records != cap.acc_ends[-1]:
             cap.acc_events.append(seqno)
             cap.acc_ends.append(records)
-            cap.acc_costs.append(access + fetch)
+            cap.acc_costs.append(cost)
             cap.acc_l1_misses.append(cap.l1s[seq.seq_id].misses)
             cap.acc_mem.append(self.hierarchy.mem_accesses)
 
@@ -490,115 +482,87 @@ class Machine:
             raise SimulationError(f"unknown action {kind}")
 
     # ------------------------------------------------------------------
-    # Held completions (idle gang schedulers)
+    # Quiet polls (idle gang schedulers)
     # ------------------------------------------------------------------
-    def _hold(self, cost: int, seq: Sequencer, stream: InstructionStream,
-              poll: IdlePoll) -> None:
-        """Hold the completion of ``poll``, issued ``cost`` cycles
-        before it, instead of queueing it.
+    def _poll_done(self, seq: Sequencer, stream: InstructionStream,
+                   poll: IdlePoll) -> None:
+        """An idle gang scheduler's backoff completed.
 
-        A completion that would come before the queued stand-in is
-        queued as usual, so the stand-in always sits at the earliest
-        held key without ever moving in the engine's queue.
+        On a quiet scheduler, issue the lock RMW its loop yields next
+        in place, with the TLB hit, ``access_line`` call, ``charge``,
+        counters and capture row the full path would make, and send
+        its completion to :meth:`_lock_done`.  A killed or swapped
+        stream, a suspension, a proxy wait, pending OMS work, or no
+        process or a TLB miss on the lock word runs the full
+        completion instead.
         """
-        stand_in = self._stand_in
-        if stand_in is not None and self.engine.now + cost < stand_in[0]:
-            self.engine.schedule(cost, self._complete, seq, stream, poll,
-                                 None)
+        if (stream.killed or seq.stream is not stream or seq.suspend_depth
+                or seq.proxy_wait
+                or (seq.is_oms and self._pending[seq.processor.proc_id])):
+            self._complete(seq, stream, poll, None)
             return
-        time, seqno = key = self.engine.reserve(cost)
-        heappush(self._held, (time, seqno, seq, stream, poll, None))
-        if stand_in is None:
-            self._stand_in = key
-            self.engine.stand_in(key, self._step_held)
+        lock = poll.runtime.lock_op
+        cap = self._cap
+        access = 0
+        if lock.vaddr is not None:
+            # _classify_access, on a TLB hit only (a walk, or a fault,
+            # runs in full)
+            vpn, offset = divmod(lock.vaddr, PAGE_SIZE)
+            tlb = seq.tlb
+            frame = tlb.translations.get(vpn)
+            if frame is None or seq.process_ref is None:
+                self._complete(seq, stream, poll, None)
+                return
+            tlb.translations.move_to_end(vpn)
+            tlb.hits += 1
+            hierarchy = self.hierarchy
+            paddr = frame * PAGE_SIZE + offset
+            access = hierarchy.access_line(
+                seq.seq_id, paddr // hierarchy.line_size, True)
+            if cap is not None:
+                cap.acc_addrs.append(paddr)
+                cap.acc_spans.append(3)        # one word, a write
+        seq.ops_executed += 1
+        cost = self._charge(
+            seq, lock, lock.cycles or self.params.atomic_op_cost, 0, access,
+            0)
+        seq.busy_cycles += cost
+        seqno = self.engine.schedule(cost, self._lock_done, seq, stream, lock,
+                                     poll)
+        if cap is not None:
+            self._annotate_issue(cap, seq, seqno,
+                                 0 if lock.cycles else ISSUE_ATOMIC, access)
 
-    def _step_held(self) -> None:
-        """The stand-in's callback: run held completions in key order
-        while each comes before the engine's next queued event, then
-        queue the stand-in at the earliest one left.
+    def _lock_done(self, seq: Sequencer, stream: InstructionStream,
+                   lock: AtomicOp, poll: IdlePoll) -> None:
+        """The lock RMW :meth:`_poll_done` issued completed.
 
-        A quiet step completes the held op and issues the next one in
-        place, held: after the backoff, the lock RMW (its TLB hit and
-        cache access, priced); after the lock RMW on a quiet queue,
-        one poll and the same backoff.  Anything else runs the full
-        completion.
+        While the scheduler stays quiet and its work queue is empty
+        and not shut down, count one poll and issue the same backoff
+        in place, its completion sent back to :meth:`_poll_done`.
+        Anything else brings the generator, which still has the
+        backoff pending, to the lock RMW and runs the full completion.
         """
-        engine = self.engine
-        held = self._held
-        pending = self._pending
-        charge = self._charge
-        hierarchy = self.hierarchy
-        self._stand_in = _STEPPING
-        # only a full completion queues events, so the bound moves only
-        # after one
-        limit = engine.next_key()
-        entry = heappop(held)
-        while True:
-            time, seqno, seq, stream, poll, lock = entry
-            engine.step_to(time, seqno)
-            rt = poll.runtime
-            quiet = not (stream.killed or seq.stream is not stream
-                         or seq.suspend_depth or seq.proxy_wait
-                         or (seq.is_oms and pending[seq.processor.proc_id]))
-            if quiet and lock is None:
-                # the backoff completed: the lock RMW, unless its word
-                # misses the TLB (the walk, or fault, runs in full)
-                op = rt.lock_op
-                base = op.cycles or self.params.atomic_op_cost
-                access = 0
-                if op.vaddr is not None:
-                    vpn, offset = divmod(op.vaddr, PAGE_SIZE)
-                    tlb = seq.tlb
-                    frame = tlb.translations.get(vpn)
-                    if frame is None or seq.process_ref is None:
-                        quiet = False
-                    else:
-                        tlb.translations.move_to_end(vpn)
-                        tlb.hits += 1
-                        access = hierarchy.access_line(
-                            seq.seq_id, (frame * PAGE_SIZE + offset)
-                            // hierarchy.line_size, True)
-            elif quiet:
-                # the lock RMW completed: one poll and the same backoff,
-                # while the queue stays quiet
-                quiet = rt.quiet
-                if quiet:
-                    rt.note_poll()
-                    op, base, access = poll, poll.cycles, 0
-            if quiet:
-                seq.ops_executed += 1
-                cost = charge(seq, op, base, 0, access, 0)
-                seq.busy_cycles += cost
-                time, seqno = engine.reserve(cost)
-                # the earliest held event next, the one just issued
-                # included (often it: no heap round trip then)
-                entry = heappushpop(held, (time, seqno, seq, stream, poll,
-                                           op if lock is None else None))
-            else:
-                if lock is not None:
-                    # the generator still has the backoff pending: bring
-                    # it to the lock RMW, as the per-op path would have
-                    stream.complete(None)
-                    if stream.next_op() is not lock:
-                        raise SimulationError(
-                            f"stream '{stream.label}' broke the idle-poll "
-                            "contract: no lock RMW after the backoff")
-                self._complete(seq, stream,
-                               poll if lock is None else lock, None)
-                limit = engine.next_key()
-                if not held:
-                    break
-                entry = heappop(held)
-            # an entry against a 2-tuple key compares on (time, seqno),
-            # which no two events share
-            if entry > limit:
-                heappush(held, entry)
-                break
-        self._stand_in = None
-        if held:
-            key = held[0][:2]
-            self._stand_in = key
-            engine.stand_in(key, self._step_held)
+        rt = poll.runtime
+        if (stream.killed or seq.stream is not stream or seq.suspend_depth
+                or seq.proxy_wait
+                or (seq.is_oms and self._pending[seq.processor.proc_id])
+                or not rt.quiet):
+            stream.complete(None)
+            if stream.next_op() is not lock:
+                raise SimulationError(
+                    f"stream '{stream.label}' broke the idle-poll "
+                    "contract: no lock RMW after the backoff")
+            self._complete(seq, stream, lock, None)
+            return
+        seq.ops_executed += 1
+        rt.note_poll()
+        cost = self._charge(seq, poll, poll.cycles, 0, 0, 0)
+        seq.busy_cycles += cost
+        seqno = self.engine.schedule(cost, self._poll_done, seq, stream, poll)
+        cap = self._cap
+        if cap is not None:
+            self._annotate_issue(cap, seq, seqno, 0, 0)
 
     def _stream_finished(self, seq: Sequencer) -> None:
         """A stream ran to completion on ``seq``."""

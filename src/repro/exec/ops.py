@@ -85,10 +85,10 @@ class IdlePoll(MachineOp):
     Every timing model prices it exactly like a :class:`Compute` of
     ``cycles`` with no register dependences, and a trace capture gives
     it :class:`Compute`'s pattern.  It carries the ``runtime`` whose
-    queue its scheduler polls: an uncaptured machine holds the
-    completion and may step the next lock RMW and poll in place while
-    that queue stays quiet, relying on the loop contract documented
-    on :func:`repro.shredlib.scheduler.gang_scheduler`.
+    queue its scheduler polls: the machine sends its completion to a
+    quiet callback that issues the next lock RMW and poll in place
+    while that queue stays quiet, relying on the loop contract
+    documented on :func:`repro.shredlib.scheduler.gang_scheduler`.
     """
 
     cycles: int

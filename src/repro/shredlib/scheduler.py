@@ -14,11 +14,12 @@ the SMP baseline).  All of them contend for the shared queue in
 scheduling of Section 3.
 
 An idle scheduler spins: lock RMW, empty queue, PAUSE backoff, lock
-RMW again.  An uncaptured :class:`~repro.core.machine.Machine` steps
-those quiet polls in place instead of resuming this generator for
-each of them, which is exact only while the loop keeps the contract
-spelled out on :func:`gang_scheduler`; ``tests/test_shredlib.py``
-drives the loop by hand to hold it to that contract.
+RMW again.  The :class:`~repro.core.machine.Machine` steps those quiet
+polls in place, each still one engine event, instead of resuming this
+generator for each of them, which is exact only while the loop keeps
+the contract spelled out on :func:`gang_scheduler`;
+``tests/test_shredlib.py`` drives the loop by hand to hold it to that
+contract.
 """
 
 from __future__ import annotations

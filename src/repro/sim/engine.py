@@ -12,20 +12,9 @@ its seqno.  Seqnos are unique, so every sift comparison inside
 ``heapq`` is a C-level tuple compare that settles on ``(time,
 seqno)`` and never reaches the callback -- the engine's hottest path
 builds no object beyond the entry itself.  Nothing is ever taken out
-of the queue except by running it.
-
-An event may also be *held*: :meth:`Engine.reserve` gives it the
-``(time, seqno)`` key :meth:`~Engine.schedule` would have, from the
-same counter, and queues nothing.  The holder (the machine, for its
-quiet idle polls) keeps one :meth:`~Engine.stand_in` entry queued at
-its earliest held key; when that entry fires, the holder runs held
-events itself, in key order, each through :meth:`~Engine.step_to` and
-only while it comes before :meth:`~Engine.next_key`.  So every
-scheduled event has run, is still queued, or is held; a stand-in
-entry is none of these, and :meth:`~Engine.pending` and
-:attr:`~Engine.events_executed` count held events and never a
-stand-in.  Every event, held or queued, runs at its own key, so the
-firing order is the one an all-queued run would have.
+of the queue except by running it, so every scheduled event has either
+run or is still queued: that is all the bookkeeping the run loop
+needs.
 
 The engine knows nothing about sequencers, kernels, or memory -- those
 layers schedule events against it.  It has one observation path: with
@@ -59,11 +48,6 @@ class Engine:
         self._capture: Optional[Any] = None
         #: seqno of the event currently executing (-1 outside run())
         self._current_seqno = -1
-        #: the running run()'s ``until`` (None: no bound)
-        self._until: Optional[int] = None
-        #: reserved events not yet stepped, less the stand-in entries
-        #: queued for them: pending() is len(heap) plus this
-        self._offqueue = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -75,11 +59,10 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Number of events run so far, the executing one included
-        (for instrumentation): every scheduled event has run, is still
-        queued or is held, so this is ``events_scheduled -
-        pending()``."""
-        return self._next_seqno - len(self._heap) - self._offqueue
+        """Number of callbacks run so far, the executing one included
+        (for instrumentation): every scheduled event has run or is
+        still queued, so this is ``events_scheduled - pending()``."""
+        return self._next_seqno - len(self._heap)
 
     @property
     def events_scheduled(self) -> int:
@@ -133,79 +116,6 @@ class Engine:
         return seqno
 
     # ------------------------------------------------------------------
-    # Held events
-    # ------------------------------------------------------------------
-    def reserve(self, delay: int) -> tuple[int, int]:
-        """Take the ``(time, seqno)`` key an event scheduled now with
-        ``delay`` would get, and hold the event instead of queueing
-        it: it is pending until its holder runs it through
-        :meth:`step_to`.
-
-        A captured run keeps every event queued (the capture needs one
-        row per scheduled event), so reserving under a capture raises.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._capture is not None:
-            raise SimulationError(
-                "a captured run keeps every event queued: nothing may "
-                "be held")
-        seqno = self._next_seqno
-        self._next_seqno = seqno + 1
-        self._offqueue += 1
-        return self._now + delay, seqno
-
-    def stand_in(self, key: tuple[int, int],
-                 callback: Callable[[], None]) -> None:
-        """Queue ``callback()`` at ``key``, a held event's key, as the
-        entry standing for its holder's held events.
-
-        The entry is not an event: it takes no seqno, and neither
-        :meth:`pending` nor :attr:`events_executed` counts it.  Its
-        callback runs held events through :meth:`step_to`, the one at
-        ``key`` first.
-        """
-        time, seqno = key
-        heapq.heappush(self._heap,
-                       (time, seqno, self._stand_in_fired, (callback,)))
-        self._offqueue -= 1
-
-    def _stand_in_fired(self, callback: Callable[[], None]) -> None:
-        self._offqueue += 1
-        callback()
-
-    def step_to(self, time: int, seqno: int) -> None:
-        """Run the held event at key ``(time, seqno)`` now: move the
-        clock to its time and make it the executing event.
-
-        Only a stand-in's callback steps, in key order and while each
-        key is below :meth:`next_key`; the clock never runs backwards
-        and never passes the running :meth:`run`'s ``until``.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"time went backwards: held event at {time}, now {self._now}")
-        if self._until is not None and time > self._until:
-            raise SimulationError(
-                f"held event at {time} stepped past run(until={self._until})")
-        self._now = time
-        self._current_seqno = seqno
-        self._offqueue -= 1
-
-    def next_key(self) -> tuple:
-        """The key every held event stepped now must stay below: the
-        next queued event's ``(time, seqno)``, or, when nothing queued
-        is due by the running :meth:`run`'s ``until``, ``(until + 1,
-        -1)`` (``(inf, -1)`` with no ``until``)."""
-        heap = self._heap
-        until = self._until
-        if heap:
-            head = heap[0]
-            if until is None or head[0] <= until:
-                return head[0], head[1]
-        return (until + 1, -1) if until is not None else (math.inf, -1)
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None) -> int:
@@ -222,7 +132,6 @@ class Engine:
                 f"run(until={until}) would move the clock back from "
                 f"{self._now}")
         self._running = True
-        self._until = until
         heap = self._heap
         pop = heapq.heappop
         bound = until if until is not None else math.inf
@@ -240,13 +149,12 @@ class Engine:
                 callback(*args)
         finally:
             self._running = False
-            self._until = None
             self._current_seqno = -1
         return self._now
 
     def pending(self) -> int:
-        """Number of events still queued or held, in O(1)."""
-        return len(self._heap) + self._offqueue
+        """Number of events still queued, in O(1)."""
+        return len(self._heap)
 
     def queued(self, callback: Callable[..., None]) -> int:
         """Queued events that will call ``callback`` (a heap scan, for

@@ -1,7 +1,5 @@
 """Unit tests for the discrete-event engine."""
 
-import heapq
-
 import pytest
 
 from repro.errors import SimulationError
@@ -134,90 +132,3 @@ def test_pending_tracks_run_and_drain():
     assert engine.pending() == 2
     engine.run()
     assert engine.pending() == 0
-
-
-# ----------------------------------------------------------------------
-# Held events: reserved keys, one stand-in entry, stepped in key order
-# ----------------------------------------------------------------------
-def _holder(engine, held, order):
-    """A minimal holder: its stand-in steps held keys while each comes
-    before the next queued event, then re-queues itself."""
-
-    def step():
-        while held and held[0] < engine.next_key():
-            engine.step_to(*heapq.heappop(held))
-            order.append(("held", engine.now, engine.current_seqno))
-        if held:
-            engine.stand_in(held[0], step)
-
-    return step
-
-
-def test_held_events_keep_their_keys_and_count_as_pending():
-    engine = Engine()
-    order, held = [], []
-    engine.schedule(10, lambda: order.append(
-        ("queued", engine.now, engine.current_seqno)))
-    held.extend(engine.reserve(delay) for delay in (5, 10, 20))
-    assert held == [(5, 1), (10, 2), (20, 3)]
-    engine.stand_in(held[0], _holder(engine, held, order))
-    # four events pending; the stand-in entry is not one
-    assert engine.pending() == 4 and engine.events_scheduled == 4
-    assert engine.events_executed == 0
-    engine.run()
-    # (10, 0) fires between the held (5, 1) and (10, 2): seqno order
-    assert order == [("held", 5, 1), ("queued", 10, 0), ("held", 10, 2),
-                     ("held", 20, 3)]
-    assert engine.pending() == 0 and engine.events_executed == 4
-    assert engine.now == 20
-
-
-def test_held_events_never_step_past_until():
-    engine = Engine()
-    order, held = [], [engine.reserve(5), engine.reserve(15)]
-    engine.stand_in(held[0], _holder(engine, held, order))
-    assert engine.run(until=10) == 10
-    assert order == [("held", 5, 0)]
-    assert engine.pending() == 1 and engine.events_executed == 1
-    engine.run()
-    assert order == [("held", 5, 0), ("held", 15, 1)]
-    assert engine.events_executed + engine.pending() \
-        == engine.events_scheduled == 2
-
-
-def test_step_to_refuses_a_key_past_until_or_in_the_past():
-    engine = Engine()
-    late = engine.reserve(50)
-
-    def step_late():
-        engine.step_to(*late)
-
-    engine.schedule(5, step_late)
-    with pytest.raises(SimulationError, match="past run"):
-        engine.run(until=20)
-    engine = Engine()
-    early = engine.reserve(0)
-    engine.schedule(5, lambda: engine.step_to(*early))
-    with pytest.raises(SimulationError, match="backwards"):
-        engine.run()
-
-
-def test_next_key_bounds_held_steps_by_queue_and_until():
-    engine = Engine()
-    engine.schedule(7, lambda: None)
-    assert engine.next_key() == (7, 0)
-    seen = []
-    engine.schedule(3, lambda: seen.append(engine.next_key()))
-    engine.run(until=5)
-    # the queued (7, 0) lies past until=5: held keys stop at time 5
-    assert seen == [(6, -1)]
-    engine.run()
-    assert engine.next_key()[0] == float("inf")
-
-
-def test_a_captured_engine_holds_nothing():
-    engine = Engine()
-    engine.set_capture(object())
-    with pytest.raises(SimulationError, match="queued"):
-        engine.reserve(1)
-    assert engine.events_scheduled == 0

@@ -689,7 +689,12 @@ def test_report_rejects_a_bad_worker_count_without_a_traceback(jobs):
     (["--scale", "-1"], "--scale: scale must be positive and finite: -1.0"),
     (["--rt-scale", "0"],
      "--rt-scale: scale must be positive and finite: 0.0"),
-], ids=["workload", "scale-0", "scale-negative", "rt-scale-0"])
+    # a small --analyze run: without the check it prints a whole report
+    # before the traceback
+    (["--smoke", "--scale", "0.01", "--analyze", "--timing", "bogus"],
+     "--timing: unknown timing model 'bogus'; "
+     "registered: ('fixed', 'scoreboard')"),
+], ids=["workload", "scale-0", "scale-negative", "rt-scale-0", "timing"])
 def test_report_rejects_a_bad_name_or_scale_before_its_first_line(
         argv, named, capsys):
     """One line naming the bad value, with nothing printed or simulated
